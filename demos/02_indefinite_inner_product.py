@@ -50,8 +50,10 @@ print("norm_sq sum before:", coeffs.norm_sq_sum(), " after:", rotated.norm_sq_su
 basis = make_decomposable_unitary(UnitaryParams(p=0.3, gamma1=0.7, gamma2=-0.2, delta=1.1))
 pm = prob_matrix(basis)
 print("\nprobability matrix:")
-print(pm)
-print("row sums:", pm.sum(axis=1), " column sums:", pm.sum(axis=0))
+for row in pm:
+    print(" ", row)
+(a, b), (c, d) = pm
+print("row sums:", (a + b, c + d), " column sums:", (a + c, b + d))
 print("doubly stochastic residual:", doubly_stochastic_residual(pm))
 
 # normalization survives any unitary, even with wild phases

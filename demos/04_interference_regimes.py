@@ -10,11 +10,11 @@ the correlation factor and names the regime.
 
 import math
 
-from hyperq.cli import sweep_rows
 from hyperq.interference import (
     classify,
     hyp_law,
     hyp_linearization_residual,
+    sweep_rows,
     trig_law,
     trig_linearization_residual,
 )
@@ -42,8 +42,7 @@ print("trig theta=2.0 classified:", v.to_json_dict())
 flat = p1 + p2 + 2 * math.sqrt(p1 * p2)
 print("\nP' at the boundary:", flat, "->", classify(flat, p1, p2).regime)
 
-# sweep_rows powers the CLI's CSV output; each row is tagged with the
-# law that produced it
-print("\ntheta, p_prime, law over a short hyperbolic sweep:")
-for row in sweep_rows("hyp", p1, p2, 0.0, 2.0, 5):
-    print(f"  {row.theta:4.2f}  {row.p_prime:9.6f}  {row.regime}")
+# sweep_rows powers the CLI's CSV output
+print("\ntheta, p_prime over a short hyperbolic sweep:")
+for theta, p_prime in sweep_rows("hyp", p1, p2, 0.0, 2.0, 5):
+    print(f"  {theta:4.2f}  {p_prime:9.6f}")

@@ -188,14 +188,6 @@ class SplitComplex:
             raise ValueError(f"expected [x, y] with numeric entries, got {data!r}")
         return cls(float(data[0]), float(data[1]))
 
-    @classmethod
-    def zero(cls) -> SplitComplex:
-        return ZERO
-
-    @classmethod
-    def one(cls) -> SplitComplex:
-        return ONE
-
 
 @dataclass(frozen=True)
 class PolarForm:

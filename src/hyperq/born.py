@@ -151,7 +151,15 @@ class ProbabilityModel:
         return -self.eps1
 
     def validate(self, tol: float = EPS_ALG) -> None:
-        """Raise :class:`PreconditionError` unless all invariants hold at tol."""
+        """Raise :class:`PreconditionError` unless all invariants hold at tol.
+
+        The checks run in order: weights sum to 1, every entry lies in
+        [0, 1], both rows sum to 1, ``|theta| <= THETA_MAX``, the
+        cross-column symmetry ``p11*p21 == p12*p22``, both columns sum to 1.
+        Without the symmetry the two interference terms cannot cancel and
+        p1 + p2 would drift from 1, so its violation raises
+        :class:`ConstraintViolatedError`.
+        """
         if tol < 0:
             raise ValueError("tolerance must be nonnegative")
         if abs(self.q1 + self.q2 - 1.0) > tol:
@@ -162,13 +170,22 @@ class ProbabilityModel:
         for label, total in (
             ("row 1", self.p11 + self.p12),
             ("row 2", self.p21 + self.p22),
-            ("column 1", self.p11 + self.p21),
-            ("column 2", self.p12 + self.p22),
         ):
             if abs(total - 1.0) > tol:
                 raise PreconditionError(f"{label} sums to {total}, expected 1")
         if abs(self.theta) > THETA_MAX:
             raise PhaseRangeError(f"|theta| = {abs(self.theta)} exceeds {THETA_MAX}")
+        gap = self.p11 * self.p21 - self.p12 * self.p22
+        if abs(gap) > tol:
+            raise ConstraintViolatedError(
+                f"p11*p21 - p12*p22 = {gap}; the interference terms cannot cancel"
+            )
+        for label, total in (
+            ("column 1", self.p11 + self.p21),
+            ("column 2", self.p12 + self.p22),
+        ):
+            if abs(total - 1.0) > tol:
+                raise PreconditionError(f"{label} sums to {total}, expected 1")
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -208,29 +225,12 @@ def transform_probabilities(
 ) -> TransformedProbabilities:
     """Closed-form new-basis probabilities of a probability model.
 
-    Requires both matrix rows to sum to 1 and the cross-column symmetry
-    ``p11*p21 == p12*p22``; without the symmetry the two interference terms
-    cannot cancel and p1 + p2 would drift from 1, so its violation raises
+    The model must pass :meth:`ProbabilityModel.validate` at ``tol``; a
+    matrix without the cross-column symmetry raises
     :class:`ConstraintViolatedError`.  Out-of-range outputs are legitimate
     (the state is then not decomposable) and reported via ``in_range``.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if abs(m.q1 + m.q2 - 1.0) > tol:
-        raise PreconditionError(f"q1 + q2 = {m.q1 + m.q2}, expected 1")
-    entries = (m.q1, m.q2, m.p11, m.p12, m.p21, m.p22)
-    if min(entries) < -tol or max(entries) > 1.0 + tol:
-        raise PreconditionError("probabilities must lie in [0, 1]")
-    for label, total in (("row 1", m.p11 + m.p12), ("row 2", m.p21 + m.p22)):
-        if abs(total - 1.0) > tol:
-            raise PreconditionError(f"{label} sums to {total}, expected 1")
-    if abs(m.theta) > THETA_MAX:
-        raise PhaseRangeError(f"|theta| = {abs(m.theta)} exceeds {THETA_MAX}")
-    gap = m.p11 * m.p21 - m.p12 * m.p22
-    if abs(gap) > tol:
-        raise ConstraintViolatedError(
-            f"p11*p21 - p12*p22 = {gap}; the interference terms cannot cancel"
-        )
+    m.validate(tol)
     ch = math.cosh(m.theta)
     # products can dip a hair below 0 inside the tolerance slack
     cross1 = 2.0 * math.sqrt(max(m.q1 * m.p11 * m.q2 * m.p21, 0.0)) * ch

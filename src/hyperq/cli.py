@@ -24,12 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .algebra import EPS_ALG, EPS_MEM
 from .born import pipeline_probabilities
 from .errors import PreconditionError
-from .interference import classify, hyp_law, trig_law
+from .interference import classify, sweep_rows
 from .space import (
     Mat2,
     Vec2,
@@ -39,41 +39,7 @@ from .space import (
 )
 from .witness import search_non_transitivity
 
-__all__ = ["SweepRow", "sweep_rows", "build_parser", "main"]
-
-
-class SweepRow(NamedTuple):
-    """One grid point of an interference sweep."""
-
-    theta: float
-    p_prime: float
-    regime: str
-
-
-def sweep_rows(
-    law: str,
-    p1: float,
-    p2: float,
-    theta_min: float,
-    theta_max: float,
-    steps: int,
-    sign: int = 1,
-) -> list[SweepRow]:
-    """Evaluate one law on a uniform ``steps``-point grid over the phase."""
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps!r}")
-    if not theta_min < theta_max:
-        raise ValueError("theta-min must be strictly below theta-max")
-    span = theta_max - theta_min
-    rows = []
-    for i in range(steps):
-        theta = theta_min + span * i / (steps - 1)
-        if law == "trig":
-            value = trig_law(p1, p2, theta)
-        else:
-            value = hyp_law(p1, p2, theta, sign)
-        rows.append(SweepRow(theta, value, law))
-    return rows
+__all__ = ["build_parser", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,8 +70,8 @@ def _run_interfere(args: argparse.Namespace) -> int:
         args.law, args.p1, args.p2, args.theta_min, args.theta_max, args.steps, sign
     )
     print("theta,p_prime")
-    for row in rows:
-        print(f"{row.theta!r},{row.p_prime!r}")
+    for theta, p_prime in rows:
+        print(f"{theta!r},{p_prime!r}")
     return 0
 
 

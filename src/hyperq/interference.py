@@ -23,6 +23,7 @@ reported as the boundary where both laws coincide at theta = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .algebra import THETA_MAX, expj
@@ -39,10 +40,14 @@ __all__ = [
     "trig_linearization_residual",
     "hyp_linearization_residual",
     "classify",
+    "sweep_rows",
 ]
 
 # half-width of the degenerate band around |lambda| = 1
 EPS_CLS = 1e-9
+
+# range of the normal floats, where sqrt(p1*p2) keeps full precision
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 TRIG = "trig"
 HYP = "hyp"
@@ -132,7 +137,14 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
         raise DegenerateInputsError(
             f"reference probabilities must be positive, got {p1!r}, {p2!r}"
         )
-    lam = (pprime - p1 - p2) / (2.0 * math.sqrt(p1 * p2))
+    product = p1 * p2
+    if _NORMAL_MIN <= product <= _NORMAL_MAX:
+        root = math.sqrt(product)
+    else:
+        # p1*p2 underflowed or overflowed; the split root does neither
+        root = math.sqrt(p1) * math.sqrt(p2)
+    # 2*root can overflow; halving the quotient gives the same normal floats
+    lam = (pprime - p1 - p2) / root / 2.0
     mag = abs(lam)
     if mag > math.cosh(THETA_MAX):
         raise DegenerateInputsError(f"coefficient {lam} exceeds any admissible phase")
@@ -143,3 +155,29 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
         return InterferenceVerdict(HYP, math.acosh(mag), sign, lam)
     sign = 1 if lam >= 0 else -1
     return InterferenceVerdict(BOUNDARY, 0.0, sign, lam)
+
+
+def sweep_rows(
+    law: str,
+    p1: float,
+    p2: float,
+    theta_min: float,
+    theta_max: float,
+    steps: int,
+    sign: int = 1,
+) -> list[tuple[float, float]]:
+    """``(theta, p_prime)`` of one law on a uniform ``steps``-point phase grid."""
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps!r}")
+    if not theta_min < theta_max:
+        raise ValueError("theta-min must be strictly below theta-max")
+    span = theta_max - theta_min
+    rows = []
+    for i in range(steps):
+        theta = theta_min + span * i / (steps - 1)
+        if law == TRIG:
+            value = trig_law(p1, p2, theta)
+        else:
+            value = hyp_law(p1, p2, theta, sign)
+        rows.append((theta, value))
+    return rows

@@ -15,9 +15,9 @@ bookkeeping built on top of it in :mod:`hyperq.born`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .algebra import EPS_ALG, ONE, ZERO, SplitComplex
 from .errors import NotUnitaryError
@@ -184,22 +184,25 @@ def change_basis(coeffs: Vec2, basis: Mat2, tol: float = EPS_ALG) -> Vec2:
     )
 
 
-def prob_matrix(m: Mat2) -> np.ndarray:
-    """Entrywise squared moduli as a (2, 2) float array.
+def prob_matrix(m: Mat2) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Entrywise squared moduli ``((p11, p12), (p21, p22))``.
 
     For a unitary matrix with all entries in the positive cone the result is
     doubly stochastic; no such condition is checked here.
     """
-    return np.array(
-        [
-            [m.a11.norm_sq(), m.a12.norm_sq()],
-            [m.a21.norm_sq(), m.a22.norm_sq()],
-        ]
+    return (
+        (m.a11.norm_sq(), m.a12.norm_sq()),
+        (m.a21.norm_sq(), m.a22.norm_sq()),
     )
 
 
-def doubly_stochastic_residual(p: np.ndarray) -> float:
-    """Largest deviation of any row or column sum from 1."""
-    p = np.asarray(p, dtype=float)
-    sums = np.concatenate([p.sum(axis=1), p.sum(axis=0)])
-    return float(np.max(np.abs(sums - 1.0)))
+def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:
+    """Largest deviation of any row or column sum of a 2x2 table from 1.
+
+    NaN when any sum is NaN: the builtin ``max`` would drop it silently.
+    """
+    (a, b), (c, d) = p
+    gaps = [abs(total - 1.0) for total in (a + b, c + d, a + c, b + d)]
+    if any(math.isnan(gap) for gap in gaps):
+        return math.nan
+    return float(max(gaps))

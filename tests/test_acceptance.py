@@ -267,8 +267,8 @@ def test_criterion_7_unitary_stochastic_link(announce):
         checks = (
             is_orthonormal_rows(m, 1e-9)
             and doubly_stochastic_residual(p) <= 1e-9
-            and abs(p[0, 0] - p[1, 1]) <= 1e-9
-            and abs(p[0, 1] - p[1, 0]) <= 1e-9
+            and abs(p[0][0] - p[1][1]) <= 1e-9
+            and abs(p[0][1] - p[1][0]) <= 1e-9
         )
         bad += not checks
     announce(7, "unitary/doubly stochastic", bad == 0, f"{bad} failing matrices")

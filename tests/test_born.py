@@ -173,6 +173,12 @@ class TestTransformProbabilities:
         with pytest.raises(PhaseRangeError):
             transform_probabilities(balanced_model(301.0))
 
+    def test_columns_are_checked_at_the_tolerance_edge(self):
+        # rows and symmetry pass at tol = 0.01, column 1 sums to 0.985
+        m = ProbabilityModel(0.5, 0.5, 0.4925, 0.4985, 0.4925, 0.4985, 0.0, 1)
+        with pytest.raises(PreconditionError, match="column 1"):
+            transform_probabilities(m, tol=0.01)
+
 
 class TestSignPhaseConstraints:
     def test_identity_basis_is_vacuous(self):

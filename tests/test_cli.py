@@ -7,7 +7,8 @@ import sys
 import pytest
 from cli_cases import GOLDEN, GOLDEN_CASES, EXIT_CASES
 
-from hyperq.cli import main, sweep_rows
+from hyperq.cli import main
+from hyperq.interference import sweep_rows
 
 
 @pytest.mark.parametrize(
@@ -47,11 +48,10 @@ def test_help_exits_zero(capsys):
 
 def test_sweep_grid_hits_both_endpoints():
     rows = sweep_rows("trig", 0.5, 0.5, 0.0, 2.0, 5)
-    thetas = [r.theta for r in rows]
+    thetas = [theta for theta, _ in rows]
     assert thetas[0] == 0.0
     assert thetas[-1] == 2.0
     assert thetas == sorted(thetas)
-    assert all(r.regime == "trig" for r in rows)
 
 
 def test_module_entry_point_matches_golden():

@@ -129,9 +129,21 @@ class TestClassify:
         with pytest.raises(DegenerateInputsError):
             classify(math.nan, 0.5, 0.5)
 
+    def test_overflowing_product_keeps_the_coefficient(self):
+        # an infinite p1*p2, or 2*sqrt(p1*p2), used to give lambda = 0 (trig)
+        v = classify(1e308, 1e300, 1e300)
+        assert v.regime == HYP
+        assert v.lambda_ == pytest.approx((1e308 - 2e300) / 2e300, rel=1e-15)
+        v = classify(1e308, 1e308, 1e308)
+        assert v.regime == TRIG
+        assert v.lambda_ == pytest.approx(-0.5, rel=1e-15)
+
     def test_rejects_unrepresentable_phase(self):
         with pytest.raises(DegenerateInputsError):
             classify(1e155, 0.25, 0.25)
+        # p1*p2 underflows to 0, so this used to divide by zero
+        with pytest.raises(DegenerateInputsError):
+            classify(1.0, 1e-320, 1e-320)
 
     @given(
         positive_weights,

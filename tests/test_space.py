@@ -1,6 +1,8 @@
 """Indefinite inner product, orthonormality, and basis changes in 2D."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,3 +183,22 @@ class TestProbMatrix:
     def test_residual_measures_worst_sum(self):
         p = np.array([[0.6, 0.4], [0.3, 0.5]])
         assert doubly_stochastic_residual(p) == pytest.approx(0.2)
+
+    def test_plain_float_tuples(self):
+        p = prob_matrix(hyperbolic_rotation(0.4))
+        assert isinstance(p, tuple)
+        assert all(type(row) is tuple for row in p)
+        assert all(type(entry) is float for row in p for entry in row)
+
+    def test_nan_entry_gives_nan_residual(self):
+        # (1e308, -1e308) has norm_sq inf * 0; numpy's max kept the NaN too
+        m = Mat2.from_list([[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]])
+        p = prob_matrix(m)
+        assert math.isnan(p[0][0])
+        assert math.isnan(doubly_stochastic_residual(p))
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, hyperq; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
