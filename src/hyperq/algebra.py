@@ -40,6 +40,7 @@ __all__ = [
     "J",
     "ONE",
     "ZERO",
+    "check_phase",
     "expj",
 ]
 
@@ -215,11 +216,20 @@ def expj(theta: float) -> SplitComplex:
     for every phase.  Phases beyond ``THETA_MAX`` are rejected instead of
     silently overflowing to infinity.
     """
+    check_phase(theta)
+    return SplitComplex(math.cosh(theta), math.sinh(theta))
+
+
+def check_phase(theta: float) -> None:
+    """Reject a phase that is not finite or exceeds ``THETA_MAX``.
+
+    A non-finite phase raises ``ValueError``, an out-of-range one
+    :class:`PhaseRangeError`.
+    """
     if not math.isfinite(theta):
         raise ValueError(f"phase must be finite, got {theta}")
     if abs(theta) > THETA_MAX:
         raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds THETA_MAX = {THETA_MAX}")
-    return SplitComplex(math.cosh(theta), math.sinh(theta))
 
 
 def _coerce(value: SplitComplex | float | int) -> SplitComplex:

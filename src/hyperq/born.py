@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import EPS_ALG, EPS_MEM, THETA_MAX, PolarForm, SplitComplex, expj
+from .algebra import EPS_ALG, EPS_MEM, THETA_MAX, PolarForm, SplitComplex, check_phase
 from .errors import (
     ConstraintViolatedError,
     DegenerateNormError,
@@ -116,7 +116,10 @@ def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if not q >= 0:
         raise ValueError(f"probability must be nonnegative, got {q!r}")
-    return expj(xi) * (sign * math.sqrt(q))
+    check_phase(xi)
+    r = sign * math.sqrt(q)
+    # the components of expj(xi) * r, without building expj(xi)
+    return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
 
 
 @dataclass(frozen=True)

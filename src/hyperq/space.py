@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import EPS_ALG, ONE, ZERO, SplitComplex
-from .errors import NotUnitaryError
+from .errors import NotUnitaryError, PreconditionError
 
 __all__ = [
     "Vec2",
@@ -146,12 +146,28 @@ def orthonormality_residual(m: Mat2) -> float:
 
     Measures ``inner(r1, r1)`` and ``inner(r2, r2)`` against 1 and
     ``inner(r1, r2)`` against 0, componentwise, and returns the worst case.
+    Raises :class:`PreconditionError` when a row product overflows.
     """
-    r1, r2 = m.rows()
+    # inner() written out on the components, in its operation order, so the
+    # result is bit-identical; x * (-y) == -(x * y) in IEEE arithmetic
+    x11, y11 = m.a11.x, m.a11.y
+    x12, y12 = m.a12.x, m.a12.y
+    x21, y21 = m.a21.x, m.a21.y
+    x22, y22 = m.a22.x, m.a22.y
+    sums = (
+        (x11 * x11 - y11 * y11) + (x12 * x12 - y12 * y12),
+        (x11 * y11 - x11 * y11) + (x12 * y12 - x12 * y12),
+        (x21 * x21 - y21 * y21) + (x22 * x22 - y22 * y22),
+        (x21 * y21 - x21 * y21) + (x22 * y22 - x22 * y22),
+        (x11 * x21 - y11 * y21) + (x12 * x22 - y12 * y22),
+        (x21 * y11 - x11 * y21) + (x22 * y12 - x12 * y22),
+    )
+    # each sum on its own: the builtin max would drop a NaN
+    if not all(map(math.isfinite, sums)):
+        raise PreconditionError(f"row products overflow: {sums}")
+    r11x, r11y, r22x, r22y, r12x, r12y = sums
     return max(
-        inner(r1, r1).dist(ONE),
-        inner(r2, r2).dist(ONE),
-        inner(r1, r2).dist(ZERO),
+        abs(r11x - 1.0), abs(r11y), abs(r22x - 1.0), abs(r22y), abs(r12x), abs(r12y)
     )
 
 
@@ -173,15 +189,27 @@ def change_basis(coeffs: Vec2, basis: Mat2, tol: float = EPS_ALG) -> Vec2:
 
     The matrix must pass :func:`is_orthonormal_rows` at ``tol``; anything
     else is not a legitimate basis change and raises :class:`NotUnitaryError`.
+    A product that overflows raises :class:`PreconditionError`.
     """
-    if not is_orthonormal_rows(basis, tol):
-        raise NotUnitaryError(
-            f"rows are not orthonormal (residual {orthonormality_residual(basis)})"
-        )
-    return Vec2(
-        coeffs.c1 * basis.a11 + coeffs.c2 * basis.a21,
-        coeffs.c1 * basis.a12 + coeffs.c2 * basis.a22,
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    residual = orthonormality_residual(basis)
+    if not residual <= tol:
+        raise NotUnitaryError(f"rows are not orthonormal (residual {residual})")
+    # SplitComplex products and sums written out in their operation order;
+    # an inf or NaN never turns finite again, so checking the outputs suffices
+    x1, y1 = coeffs.c1.x, coeffs.c1.y
+    x2, y2 = coeffs.c2.x, coeffs.c2.y
+    a11, a12, a21, a22 = basis.a11, basis.a12, basis.a21, basis.a22
+    out = (
+        (x1 * a11.x + y1 * a11.y) + (x2 * a21.x + y2 * a21.y),
+        (x1 * a11.y + a11.x * y1) + (x2 * a21.y + a21.x * y2),
+        (x1 * a12.x + y1 * a12.y) + (x2 * a22.x + y2 * a22.y),
+        (x1 * a12.y + a12.x * y1) + (x2 * a22.y + a22.x * y2),
     )
+    if not all(map(math.isfinite, out)):
+        raise PreconditionError(f"basis change overflows: {out}")
+    return Vec2(SplitComplex(out[0], out[1]), SplitComplex(out[2], out[3]))
 
 
 def prob_matrix(m: Mat2) -> tuple[tuple[float, float], tuple[float, float]]:

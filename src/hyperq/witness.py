@@ -18,6 +18,17 @@ columns carry the same phase offset d.  Negating a whole row would give a
 second sign pattern but changes no squared norm, so only this one is
 generated.
 
+For a state ``(sqrt(q1) e^{j xi1}, sqrt(q2) e^{j xi2})`` with q2 = 1 - q1,
+the squared norms of the transformed coordinates follow in closed form:
+
+    p1 = q1*p + q2*(1-p) + 2*sqrt(q1*q2*p*(1-p)) * cosh(xi1 - xi2 + d)
+    p2 = q1*(1-p) + q2*p - 2*sqrt(q1*q2*p*(1-p)) * cosh(xi1 - xi2 + d)
+
+The phases g1 and g2 cancel from both, and the shared phase is simply
+xi1 - xi2 + d.  Every term of p1 is non-negative, so only coordinate 2 can
+leave the positive cone: the interference term of p2 carries the minus
+sign of the -sqrt(p) entry, and cosh >= 1 lets it outgrow the rest.
+
 The search draws random states and matrices from this family and returns
 the first combination whose transformed coordinates leave the positive
 cone, packaged with everything needed to re-verify the violation from
@@ -111,7 +122,11 @@ def search_non_transitivity(
     Each iteration draws, in this fixed order from a Mersenne Twister
     seeded with ``seed``: the state weight q1 from (0, 1), state phases
     xi1, xi2 from [-3, 3], the matrix weight p from (0, 1), and matrix
-    phases gamma1, gamma2, delta from [-3, 3].  The first sample whose
+    phases gamma1, gamma2, delta from [-3, 3].  The closed form of p2 in the
+    module docstring decides whether a draw is a hit; only for a hit is the
+    witness built along the linear-algebra route, ``change_basis`` of the
+    state through :func:`make_decomposable_unitary`, which supplies the
+    violating index and its squared norm.  The first sample whose
     transformed coordinates acquire a squared norm below ``-EPS_MEM`` is
     returned; None if ``max_iter`` samples all stay decomposable.
     """
@@ -129,9 +144,18 @@ def search_non_transitivity(
         # uniform() is closed at the endpoints; open-interval draws only
         if not (0.0 < q1 < 1.0 and 0.0 < p < 1.0):
             continue
-        beta = Vec2(amplitude(1, q1, xi1), amplitude(1, 1.0 - q1, xi2))
+        q2 = 1.0 - q1
+        p2 = (
+            q1 * (1.0 - p)
+            + q2 * p
+            - 2.0 * math.sqrt(q1 * q2 * p * (1.0 - p)) * math.cosh(xi1 - xi2 + delta)
+        )
+        if p2 >= -EPS_MEM:
+            continue
+        beta = Vec2(amplitude(1, q1, xi1), amplitude(1, q2, xi2))
         basis = make_decomposable_unitary(UnitaryParams(p, gamma1, gamma2, delta))
         alpha = change_basis(beta, basis)
+        # a hit counts only if the linear-algebra route confirms it
         for index, coord in enumerate(alpha.coords(), start=1):
             ns = coord.norm_sq()
             if ns < -EPS_MEM:

@@ -96,6 +96,14 @@ class TestAmplitude:
             amplitude(1, -0.1, 0.0)
         with pytest.raises(PhaseRangeError):
             amplitude(1, 0.5, 400.0)
+        with pytest.raises(ValueError):
+            amplitude(1, 0.5, math.nan)
+
+    def test_matches_expj_product(self):
+        rng = random.Random(3)
+        for _ in range(1000):
+            sign, q, xi = rng.choice((1, -1)), rng.random(), rng.uniform(-300, 300)
+            assert amplitude(sign, q, xi) == expj(xi) * (sign * math.sqrt(q))
 
 
 def balanced_model(theta: float, eps1: int = 1) -> ProbabilityModel:

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperq.algebra import EPS_ALG, J, ONE, ZERO, SplitComplex
-from hyperq.errors import NotUnitaryError
+from hyperq.errors import NotUnitaryError, PreconditionError
 from hyperq.space import (
     Mat2,
     Vec2,
@@ -26,6 +26,14 @@ from hyperq.witness import UnitaryParams, make_decomposable_unitary
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 numbers = st.builds(SplitComplex, coords, coords)
 vectors = st.builds(Vec2, numbers, numbers)
+
+wide_coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+wide_numbers = st.builds(SplitComplex, wide_coords, wide_coords)
+wide_vectors = st.builds(Vec2, wide_numbers, wide_numbers)
+wide_matrices = st.builds(Mat2, wide_numbers, wide_numbers, wide_numbers, wide_numbers)
+
+#: Finite entries whose row products overflow to inf - inf.
+OVERFLOW = [[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]]
 
 unit_interval = st.floats(min_value=0.05, max_value=0.95)
 small_phases = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -146,6 +154,17 @@ class TestOrthonormality:
     def test_generated_unitaries_pass(self, m):
         assert is_orthonormal_rows(m, 1e-9)
 
+    @given(wide_matrices)
+    def test_residual_equals_the_inner_products(self, m):
+        r1, r2 = m.rows()
+        assert orthonormality_residual(m) == max(
+            inner(r1, r1).dist(ONE), inner(r2, r2).dist(ONE), inner(r1, r2).dist(ZERO)
+        )
+
+    def test_overflowing_row_product_is_a_precondition(self):
+        with pytest.raises(PreconditionError):
+            orthonormality_residual(Mat2.from_list(OVERFLOW))
+
 
 class TestChangeBasis:
     def test_identity_change(self):
@@ -159,6 +178,19 @@ class TestChangeBasis:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             change_basis(Vec2.basis1(), Mat2(ONE, ZERO, ONE, ZERO))
+
+    def test_rejects_overflowing_product(self):
+        # a unitary matrix, but 1e308 * cosh(1.4) is not a double
+        big = Vec2(SplitComplex(1e308, 0.0), ZERO)
+        with pytest.raises(PreconditionError):
+            change_basis(big, hyperbolic_rotation(1.4))
+
+    @given(wide_vectors, wide_matrices)
+    def test_equals_the_operator_product(self, v, m):
+        # tol = inf admits any matrix, so the product is checked on all of them
+        assert change_basis(v, m, math.inf) == Vec2(
+            v.c1 * m.a11 + v.c2 * m.a21, v.c1 * m.a12 + v.c2 * m.a22
+        )
 
     @given(vectors, unitaries)
     def test_preserves_norm_sum(self, v, m):

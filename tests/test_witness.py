@@ -16,6 +16,7 @@ from hyperq.space import (
     prob_matrix,
 )
 from hyperq.witness import (
+    PHASE_RANGE,
     NonTransitivityWitness,
     UnitaryParams,
     make_decomposable_unitary,
@@ -124,6 +125,43 @@ class TestSearch:
         )
         # measured per-sample rate is about 0.76; pin a safe floor
         assert hits >= 350
+
+
+def linear_algebra_search(seed: int, max_iter: int):
+    """The search along the linear-algebra route alone, checking on every draw
+    that the closed-form p2 has the sign of the transformed coordinate 2."""
+    rng = random.Random(seed)
+    for _ in range(max_iter):
+        q1 = rng.uniform(0.0, 1.0)
+        xi1 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
+        xi2 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
+        p = rng.uniform(0.0, 1.0)
+        g1 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
+        g2 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
+        d = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
+        if not (0.0 < q1 < 1.0 and 0.0 < p < 1.0):
+            continue
+        beta = Vec2(amplitude(1, q1, xi1), amplitude(1, 1.0 - q1, xi2))
+        basis = make_decomposable_unitary(UnitaryParams(p, g1, g2, d))
+        alpha = change_basis(beta, basis)
+        q2 = 1.0 - q1
+        p2 = q1 * (1 - p) + q2 * p - 2 * math.sqrt(q1 * q2 * p * (1 - p)) * math.cosh(
+            xi1 - xi2 + d
+        )
+        if abs(p2) > 1e-6:
+            assert (p2 < 0) == (alpha.c2.norm_sq() < 0), (seed, p2)
+        for index, coord in enumerate(alpha.coords(), start=1):
+            ns = coord.norm_sq()
+            if ns < -EPS_MEM:
+                return NonTransitivityWitness(beta, basis, alpha, index, ns)
+    return None
+
+
+def test_closed_form_screen_matches_linear_algebra():
+    for seed in range(2001):
+        assert search_non_transitivity(seed, 10_000) == linear_algebra_search(
+            seed, 10_000
+        ), seed
 
 
 class TestVerifyWitness:
