@@ -127,8 +127,7 @@ class SplitComplex:
         Membership is non-strict: the light cone belongs to the positive
         cone even though its elements admit no polar form.
         """
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        check_tol(tol)
         return self.norm_sq() >= -tol
 
     def mag(self) -> float:
@@ -199,8 +198,7 @@ class PolarForm:
     theta: float
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        check_sign(self.sign)
         if not self.modulus > 0.0:
             raise ValueError(f"modulus must be strictly positive, got {self.modulus}")
 
@@ -226,10 +224,30 @@ def check_phase(theta: float) -> None:
     A non-finite phase raises ``ValueError``, an out-of-range one
     :class:`PhaseRangeError`.
     """
+    # one comparison on the valid path; NaN and inf fail it too
+    if abs(theta) <= THETA_MAX:
+        return
     if not math.isfinite(theta):
         raise ValueError(f"phase must be finite, got {theta}")
-    if abs(theta) > THETA_MAX:
-        raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds THETA_MAX = {THETA_MAX}")
+    raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds THETA_MAX = {THETA_MAX}")
+
+
+def check_tol(tol: float) -> None:
+    """Reject a negative tolerance with ``ValueError``; NaN fails too."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+
+
+def check_sign(sign: int, name: str = "sign") -> None:
+    """Reject a term or polar sign other than +1 or -1 with ``ValueError``."""
+    if sign not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {sign!r}")
+
+
+def check_probability(p: float) -> None:
+    """Reject a negative probability with ``ValueError``; NaN fails too."""
+    if not p >= 0:
+        raise ValueError(f"probability must be nonnegative, got {p!r}")
 
 
 def _coerce(value: SplitComplex | float | int) -> SplitComplex:

@@ -28,12 +28,20 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import EPS_ALG, EPS_MEM, THETA_MAX, PolarForm, SplitComplex, check_phase
+from .algebra import (
+    EPS_ALG,
+    EPS_MEM,
+    PolarForm,
+    SplitComplex,
+    check_phase,
+    check_probability,
+    check_sign,
+    check_tol,
+)
 from .errors import (
     ConstraintViolatedError,
     DegenerateNormError,
     NotNormalizedError,
-    PhaseRangeError,
     PreconditionError,
 )
 from .space import Mat2, Vec2, change_basis
@@ -98,12 +106,13 @@ def decompose(phi: Vec2, tol: float = EPS_ALG) -> StateDecomposition:
     decomposable iff both coefficients lie in the positive cone at ``tol``;
     only then are the squared norms meaningful as probabilities.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tol(tol)
     q1, q2 = phi.norms_sq()
-    if abs(q1 + q2 - 1.0) > tol:
+    # written so that a NaN sum fails too
+    if not abs(q1 + q2 - 1.0) <= tol:
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
-    if not (phi.c1.in_positive_cone(tol) and phi.c2.in_positive_cone(tol)):
+    # SplitComplex.in_positive_cone on the squared norms already held
+    if not (q1 >= -tol and q2 >= -tol):
         return StateDecomposition(phi, False, None, None)
     return StateDecomposition(
         phi, True, (q1, q2), (_phase_of(phi.c1), _phase_of(phi.c2))
@@ -112,10 +121,8 @@ def decompose(phi: Vec2, tol: float = EPS_ALG) -> StateDecomposition:
 
 def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
     """Coefficient ``sign * sqrt(q) * expj(xi)`` with squared norm ``q``."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if not q >= 0:
-        raise ValueError(f"probability must be nonnegative, got {q!r}")
+    check_sign(sign)
+    check_probability(q)
     check_phase(xi)
     r = sign * math.sqrt(q)
     # the components of expj(xi) * r, without building expj(xi)
@@ -146,8 +153,7 @@ class ProbabilityModel:
         for name in ("q1", "q2", "p11", "p12", "p21", "p22", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.eps1 not in (1, -1):
-            raise ValueError(f"eps1 must be +1 or -1, got {self.eps1!r}")
+        check_sign(self.eps1, "eps1")
 
     @property
     def eps2(self) -> int:
@@ -163,8 +169,7 @@ class ProbabilityModel:
         p1 + p2 would drift from 1, so its violation raises
         :class:`ConstraintViolatedError`.
         """
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        check_tol(tol)
         if abs(self.q1 + self.q2 - 1.0) > tol:
             raise PreconditionError(f"q1 + q2 = {self.q1 + self.q2}, expected 1")
         entries = (self.q1, self.q2, self.p11, self.p12, self.p21, self.p22)
@@ -176,8 +181,7 @@ class ProbabilityModel:
         ):
             if abs(total - 1.0) > tol:
                 raise PreconditionError(f"{label} sums to {total}, expected 1")
-        if abs(self.theta) > THETA_MAX:
-            raise PhaseRangeError(f"|theta| = {abs(self.theta)} exceeds {THETA_MAX}")
+        check_phase(self.theta)
         gap = self.p11 * self.p21 - self.p12 * self.p22
         if abs(gap) > tol:
             raise ConstraintViolatedError(
@@ -315,8 +319,7 @@ def check_sign_phase_constraints(
     amplitudes with negative squared norm have no polar form and raise
     :class:`DegenerateNormError`.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tol(tol)
     s1 = _polar_or_absent(beta.c1)
     s2 = _polar_or_absent(beta.c2)
     if s1 is None or s2 is None:

@@ -26,8 +26,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .algebra import THETA_MAX, expj
-from .errors import DegenerateInputsError, PhaseRangeError
+from .algebra import THETA_MAX, check_phase, check_probability, check_sign, expj
+from .errors import DegenerateInputsError
 
 __all__ = [
     "EPS_CLS",
@@ -72,14 +72,16 @@ class InterferenceVerdict:
         }
 
 
-def _check_probability_pair(p1: float, p2: float) -> None:
-    if not (p1 >= 0 and p2 >= 0):
-        raise ValueError(f"probabilities must be nonnegative, got {p1!r}, {p2!r}")
-
-
 def trig_law(p1: float, p2: float, theta: float) -> float:
-    """Trigonometric interference of two probabilities at phase theta."""
-    _check_probability_pair(p1, p2)
+    """Trigonometric interference of two probabilities at phase theta.
+
+    Any finite phase is accepted; a NaN phase raises ``ValueError``, as
+    ``math.cos`` already does for an infinite one.
+    """
+    check_probability(p1)
+    check_probability(p2)
+    if math.isnan(theta):
+        raise ValueError("phase must not be NaN")
     return p1 + p2 + 2.0 * math.sqrt(p1 * p2) * math.cos(theta)
 
 
@@ -89,11 +91,10 @@ def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
     The output may leave [0, 1] even for probability inputs; that is the
     signature feature of the hyperbolic regime, not an error.
     """
-    _check_probability_pair(p1, p2)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if abs(theta) > THETA_MAX:
-        raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
+    check_probability(p1)
+    check_probability(p2)
+    check_sign(sign)
+    check_phase(theta)
     return p1 + p2 + sign * 2.0 * math.sqrt(p1 * p2) * math.cosh(theta)
 
 
@@ -103,8 +104,7 @@ def trig_linearization_residual(a: float, b: float, theta: float) -> float:
     The right side is evaluated by explicit ordered-pair complex
     arithmetic, so the two sides share no intermediate expressions.
     """
-    _check_probability_pair(a, b)
-    left = a + b + 2.0 * math.sqrt(a * b) * math.cos(theta)
+    left = trig_law(a, b, theta)
     re = math.sqrt(a) + math.sqrt(b) * math.cos(theta)
     im = math.sqrt(b) * math.sin(theta)
     return abs(left - (re * re + im * im))
@@ -172,6 +172,9 @@ def sweep_rows(
     if not theta_min < theta_max:
         raise ValueError("theta-min must be strictly below theta-max")
     span = theta_max - theta_min
+    # an infinite span would put a NaN phase (0 * inf) at the first point
+    if not math.isfinite(span):
+        raise ValueError(f"phase range [{theta_min}, {theta_max}] must be finite")
     rows = []
     for i in range(steps):
         theta = theta_min + span * i / (steps - 1)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import EPS_ALG, ONE, ZERO, SplitComplex
+from .algebra import EPS_ALG, ONE, ZERO, SplitComplex, check_tol
 from .errors import NotUnitaryError, PreconditionError
 
 __all__ = [
@@ -173,8 +173,7 @@ def orthonormality_residual(m: Mat2) -> float:
 
 def is_orthonormal_rows(m: Mat2, tol: float = EPS_ALG) -> bool:
     """True when both rows are unit vectors orthogonal to each other."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tol(tol)
     return orthonormality_residual(m) <= tol
 
 
@@ -191,8 +190,7 @@ def change_basis(coeffs: Vec2, basis: Mat2, tol: float = EPS_ALG) -> Vec2:
     else is not a legitimate basis change and raises :class:`NotUnitaryError`.
     A product that overflows raises :class:`PreconditionError`.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tol(tol)
     residual = orthonormality_residual(basis)
     if not residual <= tol:
         raise NotUnitaryError(f"rows are not orthonormal (residual {residual})")

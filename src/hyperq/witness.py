@@ -41,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebra import EPS_MEM
+from .algebra import EPS_ALG, EPS_MEM
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -166,8 +166,10 @@ def search_non_transitivity(
 def verify_witness(w: NonTransitivityWitness) -> bool:
     """Re-check a claimed witness from its raw fields; False on any failure.
 
-    Confirms that the state and both matrix rows are decomposable, that the
-    stored coordinates really are the basis change of the state, and that
+    Confirms that the state is decomposable, that every matrix entry lies in
+    the positive cone (``change_basis`` checks that the rows are
+    orthonormal, so each row is then a decomposable state), that the stored
+    coordinates really are the basis change of the state, and that
     the flagged coordinate has squared norm below ``-EPS_MEM`` matching the
     stored value.
     """
@@ -176,7 +178,7 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
             return False
         if not decompose(w.beta).decomposable:
             return False
-        if not all(decompose(row).decomposable for row in w.basis.rows()):
+        if not all(entry.in_positive_cone(EPS_ALG) for entry in w.basis.entries()):
             return False
         alpha = change_basis(w.beta, w.basis)
         if alpha.dist(w.alpha) > 1e-9:

@@ -196,4 +196,34 @@ EXIT_CASES = [
     (2, ["classify", "--p1", "1e-320", "--p2", "1e-320", "--pprime", "1"]),
     # finite entries whose row products overflow
     (2, ["verify", "--matrix", _data("matrix_overflow.json")]),
+    # finite coordinates whose squared norms sum to NaN (inf * 0)
+    (
+        2,
+        [
+            "transform",
+            "--state",
+            _data("state_nan_norm.json"),
+            "--matrix",
+            _data("matrix_identity.json"),
+        ],
+    ),
+    # an infinite phase range, which would put NaN at the first grid point
+    (
+        1,
+        [
+            "interfere",
+            "--law",
+            "hyp",
+            "--p1",
+            "0.5",
+            "--p2",
+            "0.5",
+            "--theta-min",
+            "0",
+            "--theta-max",
+            "inf",
+            "--steps",
+            "2",
+        ],
+    ),
 ]

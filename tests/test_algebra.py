@@ -154,10 +154,6 @@ class TestPositiveCone:
         # the light cone is included: membership is non-strict
         assert SplitComplex(1, 1).in_positive_cone(0.0)
 
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            ONE.in_positive_cone(-1.0)
-
     @given(numbers, numbers)
     def test_closed_under_products(self, a, b):
         if a.in_positive_cone(0.0) and b.in_positive_cone(0.0):

@@ -72,9 +72,10 @@ class TestDecompose:
         with pytest.raises(NotNormalizedError):
             decompose(Vec2(ONE, ONE))
 
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            decompose(Vec2(ONE, ZERO), tol=-1.0)
+    def test_nan_norm_is_not_normalized(self):
+        # (1e308 - -1e308) * (1e308 + -1e308) = inf * 0 = NaN
+        with pytest.raises(NotNormalizedError):
+            decompose(Vec2(SplitComplex(1e308, -1e308), ONE))
 
 
 class TestAmplitude:

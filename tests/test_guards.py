@@ -1,0 +1,64 @@
+"""Precondition guards, one table per invariant over every entry point that
+takes the guarded parameter."""
+
+import math
+
+import pytest
+
+from hyperq.algebra import ONE, ZERO, PolarForm
+from hyperq.born import (
+    ProbabilityModel,
+    amplitude,
+    check_sign_phase_constraints,
+    decompose,
+    extract_model,
+    pipeline_probabilities,
+    transform_probabilities,
+)
+from hyperq.interference import hyp_law
+from hyperq.space import Mat2, Vec2, change_basis, is_orthonormal_rows
+
+BASIS_STATE = Vec2(ONE, ZERO)
+BALANCED = ProbabilityModel(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 1)
+
+# every call is valid at a good tolerance, so only the guard can raise
+TOL_ENTRY_POINTS = {
+    "in_positive_cone": lambda tol: ONE.in_positive_cone(tol),
+    "is_orthonormal_rows": lambda tol: is_orthonormal_rows(Mat2.identity(), tol),
+    "change_basis": lambda tol: change_basis(BASIS_STATE, Mat2.identity(), tol),
+    "decompose": lambda tol: decompose(BASIS_STATE, tol),
+    "validate": lambda tol: BALANCED.validate(tol),
+    "transform_probabilities": lambda tol: transform_probabilities(BALANCED, tol),
+    "check_sign_phase_constraints": lambda tol: check_sign_phase_constraints(
+        Mat2.identity(), BASIS_STATE, tol
+    ),
+    "extract_model": lambda tol: extract_model(BASIS_STATE, Mat2.identity(), tol),
+    "pipeline_probabilities": lambda tol: pipeline_probabilities(
+        BASIS_STATE, Mat2.identity(), tol
+    ),
+}
+
+SIGN_ENTRY_POINTS = {
+    "PolarForm": lambda sign: PolarForm(sign, 1.0, 0.0),
+    "amplitude": lambda sign: amplitude(sign, 0.5, 0.0),
+    "ProbabilityModel": lambda sign: ProbabilityModel(
+        0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, sign
+    ),
+    "hyp_law": lambda sign: hyp_law(0.25, 0.25, 0.0, sign),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_tolerance_guard(entry, tol):
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -1.5, math.nan])
+@pytest.mark.parametrize("entry", SIGN_ENTRY_POINTS)
+def test_sign_guard(entry, sign):
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        SIGN_ENTRY_POINTS[entry](sign)
+    SIGN_ENTRY_POINTS[entry](1)
+    SIGN_ENTRY_POINTS[entry](-1)

@@ -42,6 +42,10 @@ class TestLaws:
             hyp_law(0.5, 0.5, 0.0, 0)
         with pytest.raises(PhaseRangeError):
             hyp_law(0.5, 0.5, 301.0, 1)
+        with pytest.raises(ValueError):
+            hyp_law(0.25, 0.25, math.nan, 1)
+        with pytest.raises(ValueError):
+            trig_law(0.25, 0.25, math.nan)
 
     @given(weights, weights, law_phases)
     def test_plus_branch_dominates_perfect_square(self, a, b, theta):

@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from hyperq.algebra import EPS_MEM
+from hyperq.algebra import EPS_MEM, ONE, ZERO, SplitComplex
 from hyperq.born import amplitude, decompose
 from hyperq.space import (
+    Mat2,
     Vec2,
     change_basis,
     doubly_stochastic_residual,
@@ -197,11 +198,22 @@ class TestVerifyWitness:
 
     def test_non_unitary_basis_fails(self):
         w = analytic_witness()
-        from hyperq.space import Mat2
-
         skew = Mat2(w.basis.a11, w.basis.a12, w.basis.a11, w.basis.a12)
         broken = NonTransitivityWitness(w.beta, skew, w.alpha, 2, w.norm_sq)
         assert not verify_witness(broken)
+
+    def test_row_entry_outside_the_cone_fails(self):
+        # rows (j sinh t, cosh t) and (cosh t, j sinh t) are orthonormal, and
+        # coordinate 1 of (1, 0) in them has squared norm -sinh(t)**2
+        t = 0.7
+        s, c = SplitComplex(0.0, math.sinh(t)), SplitComplex(math.cosh(t), 0.0)
+        basis = Mat2(s, c, c, s)
+        assert is_orthonormal_rows(basis)
+        beta = Vec2(ONE, ZERO)
+        alpha = change_basis(beta, basis)
+        ns = alpha.c1.norm_sq()
+        assert ns == pytest.approx(-math.sinh(t) ** 2, abs=1e-15)
+        assert not verify_witness(NonTransitivityWitness(beta, basis, alpha, 1, ns))
 
     def test_json_shape(self):
         d = analytic_witness().to_json_dict()
