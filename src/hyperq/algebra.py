@@ -153,10 +153,7 @@ class SplitComplex:
             raise DegenerateNormError(
                 f"polar form needs positive squared modulus, got {ns} for {self}"
             )
-        sign = 1 if self.x > 0.0 else -1
-        modulus = math.sqrt(ns)
-        theta = math.asinh(sign * self.y / modulus)
-        return PolarForm(sign, modulus, theta)
+        return PolarForm(*_polar(self.x, self.y, ns))
 
     def inverse(self) -> SplitComplex:
         """Multiplicative inverse ``conj(z) / norm_sq(z)``.
@@ -180,13 +177,16 @@ class SplitComplex:
 
     @classmethod
     def from_list(cls, data: object) -> SplitComplex:
-        if (
-            not isinstance(data, (list, tuple))
-            or len(data) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in data)
-        ):
-            raise ValueError(f"expected [x, y] with numeric entries, got {data!r}")
-        return cls(float(data[0]), float(data[1]))
+        if isinstance(data, (list, tuple)) and len(data) == 2:
+            x, y = data
+            if (
+                isinstance(x, (int, float))
+                and isinstance(y, (int, float))
+                and not isinstance(x, bool)
+                and not isinstance(y, bool)
+            ):
+                return cls(float(x), float(y))
+        raise ValueError(f"expected [x, y] with numeric entries, got {data!r}")
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,16 @@ def check_probability(p: float) -> None:
     """Reject a negative probability with ``ValueError``; NaN fails too."""
     if not p >= 0:
         raise ValueError(f"probability must be nonnegative, got {p!r}")
+
+
+def _polar(x: float, y: float, ns: float) -> tuple[int, float, float]:
+    """``(sign, modulus, theta)`` of ``x + j*y`` from its squared modulus ``ns``.
+
+    The one plain-float polar kernel; the caller has checked ``ns > 0``.
+    """
+    sign = 1 if x > 0.0 else -1
+    modulus = math.sqrt(ns)
+    return sign, modulus, math.asinh(sign * y / modulus)
 
 
 def _coerce(value: SplitComplex | float | int) -> SplitComplex:

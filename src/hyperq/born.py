@@ -31,8 +31,8 @@ from typing import NamedTuple
 from .algebra import (
     EPS_ALG,
     EPS_MEM,
-    PolarForm,
     SplitComplex,
+    _polar,
     check_phase,
     check_probability,
     check_sign,
@@ -91,11 +91,12 @@ class StateDecomposition:
         }
 
 
-def _phase_of(c: SplitComplex) -> Phase | None:
-    if c.norm_sq() <= EPS_MEM:
+def _phase_of(c: SplitComplex, ns: float) -> Phase | None:
+    """Polar sign and phase of ``c`` with squared norm ``ns``, if not negligible."""
+    if ns <= EPS_MEM:
         return None
-    p = c.polar()
-    return Phase(p.sign, p.theta)
+    sign, _, theta = _polar(c.x, c.y, ns)
+    return Phase(sign, theta)
 
 
 def decompose(phi: Vec2, tol: float = EPS_ALG) -> StateDecomposition:
@@ -115,7 +116,7 @@ def decompose(phi: Vec2, tol: float = EPS_ALG) -> StateDecomposition:
     if not (q1 >= -tol and q2 >= -tol):
         return StateDecomposition(phi, False, None, None)
     return StateDecomposition(
-        phi, True, (q1, q2), (_phase_of(phi.c1), _phase_of(phi.c2))
+        phi, True, (q1, q2), (_phase_of(phi.c1, q1), _phase_of(phi.c2, q2))
     )
 
 
@@ -150,9 +151,11 @@ class ProbabilityModel:
     eps1: int
 
     def __post_init__(self) -> None:
-        for name in ("q1", "q2", "p11", "p12", "p21", "p22", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        values = (self.q1, self.q2, self.p11, self.p12, self.p21, self.p22, self.theta)
+        if not all(map(math.isfinite, values)):
+            names = ("q1", "q2", "p11", "p12", "p21", "p22", "theta")
+            name = next(n for n, v in zip(names, values) if not math.isfinite(v))
+            raise ValueError(f"{name} must be finite")
         check_sign(self.eps1, "eps1")
 
     @property
@@ -275,8 +278,8 @@ class SignPhaseReport:
     satisfied: bool
 
 
-def _polar_or_absent(z: SplitComplex) -> PolarForm | None:
-    """Polar form, or None for elements of negligible squared norm.
+def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float] | None:
+    """Polar ``(sign, modulus, theta)``, or None for negligible squared norm.
 
     Entries with norm_sq ~ 0 contribute zero probability weight, so their
     undefined phase is never needed.  A clearly negative squared norm means
@@ -289,7 +292,45 @@ def _polar_or_absent(z: SplitComplex) -> PolarForm | None:
         raise DegenerateNormError(
             f"amplitude ({z.x}, {z.y}) has negative squared norm {q}"
         )
-    return z.polar()
+    return _polar(z.x, z.y, q)
+
+
+#: ``(gamma, eps, weight)`` of one column's interference term.
+_Term = tuple[float, int, float]
+
+
+def _column_term(
+    top: SplitComplex, bottom: SplitComplex, state_sign: int
+) -> _Term | None:
+    """The interference term of one matrix column, or None if it vanishes."""
+    pt = _polar_or_absent(top)
+    pb = _polar_or_absent(bottom)
+    if pt is None or pb is None:
+        return None
+    return pt[2] - pb[2], state_sign * pt[0] * pb[0], pt[1] * pb[1]
+
+
+def _column_terms(
+    basis: Mat2, beta: Vec2
+) -> tuple[float, _Term | None, _Term | None] | None:
+    """``(eta, term1, term2)`` of a (basis, state) pair, or None.
+
+    ``eta`` is the phase difference of the two state coefficients; None when
+    either coefficient is negligible, so that no interference term exists.
+    Amplitudes are read in the order beta.c1, beta.c2, a11, a21, a12, a22,
+    and the first with negative squared norm raises
+    :class:`DegenerateNormError`.
+    """
+    s1 = _polar_or_absent(beta.c1)
+    s2 = _polar_or_absent(beta.c2)
+    if s1 is None or s2 is None:
+        return None
+    state_sign = s1[0] * s2[0]
+    return (
+        s1[2] - s2[2],
+        _column_term(basis.a11, basis.a21, state_sign),
+        _column_term(basis.a12, basis.a22, state_sign),
+    )
 
 
 _VACUOUS = SignPhaseReport(
@@ -320,26 +361,10 @@ def check_sign_phase_constraints(
     :class:`DegenerateNormError`.
     """
     check_tol(tol)
-    s1 = _polar_or_absent(beta.c1)
-    s2 = _polar_or_absent(beta.c2)
-    if s1 is None or s2 is None:
+    terms = _column_terms(basis, beta)
+    if terms is None:
         return _VACUOUS
-
-    eta = s1.theta - s2.theta
-    state_sign = s1.sign * s2.sign
-
-    def column_term(top: SplitComplex, bottom: SplitComplex):
-        pt = _polar_or_absent(top)
-        pb = _polar_or_absent(bottom)
-        if pt is None or pb is None:
-            return None
-        gamma = pt.theta - pb.theta
-        eps = state_sign * pt.sign * pb.sign
-        weight = pt.modulus * pb.modulus
-        return gamma, eps, weight
-
-    term1 = column_term(basis.a11, basis.a21)
-    term2 = column_term(basis.a12, basis.a22)
+    eta, term1, term2 = terms
     if term1 is None and term2 is None:
         return _VACUOUS
 
@@ -386,16 +411,23 @@ def extract_model(beta: Vec2, basis: Mat2, tol: float = EPS_ALG) -> ProbabilityM
 
     Requires both interference terms to be present with a shared phase and
     opposite signs; anything else has no closed-form counterpart and raises
-    :class:`PreconditionError`.
+    :class:`PreconditionError`.  The checks are those of
+    :func:`check_sign_phase_constraints` on the same column phases, but no
+    report is built and no residual is computed: the fit reads only the
+    phase and the sign of column 1.
     """
-    report = check_sign_phase_constraints(basis, beta, tol)
-    if report.theta1 is None or report.theta2 is None:
+    check_tol(tol)
+    terms = _column_terms(basis, beta)
+    if terms is None or terms[1] is None or terms[2] is None:
         raise PreconditionError("both interference terms are needed to fit a model")
-    if abs(report.theta_diff) > tol:
+    eta, (gamma1, eps1, _), (gamma2, eps2, _) = terms
+    theta1 = eta + gamma1
+    theta_diff = theta1 - (eta + gamma2)
+    if abs(theta_diff) > tol:
         raise PreconditionError(
-            f"columns disagree on the phase: theta1 - theta2 = {report.theta_diff}"
+            f"columns disagree on the phase: theta1 - theta2 = {theta_diff}"
         )
-    if not report.opposite_signs:
+    if eps2 != -eps1:
         raise PreconditionError("term signs are equal; no valid model exists")
     q1, q2 = beta.norms_sq()
     return ProbabilityModel(
@@ -405,8 +437,8 @@ def extract_model(beta: Vec2, basis: Mat2, tol: float = EPS_ALG) -> ProbabilityM
         basis.a12.norm_sq(),
         basis.a21.norm_sq(),
         basis.a22.norm_sq(),
-        theta=report.theta1,
-        eps1=report.eps1,
+        theta=theta1,
+        eps1=eps1,
     )
 
 

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import THETA_MAX, check_phase, check_probability, check_sign, expj
-from .errors import DegenerateInputsError
+from .errors import DegenerateInputsError, PreconditionError
 
 __all__ = [
     "EPS_CLS",
@@ -166,7 +166,11 @@ def sweep_rows(
     steps: int,
     sign: int = 1,
 ) -> list[tuple[float, float]]:
-    """``(theta, p_prime)`` of one law on a uniform ``steps``-point phase grid."""
+    """``(theta, p_prime)`` of one law on a uniform ``steps``-point phase grid.
+
+    Raises :class:`PreconditionError` when a law value is not finite, as it
+    can be for probabilities near the top of the float range.
+    """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps!r}")
     if not theta_min < theta_max:
@@ -182,5 +186,9 @@ def sweep_rows(
             value = trig_law(p1, p2, theta)
         else:
             value = hyp_law(p1, p2, theta, sign)
+        if not math.isfinite(value):
+            raise PreconditionError(
+                f"law value at theta = {theta!r} is not finite: {value!r}"
+            )
         rows.append((theta, value))
     return rows

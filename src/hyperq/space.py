@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _coords_from_list(data: object) -> tuple[SplitComplex, SplitComplex]:
+    """The two coordinates of ``[[x1,y1],[x2,y2]]``, checked in order."""
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
+        raise ValueError(f"expected [[x1,y1],[x2,y2]], got {data!r}")
+    c1, c2 = data
+    return SplitComplex.from_list(c1), SplitComplex.from_list(c2)
+
+
 @dataclass(frozen=True)
 class Vec2:
     """Pair of split-complex coordinates in an implicit ordered basis."""
@@ -74,9 +82,7 @@ class Vec2:
 
     @classmethod
     def from_list(cls, data: object) -> Vec2:
-        if not isinstance(data, (list, tuple)) or len(data) != 2:
-            raise ValueError(f"expected [[x1,y1],[x2,y2]], got {data!r}")
-        return cls(SplitComplex.from_list(data[0]), SplitComplex.from_list(data[1]))
+        return cls(*_coords_from_list(data))
 
     @classmethod
     def basis1(cls) -> Vec2:
@@ -118,9 +124,9 @@ class Mat2:
     def from_list(cls, data: object) -> Mat2:
         if not isinstance(data, (list, tuple)) or len(data) != 2:
             raise ValueError(f"expected two rows, got {data!r}")
-        r1 = Vec2.from_list(data[0])
-        r2 = Vec2.from_list(data[1])
-        return cls.from_rows(r1, r2)
+        r1, r2 = data
+        # row 1 is checked in full before row 2, so the first bad row is named
+        return cls(*_coords_from_list(r1), *_coords_from_list(r2))
 
     @classmethod
     def from_rows(cls, r1: Vec2, r2: Vec2) -> Mat2:

@@ -226,4 +226,41 @@ EXIT_CASES = [
             "2",
         ],
     ),
+    # finite inputs whose law value overflows; no inf reaches stdout
+    (
+        2,
+        [
+            "interfere",
+            "--law",
+            "hyp",
+            "--p1",
+            "1e308",
+            "--p2",
+            "1e308",
+            "--theta-min",
+            "0",
+            "--theta-max",
+            "1",
+            "--steps",
+            "3",
+        ],
+    ),
+    (
+        2,
+        [
+            "interfere",
+            "--law",
+            "trig",
+            "--p1",
+            "1e308",
+            "--p2",
+            "1e308",
+            "--theta-min",
+            "0",
+            "--theta-max",
+            "1",
+            "--steps",
+            "3",
+        ],
+    ),
 ]

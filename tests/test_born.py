@@ -3,8 +3,11 @@ sign/phase constraint system."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperq.algebra import EPS_ALG, ONE, ZERO, SplitComplex, expj
 from hyperq.born import (
@@ -24,7 +27,7 @@ from hyperq.errors import (
     PhaseRangeError,
     PreconditionError,
 )
-from hyperq.space import Mat2, Vec2, change_basis
+from hyperq.space import Mat2, Vec2, change_basis, prob_matrix
 from hyperq.witness import UnitaryParams, make_decomposable_unitary
 
 LN2 = math.log(2)
@@ -38,6 +41,22 @@ def witness_state() -> Vec2:
 
 def hadamard_like() -> Mat2:
     return make_decomposable_unitary(UnitaryParams(0.5, 0.0, 0.0, 0.0))
+
+
+OFFSET = make_decomposable_unitary(UnitaryParams(0.3, 0.4, -0.2, 0.9))
+
+
+weights = st.floats(min_value=0.05, max_value=0.95)
+signs = st.sampled_from((1, -1))
+phases = st.floats(min_value=-3.0, max_value=3.0)
+states = st.builds(
+    lambda s1, s2, q, xi1, xi2: Vec2(amplitude(s1, q, xi1), amplitude(s2, 1 - q, xi2)),
+    signs, signs, weights, phases, phases,
+)
+unitaries = st.builds(
+    lambda p, g1, g2, d: make_decomposable_unitary(UnitaryParams(p, g1, g2, d)),
+    weights, phases, phases, phases,
+)
 
 
 class TestDecompose:
@@ -71,6 +90,11 @@ class TestDecompose:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
             decompose(Vec2(ONE, ONE))
+
+    @given(states)
+    def test_phases_are_the_polar_phases(self, phi):
+        polar = [c.polar() for c in phi.coords()]
+        assert decompose(phi).phases == tuple((p.sign, p.theta) for p in polar)
 
     def test_nan_norm_is_not_normalized(self):
         # (1e308 - -1e308) * (1e308 + -1e308) = inf * 0 = NaN
@@ -221,8 +245,7 @@ class TestSignPhaseConstraints:
             assert report.satisfied
 
     def test_perturbed_matrix_reports_the_offset(self):
-        base = make_decomposable_unitary(UnitaryParams(0.3, 0.4, -0.2, 0.9))
-        skewed = Mat2(base.a11, base.a12 * expj(0.1), base.a21, base.a22)
+        skewed = replace(OFFSET, a12=OFFSET.a12 * expj(0.1))
         report = check_sign_phase_constraints(skewed, witness_state())
         assert abs(report.theta_diff) == pytest.approx(0.1, abs=1e-9)
         assert not report.satisfied
@@ -287,9 +310,67 @@ class TestExtractAndPipeline:
         assert d.decomposable
         assert closed.p1 == pytest.approx(d.probabilities[0], abs=1e-9)
 
-    def test_extract_rejects_vacuous_input(self):
-        with pytest.raises(PreconditionError):
-            extract_model(Vec2(ONE, ZERO), Mat2.identity())
+    @pytest.mark.parametrize(
+        "beta,basis,error,match",
+        [
+            pytest.param(
+                witness_state(),
+                Mat2(ONE, ZERO, ZERO, SplitComplex(0.5, 2.0)),
+                DegenerateNormError,
+                "negative squared norm",
+                id="jdominant-entry",
+            ),
+            pytest.param(
+                Vec2(ONE, ZERO),
+                hadamard_like(),
+                PreconditionError,
+                "both interference terms",
+                id="zero-coefficient",
+            ),
+            pytest.param(
+                witness_state(),
+                Mat2.identity(),
+                PreconditionError,
+                "both interference terms",
+                id="identity",
+            ),
+            pytest.param(
+                Vec2(ONE, ZERO),
+                Mat2.identity(),
+                PreconditionError,
+                "both interference terms",
+                id="vacuous",
+            ),
+            pytest.param(
+                witness_state(),
+                replace(OFFSET, a12=OFFSET.a12 * expj(0.1)),
+                PreconditionError,
+                "columns disagree",
+                id="skewed-column",
+            ),
+            pytest.param(
+                witness_state(),
+                # make_decomposable_unitary negates a22; undo it
+                replace(OFFSET, a22=-OFFSET.a22),
+                PreconditionError,
+                "term signs are equal",
+                id="equal-signs",
+            ),
+        ],
+    )
+    def test_extract_rejects(self, beta, basis, error, match):
+        with pytest.raises(error, match=match):
+            extract_model(beta, basis)
+
+    @given(states, unitaries)
+    def test_extract_matches_the_report(self, beta, basis):
+        report = check_sign_phase_constraints(basis, beta)
+        q1, q2 = beta.norms_sq()
+        (p11, p12), (p21, p22) = prob_matrix(basis)
+        assembled = ProbabilityModel(
+            q1, q2, p11, p12, p21, p22, theta=report.theta1, eps1=report.eps1
+        )
+        assert extract_model(beta, basis) == assembled
 
     def test_pipeline_flags_the_witness_instance(self):
         d = pipeline_probabilities(witness_state(), hadamard_like())

@@ -1,6 +1,7 @@
 """Indefinite inner product, orthonormality, and basis changes in 2D."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -73,9 +74,28 @@ class TestVec2:
         assert v.to_list() == [[1, 2], [3, 4]]
         assert Vec2.from_list(v.to_list()) == v
 
-    @pytest.mark.parametrize("bad", [[[1, 2]], [[1, 2], [3]], "xy", [1, 2]])
-    def test_from_list_rejects(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            pytest.param([[1, 2]], "expected [[x1,y1],[x2,y2]], got [[1, 2]]", id="bad0"),
+            pytest.param([[1, 2], [3]], "numeric entries, got [3]", id="bad1"),
+            pytest.param("xy", "expected [[x1,y1],[x2,y2]], got 'xy'", id="xy"),
+            pytest.param([1, 2], "numeric entries, got 1", id="bad3"),
+            pytest.param(
+                [[1, 2], [3, 4], [5, 6]],
+                "expected [[x1,y1],[x2,y2]], got [[1, 2], [3, 4], [5, 6]]",
+                id="three-pairs",
+            ),
+            pytest.param([[1, 0], [True, 0]], "numeric entries, got [True, 0]", id="bool"),
+            pytest.param([{"x": 1}, [0, 1]], "numeric entries, got {'x': 1}", id="dict"),
+            pytest.param(
+                [[1, 0], [math.inf, 0]], "components must be finite, got (inf, 0.0)", id="inf"
+            ),
+            pytest.param(["ab", [0, 1]], "numeric entries, got 'ab'", id="string"),
+        ],
+    )
+    def test_from_list_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             Vec2.from_list(bad)
 
 
@@ -91,9 +111,39 @@ class TestMat2:
         m = hyperbolic_rotation(0.3)
         assert Mat2.from_list(m.to_list()) == m
 
-    @pytest.mark.parametrize("bad", [[[1, 2], [3, 4]], [[[1, 2]]], None])
-    def test_from_list_rejects(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            pytest.param([[1, 2], [3, 4]], "numeric entries, got 1", id="bad0"),
+            pytest.param([[[1, 2]]], "expected two rows, got [[[1, 2]]]", id="bad1"),
+            pytest.param(None, "expected two rows, got None", id="None"),
+            pytest.param(
+                [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]]],
+                "expected [[x1,y1],[x2,y2]], got [[1, 0], [0, 0], [0, 0]]",
+                id="three-pairs",
+            ),
+            pytest.param(
+                [[[1, 0], [0, 0]], [[0, False], [1, 0]]],
+                "numeric entries, got [0, False]",
+                id="bool",
+            ),
+            pytest.param(
+                [[[1, 0], [0, 0]], {"a": 1}],
+                "expected [[x1,y1],[x2,y2]], got {'a': 1}",
+                id="dict",
+            ),
+            pytest.param(
+                [[[1, 0], [0, 0]], [[0, 0], [math.inf, 0]]],
+                "components must be finite, got (inf, 0.0)",
+                id="inf",
+            ),
+            pytest.param(
+                ["ab", [[0, 0], [1, 0]]], "expected [[x1,y1],[x2,y2]], got 'ab'", id="string"
+            ),
+        ],
+    )
+    def test_from_list_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             Mat2.from_list(bad)
 
 
