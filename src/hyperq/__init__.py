@@ -24,122 +24,90 @@ The package provides
 
 Everything is an immutable value operated on by pure functions, safe to
 share freely across threads.
+
+The submodules are imported on first use: ``import hyperq`` loads none of
+them, and reading ``hyperq.classify`` (or ``hyperq.born``) imports just the
+submodule that defines it.  A command-line run therefore pays only for the
+modules its subcommand needs.
 """
 
-from .algebra import (
-    EPS_ALG,
-    EPS_MEM,
-    J,
-    ONE,
-    THETA_MAX,
-    ZERO,
-    PolarForm,
-    SplitComplex,
-    expj,
-)
-from .born import (
-    Phase,
-    ProbabilityModel,
-    SignPhaseReport,
-    StateDecomposition,
-    TransformedProbabilities,
-    amplitude,
-    check_sign_phase_constraints,
-    decompose,
-    extract_model,
-    pipeline_probabilities,
-    transform_probabilities,
-)
-from .errors import (
-    ConstraintViolatedError,
-    DegenerateInputsError,
-    DegenerateNormError,
-    NotNormalizedError,
-    NotUnitaryError,
-    PhaseRangeError,
-    PreconditionError,
-)
-from .interference import (
-    BOUNDARY,
-    EPS_CLS,
-    HYP,
-    TRIG,
-    InterferenceVerdict,
-    classify,
-    hyp_law,
-    hyp_linearization_residual,
-    trig_law,
-    trig_linearization_residual,
-)
-from .space import (
-    Mat2,
-    Vec2,
-    change_basis,
-    doubly_stochastic_residual,
-    inner,
-    is_orthonormal_rows,
-    orthonormality_residual,
-    prob_matrix,
-)
-from .witness import (
-    NonTransitivityWitness,
-    UnitaryParams,
-    make_decomposable_unitary,
-    search_non_transitivity,
-    verify_witness,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS_ALG",
-    "EPS_CLS",
-    "EPS_MEM",
-    "THETA_MAX",
-    "J",
-    "ONE",
-    "ZERO",
-    "TRIG",
-    "HYP",
-    "BOUNDARY",
-    "SplitComplex",
-    "PolarForm",
-    "expj",
-    "Vec2",
-    "Mat2",
-    "inner",
-    "is_orthonormal_rows",
-    "orthonormality_residual",
-    "change_basis",
-    "prob_matrix",
-    "doubly_stochastic_residual",
-    "Phase",
-    "StateDecomposition",
-    "ProbabilityModel",
-    "TransformedProbabilities",
-    "SignPhaseReport",
-    "decompose",
-    "amplitude",
-    "transform_probabilities",
-    "check_sign_phase_constraints",
-    "extract_model",
-    "pipeline_probabilities",
-    "InterferenceVerdict",
-    "classify",
-    "trig_law",
-    "hyp_law",
-    "trig_linearization_residual",
-    "hyp_linearization_residual",
-    "UnitaryParams",
-    "NonTransitivityWitness",
-    "make_decomposable_unitary",
-    "search_non_transitivity",
-    "verify_witness",
-    "PreconditionError",
-    "DegenerateNormError",
-    "PhaseRangeError",
-    "NotUnitaryError",
-    "NotNormalizedError",
-    "DegenerateInputsError",
-    "ConstraintViolatedError",
-]
+_SUBMODULES = frozenset(
+    ("algebra", "born", "cli", "errors", "interference", "space", "witness")
+)
+
+#: Each public name and the submodule that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "EPS_ALG": "algebra",
+    "EPS_CLS": "interference",
+    "EPS_MEM": "algebra",
+    "THETA_MAX": "algebra",
+    "J": "algebra",
+    "ONE": "algebra",
+    "ZERO": "algebra",
+    "TRIG": "interference",
+    "HYP": "interference",
+    "BOUNDARY": "interference",
+    "SplitComplex": "algebra",
+    "PolarForm": "algebra",
+    "expj": "algebra",
+    "Vec2": "space",
+    "Mat2": "space",
+    "inner": "space",
+    "is_orthonormal_rows": "space",
+    "orthonormality_residual": "space",
+    "change_basis": "space",
+    "prob_matrix": "space",
+    "doubly_stochastic_residual": "space",
+    "Phase": "born",
+    "StateDecomposition": "born",
+    "ProbabilityModel": "born",
+    "TransformedProbabilities": "born",
+    "SignPhaseReport": "born",
+    "decompose": "born",
+    "amplitude": "born",
+    "transform_probabilities": "born",
+    "check_sign_phase_constraints": "born",
+    "extract_model": "born",
+    "pipeline_probabilities": "born",
+    "InterferenceVerdict": "interference",
+    "classify": "interference",
+    "trig_law": "interference",
+    "hyp_law": "interference",
+    "trig_linearization_residual": "interference",
+    "hyp_linearization_residual": "interference",
+    "UnitaryParams": "witness",
+    "NonTransitivityWitness": "witness",
+    "make_decomposable_unitary": "witness",
+    "search_non_transitivity": "witness",
+    "verify_witness": "witness",
+    "PreconditionError": "errors",
+    "DegenerateNormError": "errors",
+    "PhaseRangeError": "errors",
+    "NotUnitaryError": "errors",
+    "NotNormalizedError": "errors",
+    "DegenerateInputsError": "errors",
+    "ConstraintViolatedError": "errors",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _EXPORTS:
+        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+        value = getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # cached, so the next lookup is a plain module attribute
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

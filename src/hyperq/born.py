@@ -278,8 +278,8 @@ class SignPhaseReport:
     satisfied: bool
 
 
-def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float] | None:
-    """Polar ``(sign, modulus, theta)``, or None for negligible squared norm.
+def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float, float] | None:
+    """``(sign, modulus, theta, norm_sq)``, or None for negligible squared norm.
 
     Entries with norm_sq ~ 0 contribute zero probability weight, so their
     undefined phase is never needed.  A clearly negative squared norm means
@@ -292,11 +292,13 @@ def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float] | None:
         raise DegenerateNormError(
             f"amplitude ({z.x}, {z.y}) has negative squared norm {q}"
         )
-    return _polar(z.x, z.y, q)
+    sign, modulus, theta = _polar(z.x, z.y, q)
+    return sign, modulus, theta, q
 
 
-#: ``(gamma, eps, weight)`` of one column's interference term.
-_Term = tuple[float, int, float]
+#: ``(gamma, eps, weight, top_norm_sq, bottom_norm_sq)`` of one column's
+#: interference term.
+_Term = tuple[float, int, float, float, float]
 
 
 def _column_term(
@@ -307,16 +309,17 @@ def _column_term(
     pb = _polar_or_absent(bottom)
     if pt is None or pb is None:
         return None
-    return pt[2] - pb[2], state_sign * pt[0] * pb[0], pt[1] * pb[1]
+    return pt[2] - pb[2], state_sign * pt[0] * pb[0], pt[1] * pb[1], pt[3], pb[3]
 
 
 def _column_terms(
     basis: Mat2, beta: Vec2
-) -> tuple[float, _Term | None, _Term | None] | None:
-    """``(eta, term1, term2)`` of a (basis, state) pair, or None.
+) -> tuple[float, float, float, _Term | None, _Term | None] | None:
+    """``(eta, q1, q2, term1, term2)`` of a (basis, state) pair, or None.
 
-    ``eta`` is the phase difference of the two state coefficients; None when
-    either coefficient is negligible, so that no interference term exists.
+    ``eta`` is the phase difference of the two state coefficients and
+    ``q1``, ``q2`` their squared norms; None when either coefficient is
+    negligible, so that no interference term exists.
     Amplitudes are read in the order beta.c1, beta.c2, a11, a21, a12, a22,
     and the first with negative squared norm raises
     :class:`DegenerateNormError`.
@@ -328,6 +331,8 @@ def _column_terms(
     state_sign = s1[0] * s2[0]
     return (
         s1[2] - s2[2],
+        s1[3],
+        s2[3],
         _column_term(basis.a11, basis.a21, state_sign),
         _column_term(basis.a12, basis.a22, state_sign),
     )
@@ -364,7 +369,7 @@ def check_sign_phase_constraints(
     terms = _column_terms(basis, beta)
     if terms is None:
         return _VACUOUS
-    eta, term1, term2 = terms
+    eta, _, _, term1, term2 = terms
     if term1 is None and term2 is None:
         return _VACUOUS
 
@@ -372,11 +377,11 @@ def check_sign_phase_constraints(
     gamma2 = eps2 = theta2 = None
     residual = 0.0
     if term1 is not None:
-        gamma1, eps1, w1 = term1
+        gamma1, eps1, w1, _, _ = term1
         theta1 = eta + gamma1
         residual += eps1 * w1 * math.cosh(theta1)
     if term2 is not None:
-        gamma2, eps2, w2 = term2
+        gamma2, eps2, w2, _, _ = term2
         theta2 = eta + gamma2
         residual += eps2 * w2 * math.cosh(theta2)
 
@@ -414,13 +419,14 @@ def extract_model(beta: Vec2, basis: Mat2, tol: float = EPS_ALG) -> ProbabilityM
     :class:`PreconditionError`.  The checks are those of
     :func:`check_sign_phase_constraints` on the same column phases, but no
     report is built and no residual is computed: the fit reads only the
-    phase and the sign of column 1.
+    phase and the sign of column 1.  The squared norms are those the polar
+    forms were taken from, so each amplitude's is computed once.
     """
     check_tol(tol)
     terms = _column_terms(basis, beta)
-    if terms is None or terms[1] is None or terms[2] is None:
+    if terms is None or terms[3] is None or terms[4] is None:
         raise PreconditionError("both interference terms are needed to fit a model")
-    eta, (gamma1, eps1, _), (gamma2, eps2, _) = terms
+    eta, q1, q2, (gamma1, eps1, _, p11, p21), (gamma2, eps2, _, p12, p22) = terms
     theta1 = eta + gamma1
     theta_diff = theta1 - (eta + gamma2)
     if abs(theta_diff) > tol:
@@ -429,17 +435,7 @@ def extract_model(beta: Vec2, basis: Mat2, tol: float = EPS_ALG) -> ProbabilityM
         )
     if eps2 != -eps1:
         raise PreconditionError("term signs are equal; no valid model exists")
-    q1, q2 = beta.norms_sq()
-    return ProbabilityModel(
-        q1,
-        q2,
-        basis.a11.norm_sq(),
-        basis.a12.norm_sq(),
-        basis.a21.norm_sq(),
-        basis.a22.norm_sq(),
-        theta=theta1,
-        eps1=eps1,
-    )
+    return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta=theta1, eps1=eps1)
 
 
 def pipeline_probabilities(

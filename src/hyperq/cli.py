@@ -14,30 +14,23 @@ as ``[x, y]``, vectors as ``[[x1,y1],[x2,y2]]``, matrices as row-major
 nested arrays of the same pairs.  Data goes to standard output, diagnostics
 to standard error.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 precondition violation,
-3 negative semantic verdict (not decomposable, verification failed),
-4 search exhausted.  JSON is still emitted on exit 3.
+Exit codes: 0 success, 1 usage, parse or I/O failure (a failed write to
+standard output included), 2 precondition violation, 3 negative semantic
+verdict (not decomposable, verification failed), 4 search exhausted.  JSON
+is still emitted on exit 3.
+
+Each runner imports the modules it needs, so ``classify`` and ``interfere``
+never load ``born``, ``space`` or ``witness``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import Sequence
 
-from .algebra import EPS_ALG, EPS_MEM
-from .born import pipeline_probabilities
 from .errors import PreconditionError
-from .interference import classify, sweep_rows
-from .space import (
-    Mat2,
-    Vec2,
-    doubly_stochastic_residual,
-    orthonormality_residual,
-    prob_matrix,
-)
-from .witness import search_non_transitivity
 
 __all__ = ["build_parser", "main"]
 
@@ -49,33 +42,53 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+#: CSV rows joined into one ``write`` call by ``interfere``.
+_CHUNK_ROWS = 4096
+
+
 def _emit(obj: object) -> None:
+    import json
+
     print(json.dumps(obj, separators=(",", ":")))
 
 
 def _load_json(path: str) -> object:
+    import json
+
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _run_classify(args: argparse.Namespace) -> int:
+    from .interference import classify
+
     verdict = classify(args.pprime, args.p1, args.p2)
     _emit(verdict.to_json_dict())
     return 0
 
 
 def _run_interfere(args: argparse.Namespace) -> int:
+    from .interference import sweep_rows
+
     sign = 1 if args.sign == "+" else -1
+    # the whole grid is checked before the first byte goes out, so a
+    # refused point leaves stdout empty
     rows = sweep_rows(
         args.law, args.p1, args.p2, args.theta_min, args.theta_max, args.steps, sign
     )
-    print("theta,p_prime")
-    for theta, p_prime in rows:
-        print(f"{theta!r},{p_prime!r}")
+    # one write per chunk, not per row: unbuffered, each write is a syscall
+    write = sys.stdout.write
+    write("theta,p_prime\n")
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        write("".join([f"{theta!r},{p_prime!r}\n" for theta, p_prime in chunk]))
     return 0
 
 
 def _run_transform(args: argparse.Namespace) -> int:
+    from .born import pipeline_probabilities
+    from .space import Mat2, Vec2
+
     beta = Vec2.from_list(_load_json(args.state))
     basis = Mat2.from_list(_load_json(args.matrix))
     decomposition = pipeline_probabilities(beta, basis)
@@ -84,6 +97,14 @@ def _run_transform(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .algebra import EPS_ALG, EPS_MEM
+    from .space import (
+        Mat2,
+        doubly_stochastic_residual,
+        orthonormality_residual,
+        prob_matrix,
+    )
+
     basis = Mat2.from_list(_load_json(args.matrix))
     residual = orthonormality_residual(basis)
     stochastic_residual = doubly_stochastic_residual(prob_matrix(basis))
@@ -103,6 +124,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_witness(args: argparse.Namespace) -> int:
+    from .witness import search_non_transitivity
+
     witness = search_non_transitivity(args.seed, args.max_iter)
     if witness is None:
         _emit({"found": False})
@@ -155,13 +178,32 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        code = args.run(args)
+        # flushed here, not at interpreter exit, so that a failed write (a
+        # full disk, a closed pipe) is reported like any other I/O error
+        sys.stdout.flush()
+        return code
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
+        _drop_unwritable_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _drop_unwritable_stdout() -> None:
+    """Send stdout to the null device if its buffered bytes cannot be written.
+
+    The interpreter flushes stdout again at exit; a second failure there
+    would print "Exception ignored" and exit 120 instead of 1.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

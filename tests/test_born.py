@@ -300,6 +300,20 @@ class TestExtractAndPipeline:
             assert refit.p1 == pytest.approx(alpha.c1.norm_sq(), abs=tol)
             assert refit.p2 == pytest.approx(alpha.c2.norm_sq(), abs=tol)
 
+    @given(states, unitaries)
+    def test_extracted_norms_are_the_public_norms(self, beta, basis):
+        fitted = extract_model(beta, basis)
+        assert fitted == ProbabilityModel(
+            beta.c1.norm_sq(),
+            beta.c2.norm_sq(),
+            basis.a11.norm_sq(),
+            basis.a12.norm_sq(),
+            basis.a21.norm_sq(),
+            basis.a22.norm_sq(),
+            theta=fitted.theta,
+            eps1=fitted.eps1,
+        )
+
     def test_zero_phases_match_theta_zero_model(self):
         beta = Vec2(amplitude(1, 0.3, 0.0), amplitude(1, 0.7, 0.0))
         basis = make_decomposable_unitary(UnitaryParams(0.6, 0.0, 0.0, 0.0))

@@ -1,5 +1,6 @@
 """Command-line contract: golden outputs, exit codes, entry points."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -7,8 +8,26 @@ import sys
 import pytest
 from cli_cases import GOLDEN, GOLDEN_CASES, EXIT_CASES
 
-from hyperq.cli import main
+from hyperq.cli import _CHUNK_ROWS, main
 from hyperq.interference import sweep_rows
+
+
+def child_env(buffered):
+    """The test's environment with stdout buffering of the child on or off."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_module(argv, buffered=True, flags=()):
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "hyperq", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(buffered),
+    )
 
 
 @pytest.mark.parametrize(
@@ -54,13 +73,98 @@ def test_sweep_grid_hits_both_endpoints():
     assert thetas == sorted(thetas)
 
 
+CLASSIFY_ARGV = ["classify", "--p1", "0.3", "--p2", "0.4", "--pprime", "0.5"]
+
+
+def interfere_argv(steps):
+    return [
+        "interfere", "--law", "hyp", "--p1", "0.3", "--p2", "0.4",
+        "--theta-min", "0", "--theta-max", "2", "--steps", str(steps),
+    ]
+
+
+@pytest.mark.parametrize("steps", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_interfere_chunks_match_row_by_row(steps, capsys):
+    assert main(interfere_argv(steps)) == 0
+    rows = sweep_rows("hyp", 0.3, 0.4, 0.0, 2.0, steps)
+    lines = ["theta,p_prime\n"] + [f"{theta!r},{p!r}\n" for theta, p in rows]
+    assert capsys.readouterr().out == "".join(lines)
+
+
 def test_module_entry_point_matches_golden():
-    name, expected_code, argv = GOLDEN_CASES[0]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperq", *argv], capture_output=True, text=True
+    for buffered in (True, False):
+        for name, expected_code, argv in GOLDEN_CASES:
+            proc = run_module(argv, buffered)
+            label = f"{name}, buffered={buffered}"
+            assert proc.returncode == expected_code, label
+            assert proc.stdout == (GOLDEN / name).read_text(), label
+
+
+def test_module_entry_point_exit_codes():
+    for expected_code, argv in EXIT_CASES:
+        proc = run_module(argv)
+        assert proc.returncode == expected_code, argv
+        assert proc.stdout == "", argv
+
+
+def assert_one_error_line(returncode, stderr):
+    assert returncode == 1, stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [CLASSIFY_ARGV, interfere_argv(20000)],
+    ids=["classify", "interfere"],
+)
+def test_full_device_exits_1(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperq", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(buffered=True),
+        )
+    assert_one_error_line(proc.returncode, proc.stderr)
+    assert "No space left" in proc.stderr
+
+
+def test_closed_pipe_exits_1():
+    # the output is far larger than a pipe's buffer, so the child's writes
+    # fail once the read end is closed, whenever that happens
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperq", *interfere_argv(20000)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(buffered=True),
     )
-    assert proc.returncode == expected_code
-    assert proc.stdout == (GOLDEN / name).read_text()
+    proc.stdout.close()
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    assert_one_error_line(proc.wait(), stderr)
+    assert "Broken pipe" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [CLASSIFY_ARGV, interfere_argv(3)],
+    ids=["classify", "interfere"],
+)
+def test_subcommand_loads_only_what_it_needs(argv):
+    proc = run_module(argv, flags=["-X", "importtime"])
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime names every module the child imports, one per line
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "hyperq.interference" in loaded
+    assert not loaded & {"hyperq.born", "hyperq.space", "hyperq.witness"}
 
 
 @pytest.mark.skipif(shutil.which("hyperq") is None, reason="script not on PATH")

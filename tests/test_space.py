@@ -277,6 +277,7 @@ class TestProbMatrix:
 
 
 def test_import_leaves_numpy_out():
-    code = "import sys, hyperq; assert 'numpy' not in sys.modules"
+    # the star import loads every submodule; a bare import loads none
+    code = "import sys; from hyperq import *; assert 'numpy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
