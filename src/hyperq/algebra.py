@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateNormError, PhaseRangeError
+from .errors import DegenerateNormError, PhaseRangeError, PreconditionError
 
 __all__ = [
     "EPS_ALG",
@@ -258,6 +258,39 @@ def _polar(x: float, y: float, ns: float) -> tuple[int, float, float]:
     sign = 1 if x > 0.0 else -1
     modulus = math.sqrt(ns)
     return sign, modulus, math.asinh(sign * y / modulus)
+
+
+def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
+    """``a + b + sign*2*sqrt(a*b)*c`` with ``c = cos(theta)`` or ``cosh(theta)``.
+
+    The one float kernel of the interference laws.  The caller has checked
+    ``a, b >= 0``, the sign and the phase; ``sign`` is not read for
+    ``trig``.  ``a*b`` is never formed, and a branch that would cancel is
+    rewritten into terms of one sign, with ``d = (a - b) / (sqrt(a) +
+    sqrt(b))``: ``d**2 - 4*sqrt(a)*sqrt(b)*sinh(theta/2)**2`` for the
+    hyperbolic minus sign, ``d**2 + 4*sqrt(a)*sqrt(b)*cos(theta/2)**2`` for
+    ``cos(theta) < 0``.  Raises :class:`PreconditionError` when the value is
+    not finite, as it is once ``4*sqrt(a)*sqrt(b)`` overflows.
+    """
+    ra, rb = math.sqrt(a), math.sqrt(b)
+    if trig:
+        c = math.cos(theta)
+        plus = c >= 0.0
+    else:
+        plus = sign > 0
+    if plus:
+        value = a + b + 2.0 * (ra * rb) * (c if trig else math.cosh(theta))
+    else:
+        # a - b is exact when a and b are close, where ra - rb would cancel
+        d = (a - b) / (ra + rb) if a != b else 0.0
+        h = math.cos(0.5 * theta) if trig else math.sinh(0.5 * theta)
+        t = 4.0 * (ra * rb) * h * h
+        value = d * d + t if trig else d * d - t
+    if not math.isfinite(value):
+        raise PreconditionError(
+            f"law value at theta = {theta!r} is not finite: {value!r}"
+        )
+    return value
 
 
 def _coerce(value: SplitComplex | float | int) -> SplitComplex:

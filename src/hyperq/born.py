@@ -17,9 +17,10 @@ with a single phase ``theta`` shared by both columns and opposite signs on
 the two interference terms.  Both facts are forced by requiring p1 + p2 = 1
 for every input state; :func:`check_sign_phase_constraints` measures how
 well a concrete matrix and state satisfy them, and
-:func:`transform_probabilities` evaluates the closed form.  The transformed
-values can leave [0, 1]: that is the formalism's signal that the state
-stopped being decomposable, so they are flagged rather than clamped.
+:func:`transform_probabilities` evaluates the closed form, one column at a
+time, through the interference kernel ``hyperq.algebra._law``.  The
+transformed values can leave [0, 1]: that is the formalism's signal that the
+state stopped being decomposable, so they are flagged rather than clamped.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .algebra import (
     EPS_ALG,
     EPS_MEM,
     SplitComplex,
+    _law,
     _polar,
     check_phase,
     check_probability,
@@ -241,13 +243,12 @@ def transform_probabilities(
     (the state is then not decomposable) and reported via ``in_range``.
     """
     m.validate(tol)
-    ch = math.cosh(m.theta)
-    # products can dip a hair below 0 inside the tolerance slack
-    cross1 = 2.0 * math.sqrt(max(m.q1 * m.p11 * m.q2 * m.p21, 0.0)) * ch
-    cross2 = 2.0 * math.sqrt(max(m.q1 * m.p12 * m.q2 * m.p22, 0.0)) * ch
+    # weights can dip a hair below 0 inside the tolerance slack
+    w11, w21 = max(m.q1 * m.p11, 0.0), max(m.q2 * m.p21, 0.0)
+    w12, w22 = max(m.q1 * m.p12, 0.0), max(m.q2 * m.p22, 0.0)
     return TransformedProbabilities(
-        m.q1 * m.p11 + m.q2 * m.p21 + m.eps1 * cross1,
-        m.q1 * m.p12 + m.q2 * m.p22 - m.eps1 * cross2,
+        _law(w11, w21, m.theta, m.eps1, False),
+        _law(w12, w22, m.theta, -m.eps1, False),
     )
 
 

@@ -8,7 +8,10 @@ Two-path probability data can interfere in two structurally different ways:
 Both are linearizations of a squared modulus, the first over the ordinary
 complex numbers, the second over the split-complex numbers, and the residual
 helpers here verify those identities by evaluating both sides through
-independent arithmetic.
+independent arithmetic.  Both laws, and :func:`sweep_rows` at each grid
+point, evaluate one float kernel, ``hyperq.algebra._law``, which never forms
+P1*P2 and rewrites a branch that would cancel (the hyperbolic minus sign, a
+negative cosine) into terms of one sign.
 
 Given a measured triple (P', P1, P2) the normalized interference
 coefficient
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .algebra import THETA_MAX, check_phase, check_probability, check_sign, expj
-from .errors import DegenerateInputsError, PreconditionError
+from .algebra import THETA_MAX, _law, check_phase, check_probability, check_sign, expj
+from .errors import DegenerateInputsError
 
 __all__ = [
     "EPS_CLS",
@@ -54,8 +57,7 @@ HYP = "hyp"
 BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class InterferenceVerdict:
+class InterferenceVerdict(NamedTuple):
     """Recovered regime, non-negative phase, term sign, and coefficient."""
 
     regime: str
@@ -76,26 +78,28 @@ def trig_law(p1: float, p2: float, theta: float) -> float:
     """Trigonometric interference of two probabilities at phase theta.
 
     Any finite phase is accepted; a NaN phase raises ``ValueError``, as
-    ``math.cos`` already does for an infinite one.
+    ``math.cos`` already does for an infinite one.  A value that overflows
+    raises :class:`PreconditionError`.
     """
     check_probability(p1)
     check_probability(p2)
     if math.isnan(theta):
         raise ValueError("phase must not be NaN")
-    return p1 + p2 + 2.0 * math.sqrt(p1 * p2) * math.cos(theta)
+    return _law(p1, p2, theta, 1, True)
 
 
 def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
     """Hyperbolic interference; with sign +1 never below (sqrt(P1)+sqrt(P2))**2.
 
     The output may leave [0, 1] even for probability inputs; that is the
-    signature feature of the hyperbolic regime, not an error.
+    signature feature of the hyperbolic regime, not an error.  A value that
+    overflows raises :class:`PreconditionError`.
     """
     check_probability(p1)
     check_probability(p2)
     check_sign(sign)
     check_phase(theta)
-    return p1 + p2 + sign * 2.0 * math.sqrt(p1 * p2) * math.cosh(theta)
+    return _law(p1, p2, theta, sign, False)
 
 
 def trig_linearization_residual(a: float, b: float, theta: float) -> float:
@@ -168,9 +172,14 @@ def sweep_rows(
 ) -> list[tuple[float, float]]:
     """``(theta, p_prime)`` of one law on a uniform ``steps``-point phase grid.
 
-    Raises :class:`PreconditionError` when a law value is not finite, as it
-    can be for probabilities near the top of the float range.
+    The inputs are checked once for the whole grid, then the interference
+    kernel runs at each point.  ``law`` must be ``"trig"`` or ``"hyp"``
+    (``ValueError`` otherwise).  Raises :class:`PreconditionError` when a
+    law value is not finite, as it can be for probabilities near the top of
+    the float range.
     """
+    if law not in (TRIG, HYP):
+        raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps!r}")
     if not theta_min < theta_max:
@@ -179,16 +188,13 @@ def sweep_rows(
     # an infinite span would put a NaN phase (0 * inf) at the first point
     if not math.isfinite(span):
         raise ValueError(f"phase range [{theta_min}, {theta_max}] must be finite")
-    rows = []
-    for i in range(steps):
-        theta = theta_min + span * i / (steps - 1)
-        if law == TRIG:
-            value = trig_law(p1, p2, theta)
-        else:
-            value = hyp_law(p1, p2, theta, sign)
-        if not math.isfinite(value):
-            raise PreconditionError(
-                f"law value at theta = {theta!r} is not finite: {value!r}"
-            )
-        rows.append((theta, value))
-    return rows
+    check_probability(p1)
+    check_probability(p2)
+    check_sign(sign)
+    thetas = [theta_min + span * i / (steps - 1) for i in range(steps)]
+    trig = law == TRIG
+    if not trig:
+        # the grid is monotone, so its end points bound every phase
+        check_phase(thetas[0])
+        check_phase(thetas[-1])
+    return [(theta, _law(p1, p2, theta, sign, trig)) for theta in thetas]

@@ -27,7 +27,10 @@ the squared norms of the transformed coordinates follow in closed form:
 The phases g1 and g2 cancel from both, and the shared phase is simply
 xi1 - xi2 + d.  Every term of p1 is non-negative, so only coordinate 2 can
 leave the positive cone: the interference term of p2 carries the minus
-sign of the -sqrt(p) entry, and cosh >= 1 lets it outgrow the rest.
+sign of the -sqrt(p) entry, and cosh >= 1 lets it outgrow the rest.  p2 is
+the minus branch of the hyperbolic law with weights q1*(1-p) and q2*p, and
+the search evaluates it with the interference kernel
+``hyperq.algebra._law``.
 
 The search draws random states and matrices from this family and returns
 the first combination whose transformed coordinates leave the positive
@@ -41,7 +44,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebra import EPS_ALG, EPS_MEM
+from .algebra import EPS_ALG, EPS_MEM, _law
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -145,11 +148,7 @@ def search_non_transitivity(
         if not (0.0 < q1 < 1.0 and 0.0 < p < 1.0):
             continue
         q2 = 1.0 - q1
-        p2 = (
-            q1 * (1.0 - p)
-            + q2 * p
-            - 2.0 * math.sqrt(q1 * q2 * p * (1.0 - p)) * math.cosh(xi1 - xi2 + delta)
-        )
+        p2 = _law(q1 * (1.0 - p), q2 * p, xi1 - xi2 + delta, -1, False)
         if p2 >= -EPS_MEM:
             continue
         beta = Vec2(amplitude(1, q1, xi1), amplitude(1, q2, xi2))

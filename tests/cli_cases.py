@@ -100,7 +100,7 @@ GOLDEN_CASES = [
     ("witness_notfound.json", 4, ["witness", "--seed", "10", "--max-iter", "1"]),
 ]
 
-# (expected exit code, argv)
+# (expected exit code, argv); a failing case leaves stdout empty
 EXIT_CASES = [
     (1, []),
     (1, ["frobnicate"]),
@@ -255,6 +255,25 @@ EXIT_CASES = [
             "1e308",
             "--p2",
             "1e308",
+            "--theta-min",
+            "0",
+            "--theta-max",
+            "1",
+            "--steps",
+            "3",
+        ],
+    ),
+    # the same sweep at 1e300 fits in a double: 4e300 at theta = 0
+    (
+        0,
+        [
+            "interfere",
+            "--law",
+            "hyp",
+            "--p1",
+            "1e300",
+            "--p2",
+            "1e300",
             "--theta-min",
             "0",
             "--theta-max",

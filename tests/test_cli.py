@@ -47,9 +47,10 @@ def test_exit_codes(expected_code, argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == expected_code
-    # usage and precondition failures keep stdout clean for pipelines
-    assert captured.out == ""
-    assert captured.err != ""
+    if expected_code:
+        # usage and precondition failures keep stdout clean for pipelines
+        assert captured.out == ""
+        assert captured.err != ""
 
 
 def test_malformed_json_file(tmp_path, capsys):
@@ -71,6 +72,24 @@ def test_sweep_grid_hits_both_endpoints():
     assert thetas[0] == 0.0
     assert thetas[-1] == 2.0
     assert thetas == sorted(thetas)
+
+
+@pytest.mark.parametrize("law", ["trig ", "foo", "HYP", ""])
+def test_sweep_rejects_an_unknown_law(law):
+    with pytest.raises(ValueError, match="law must be"):
+        sweep_rows(law, 0.5, 0.5, 0.0, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "law,p,first_row",
+    [("hyp", "1e300", "0.0,4e+300"), ("trig", "1e-320", "0.0,4e-320")],
+)
+def test_interfere_answers_across_the_float_range(law, p, first_row, capsys):
+    # p1*p2 overflows at 1e300 and underflows at 1e-320; the law does not
+    argv = ["interfere", "--law", law, "--p1", p, "--p2", p]
+    argv += ["--theta-min", "0", "--theta-max", "1", "--steps", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == first_row
 
 
 CLASSIFY_ARGV = ["classify", "--p1", "0.3", "--p2", "0.4", "--pprime", "0.5"]
@@ -104,7 +123,8 @@ def test_module_entry_point_exit_codes():
     for expected_code, argv in EXIT_CASES:
         proc = run_module(argv)
         assert proc.returncode == expected_code, argv
-        assert proc.stdout == "", argv
+        if expected_code:
+            assert proc.stdout == "", argv
 
 
 def assert_one_error_line(returncode, stderr):

@@ -1,12 +1,16 @@
 """Interference laws, linearization identities, and the regime classifier."""
 
+import importlib.util
 import math
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperq.errors import DegenerateInputsError, PhaseRangeError
+from hyperq.errors import DegenerateInputsError, PhaseRangeError, PreconditionError
 from hyperq.interference import (
     BOUNDARY,
     HYP,
@@ -17,6 +21,53 @@ from hyperq.interference import (
     trig_law,
     trig_linearization_residual,
 )
+
+
+def _load_oracle():
+    """``perfbench/accuracy.py``: the benchmark's 60-digit ``decimal`` reference."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    # accuracy.py imports its sibling workloads.py
+    sys.path.insert(0, str(perfbench))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_accuracy", perfbench / "accuracy.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+    return module
+
+
+oracle = _load_oracle()
+
+#: unit roundoff of a double
+U = 2.0**-53
+
+
+def assert_law_within_8u(got, p1, p2, theta, sign, hyperbolic):
+    """``|got - exact| <= 8u * S`` for the law ``p1 + p2 + sign*2*sqrt(p1*p2)*c``.
+
+    ``S = (sqrt(p1) - sqrt(p2))**2 + 2*sqrt(p1*p2)*|1 + sign*c|`` is the sum
+    of the magnitudes of the terms of the law's cancellation-free form; it
+    equals ``|exact|`` except on the hyperbolic minus branch.  The oracle
+    itself rounds to ``DIGITS`` digits of the raw terms ``p1 + p2 +
+    2*sqrt(p1*p2)*|c|``, so ``10**(10 - DIGITS)`` of them is allowed on top;
+    that slack only shows where ``S`` is 0, as for ``p1 == p2`` at
+    ``theta = 0`` on the minus branch.
+    """
+    exact = oracle.exact_law(p1, p2, theta, sign, hyperbolic)
+    with localcontext() as ctx:
+        ctx.prec = oracle.DIGITS
+        a, b = Decimal(p1), Decimal(p2)
+        d = a.sqrt() - b.sqrt()
+        c = oracle.cos_cosh(theta, hyperbolic)
+        cross = 2 * (a * b).sqrt()
+        terms = d * d + cross * abs(1 + sign * c)
+        slack = Decimal(10) ** (10 - oracle.DIGITS) * (a + b + cross * abs(c))
+        err = abs(Decimal(got) - exact)
+        assert err <= 8 * Decimal(U) * terms + slack, (got, exact)
+
 
 weights = st.floats(min_value=0.0, max_value=10.0)
 positive_weights = st.floats(min_value=0.05, max_value=1.0)
@@ -47,10 +98,58 @@ class TestLaws:
         with pytest.raises(ValueError):
             trig_law(0.25, 0.25, math.nan)
 
+    def test_overflow_is_refused(self):
+        # the value, or 4*sqrt(p1)*sqrt(p2) inside it, overflows a double
+        with pytest.raises(PreconditionError):
+            hyp_law(1e308, 1e308, 0.0, 1)
+        with pytest.raises(PreconditionError):
+            hyp_law(1e308, 1e308, 0.0, -1)
+        with pytest.raises(PreconditionError):
+            trig_law(1e308, 1e308, 0.0)
+
     @given(weights, weights, law_phases)
     def test_plus_branch_dominates_perfect_square(self, a, b, theta):
         floor = (math.sqrt(a) + math.sqrt(b)) ** 2
         assert hyp_law(a, b, theta, 1) >= floor - 1e-9
+
+
+# Ranges where no intermediate result underflows, so a relative bound holds;
+# subnormal inputs are covered by the command-line tests.
+oracle_weights = st.just(0.0) | st.floats(min_value=1e-30, max_value=1e30)
+nudges = st.floats(min_value=-1e-6, max_value=1e-6)
+oracle_pairs = st.tuples(oracle_weights, oracle_weights) | st.tuples(
+    oracle_weights, nudges
+).map(lambda an: (an[0], an[0] * (1.0 + an[1])))
+oracle_phases = (
+    st.just(0.0)
+    | st.floats(min_value=1e-12, max_value=20.0)
+    | st.floats(min_value=1e-12, max_value=20.0).map(lambda t: -t)
+)
+near_pi = nudges.map(lambda e: math.pi + e)
+
+
+class TestLawsAgainstTheOracle:
+    @given(oracle_pairs, oracle_phases, signs)
+    def test_hyp_law(self, pair, theta, sign):
+        p1, p2 = pair
+        assert_law_within_8u(hyp_law(p1, p2, theta, sign), p1, p2, theta, sign, True)
+
+    @given(oracle_pairs, oracle_phases | near_pi)
+    def test_trig_law(self, pair, theta):
+        p1, p2 = pair
+        assert_law_within_8u(trig_law(p1, p2, theta), p1, p2, theta, 1, False)
+
+    @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_hyp_minus_branch_near_zero_phase(self, theta):
+        value = hyp_law(0.25, 0.25, theta, -1)
+        assert_law_within_8u(value, 0.25, 0.25, theta, -1, True)
+        # the sign decides decomposability
+        assert value < 0.0
+
+    def test_trig_law_near_pi(self):
+        value = trig_law(0.5, 0.5, 3.14159265)
+        assert_law_within_8u(value, 0.5, 0.5, 3.14159265, 1, False)
+        assert value > 0.0
 
 
 class TestLinearizationIdentities:
