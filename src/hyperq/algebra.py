@@ -27,7 +27,8 @@ multiplication, exactly like Euler's formula does on the unit circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import Callable
 
 from .errors import DegenerateNormError, PhaseRangeError, PreconditionError
 
@@ -55,36 +56,98 @@ EPS_MEM = 1e-12
 THETA_MAX = 300.0
 
 
-@dataclass(frozen=True)
-class SplitComplex:
-    """Immutable split-complex number ``x + j*y`` with finite components."""
+class _Value:
+    """Base of the immutable value types: slots, equality, hash and repr.
 
-    x: float
-    y: float
+    A subclass lists its fields in ``__slots__`` and writes its own
+    ``__init__``, which checks the arguments and stores them through the
+    slot descriptors (assignment is blocked here).  Equality holds only
+    between instances of the same class with equal field tuples, the hash is
+    that of the field tuple, and the repr reads ``Name(field=value, ...)``.
+    ``__reduce__`` rebuilds through ``__init__``, so ``copy`` and ``pickle``
+    work and re-validate.
+    """
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"components must be finite, got ({self.x}, {self.y})")
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # the base's fields, then the slots this class adds
+        cls.__match_args__ += cls.__slots__
+        # a plain callable, not a method: called as self._field_tuple(self);
+        # every value type has at least two fields, so it returns a tuple
+        cls._field_tuple = operator.attrgetter(*cls.__match_args__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._field_tuple(self) == self._field_tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_tuple(self))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__match_args__, self._field_tuple(self))
+        )
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return self.__class__, self._field_tuple(self)
+
+
+def _slot_setters(cls: type[_Value]) -> list[Callable[[object, object], None]]:
+    """The ``__set__`` of each slot descriptor of ``cls``, in field order.
+
+    Taken once per class at import; each ``__init__`` stores its fields
+    through them, since ``_Value.__setattr__`` refuses assignment.
+    """
+    return [getattr(cls, name).__set__ for name in cls.__match_args__]
+
+
+class SplitComplex(_Value):
+    """Immutable split-complex number ``x + j*y`` with finite components.
+
+    A non-finite component given to the constructor raises ``ValueError``;
+    an arithmetic result that is not finite (an overflow) raises
+    :class:`PreconditionError`.
+    """
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"components must be finite, got ({x}, {y})")
+        _sc_x(self, x)
+        _sc_y(self, y)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: SplitComplex | float | int) -> SplitComplex:
         other = _coerce(other)
-        return SplitComplex(self.x + other.x, self.y + other.y)
+        return _result(self.x + other.x, self.y + other.y)
 
     __radd__ = __add__
 
     def __sub__(self, other: SplitComplex | float | int) -> SplitComplex:
         other = _coerce(other)
-        return SplitComplex(self.x - other.x, self.y - other.y)
+        return _result(self.x - other.x, self.y - other.y)
 
     def __rsub__(self, other: SplitComplex | float | int) -> SplitComplex:
         return _coerce(other) - self
 
     def __mul__(self, other: SplitComplex | float | int) -> SplitComplex:
         if isinstance(other, (int, float)):
-            return SplitComplex(self.x * other, self.y * other)
-        return SplitComplex(
+            return _result(self.x * other, self.y * other)
+        return _result(
             self.x * other.x + self.y * other.y,
             self.x * other.y + other.x * self.y,
         )
@@ -93,11 +156,11 @@ class SplitComplex:
 
     def __truediv__(self, other: SplitComplex | float | int) -> SplitComplex:
         if isinstance(other, (int, float)):
-            return SplitComplex(self.x / other, self.y / other)
+            return _result(self.x / other, self.y / other)
         return self * other.inverse()
 
     def __neg__(self) -> SplitComplex:
-        return SplitComplex(-self.x, -self.y)
+        return _result(-self.x, -self.y)
 
     def __pos__(self) -> SplitComplex:
         return self
@@ -109,7 +172,7 @@ class SplitComplex:
 
     def conj(self) -> SplitComplex:
         """Conjugate ``x - j*y``; an involutive ring homomorphism."""
-        return SplitComplex(self.x, -self.y)
+        return _result(self.x, -self.y)
 
     def norm_sq(self) -> float:
         """Squared modulus ``x**2 - y**2``.  May be negative or zero.
@@ -160,14 +223,18 @@ class SplitComplex:
 
         Defined exactly for positive squared modulus; zero divisors (the
         light cone) and j-dominant elements with negative squared modulus
-        are rejected for the group-theoretic inverse requested here.
+        are rejected for the group-theoretic inverse requested here.  A
+        squared modulus that overflows raises :class:`PreconditionError`,
+        where dividing by it would return a silent 0.
         """
         ns = self.norm_sq()
         if ns <= 0.0:
             raise DegenerateNormError(
                 f"no inverse on or inside the light cone (norm_sq={ns})"
             )
-        return SplitComplex(self.x / ns, -self.y / ns)
+        if ns == math.inf:
+            raise PreconditionError(f"squared modulus of {self} overflows")
+        return _result(self.x / ns, -self.y / ns)
 
     # -- serialization -------------------------------------------------------
 
@@ -189,22 +256,28 @@ class SplitComplex:
         raise ValueError(f"expected [x, y] with numeric entries, got {data!r}")
 
 
-@dataclass(frozen=True)
-class PolarForm:
+_sc_x, _sc_y = _slot_setters(SplitComplex)
+
+
+class PolarForm(_Value):
     """Polar data ``(sign, modulus, theta)`` of a split-complex number."""
 
-    sign: int
-    modulus: float
-    theta: float
+    __slots__ = ("sign", "modulus", "theta")
 
-    def __post_init__(self) -> None:
-        check_sign(self.sign)
-        if not self.modulus > 0.0:
-            raise ValueError(f"modulus must be strictly positive, got {self.modulus}")
+    def __init__(self, sign: int, modulus: float, theta: float) -> None:
+        check_sign(sign)
+        if not modulus > 0.0:
+            raise ValueError(f"modulus must be strictly positive, got {modulus}")
+        _pf_sign(self, sign)
+        _pf_modulus(self, modulus)
+        _pf_theta(self, theta)
 
     def to_number(self) -> SplitComplex:
         """Reconstruct the source number ``sign * modulus * expj(theta)``."""
         return expj(self.theta) * (self.sign * self.modulus)
+
+
+_pf_sign, _pf_modulus, _pf_theta = _slot_setters(PolarForm)
 
 
 def expj(theta: float) -> SplitComplex:
@@ -291,6 +364,26 @@ def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
             f"law value at theta = {theta!r} is not finite: {value!r}"
         )
     return value
+
+
+_new = object.__new__
+
+
+def _result(x: float, y: float) -> SplitComplex:
+    """``SplitComplex(x, y)`` for the result of an arithmetic operation.
+
+    The one constructor of the operators.  A ``SplitComplex`` operand is
+    finite, so a component that is not comes from an overflow (or
+    ``inf - inf``), or from a non-finite scalar given to ``*`` or ``/``;
+    it raises :class:`PreconditionError`, not the ``ValueError`` of
+    malformed input at construction.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise PreconditionError(f"arithmetic result is not finite: ({x}, {y})")
+    z = _new(SplitComplex)
+    _sc_x(z, x)
+    _sc_y(z, y)
+    return z
 
 
 def _coerce(value: SplitComplex | float | int) -> SplitComplex:

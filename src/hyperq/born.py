@@ -26,7 +26,6 @@ state stopped being decomposable, so they are flagged rather than clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import (
@@ -35,6 +34,8 @@ from .algebra import (
     SplitComplex,
     _law,
     _polar,
+    _slot_setters,
+    _Value,
     check_phase,
     check_probability,
     check_sign,
@@ -70,8 +71,7 @@ class Phase(NamedTuple):
     xi: float
 
 
-@dataclass(frozen=True)
-class StateDecomposition:
+class StateDecomposition(_Value):
     """Coefficients of a state in a basis plus the Born-rule verdict.
 
     ``probabilities`` and ``phases`` are None when the state is not
@@ -79,10 +79,19 @@ class StateDecomposition:
     squared norm, where the polar form carries no information.
     """
 
-    coefficients: Vec2
-    decomposable: bool
-    probabilities: tuple[float, float] | None
-    phases: tuple[Phase | None, Phase | None] | None
+    __slots__ = ("coefficients", "decomposable", "probabilities", "phases")
+
+    def __init__(
+        self,
+        coefficients: Vec2,
+        decomposable: bool,
+        probabilities: tuple[float, float] | None,
+        phases: tuple[Phase | None, Phase | None] | None,
+    ) -> None:
+        _sd_coefficients(self, coefficients)
+        _sd_decomposable(self, decomposable)
+        _sd_probabilities(self, probabilities)
+        _sd_phases(self, phases)
 
     def to_json_dict(self) -> dict[str, object]:
         probs = None if self.probabilities is None else list(self.probabilities)
@@ -91,6 +100,11 @@ class StateDecomposition:
             "decomposable": self.decomposable,
             "probabilities": probs,
         }
+
+
+_sd_coefficients, _sd_decomposable, _sd_probabilities, _sd_phases = _slot_setters(
+    StateDecomposition
+)
 
 
 def _phase_of(c: SplitComplex, ns: float) -> Phase | None:
@@ -132,8 +146,7 @@ def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
     return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
 
 
-@dataclass(frozen=True)
-class ProbabilityModel:
+class ProbabilityModel(_Value):
     """Probability-level data of a basis change: weights, matrix, phase, sign.
 
     ``q1, q2`` are the state's outcome probabilities in the old basis,
@@ -143,22 +156,33 @@ class ProbabilityModel:
     signs cannot preserve total probability.
     """
 
-    q1: float
-    q2: float
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-    theta: float
-    eps1: int
+    __slots__ = ("q1", "q2", "p11", "p12", "p21", "p22", "theta", "eps1")
 
-    def __post_init__(self) -> None:
-        values = (self.q1, self.q2, self.p11, self.p12, self.p21, self.p22, self.theta)
+    def __init__(
+        self,
+        q1: float,
+        q2: float,
+        p11: float,
+        p12: float,
+        p21: float,
+        p22: float,
+        theta: float,
+        eps1: int,
+    ) -> None:
+        values = (q1, q2, p11, p12, p21, p22, theta)
         if not all(map(math.isfinite, values)):
             names = ("q1", "q2", "p11", "p12", "p21", "p22", "theta")
             name = next(n for n, v in zip(names, values) if not math.isfinite(v))
             raise ValueError(f"{name} must be finite")
-        check_sign(self.eps1, "eps1")
+        check_sign(eps1, "eps1")
+        _pm_q1(self, q1)
+        _pm_q2(self, q2)
+        _pm_p11(self, p11)
+        _pm_p12(self, p12)
+        _pm_p21(self, p21)
+        _pm_p22(self, p22)
+        _pm_theta(self, theta)
+        _pm_eps1(self, eps1)
 
     @property
     def eps2(self) -> int:
@@ -221,6 +245,11 @@ class ProbabilityModel:
         return cls(q1, q2, p11, p12, p21, p22, theta, eps1)
 
 
+_pm_q1, _pm_q2, _pm_p11, _pm_p12, _pm_p21, _pm_p22, _pm_theta, _pm_eps1 = (
+    _slot_setters(ProbabilityModel)
+)
+
+
 class TransformedProbabilities(NamedTuple):
     """Output pair of the closed-form transformation; may leave [0, 1]."""
 
@@ -252,8 +281,7 @@ def transform_probabilities(
     )
 
 
-@dataclass(frozen=True)
-class SignPhaseReport:
+class SignPhaseReport(_Value):
     """Diagnostics of the common-phase and opposite-sign requirements.
 
     ``theta1`` and ``theta2`` are the per-column interference phases; for a
@@ -265,18 +293,64 @@ class SignPhaseReport:
     ``vacuous`` and the constraints hold trivially.
     """
 
-    eta: float | None
-    gamma1: float | None
-    gamma2: float | None
-    theta1: float | None
-    theta2: float | None
-    theta_diff: float | None
-    eps1: int | None
-    eps2: int | None
-    opposite_signs: bool | None
-    residual: float
-    vacuous: bool
-    satisfied: bool
+    __slots__ = (
+        "eta",
+        "gamma1",
+        "gamma2",
+        "theta1",
+        "theta2",
+        "theta_diff",
+        "eps1",
+        "eps2",
+        "opposite_signs",
+        "residual",
+        "vacuous",
+        "satisfied",
+    )
+
+    def __init__(
+        self,
+        eta: float | None,
+        gamma1: float | None,
+        gamma2: float | None,
+        theta1: float | None,
+        theta2: float | None,
+        theta_diff: float | None,
+        eps1: int | None,
+        eps2: int | None,
+        opposite_signs: bool | None,
+        residual: float,
+        vacuous: bool,
+        satisfied: bool,
+    ) -> None:
+        _sp_eta(self, eta)
+        _sp_gamma1(self, gamma1)
+        _sp_gamma2(self, gamma2)
+        _sp_theta1(self, theta1)
+        _sp_theta2(self, theta2)
+        _sp_theta_diff(self, theta_diff)
+        _sp_eps1(self, eps1)
+        _sp_eps2(self, eps2)
+        _sp_opposite_signs(self, opposite_signs)
+        _sp_residual(self, residual)
+        _sp_vacuous(self, vacuous)
+        _sp_satisfied(self, satisfied)
+
+
+(
+    _sp_eta,
+    _sp_gamma1,
+    _sp_gamma2,
+    _sp_theta1,
+    _sp_theta2,
+    _sp_theta_diff,
+    _sp_eps1,
+    _sp_eps2,
+    _sp_opposite_signs,
+    _sp_residual,
+    _sp_vacuous,
+    _sp_satisfied,
+) = _slot_setters(SignPhaseReport)
 
 
 def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float, float] | None:

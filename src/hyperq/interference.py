@@ -52,6 +52,9 @@ EPS_CLS = 1e-9
 # range of the normal floats, where sqrt(p1*p2) keeps full precision
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
+# largest |lambda| that classify maps to a phase
+_LAMBDA_MAX = math.cosh(THETA_MAX)
+
 TRIG = "trig"
 HYP = "hyp"
 BOUNDARY = "boundary"
@@ -150,7 +153,7 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     # 2*root can overflow; halving the quotient gives the same normal floats
     lam = (pprime - p1 - p2) / root / 2.0
     mag = abs(lam)
-    if mag > math.cosh(THETA_MAX):
+    if mag > _LAMBDA_MAX:
         raise DegenerateInputsError(f"coefficient {lam} exceeds any admissible phase")
     if mag < 1.0 - EPS_CLS:
         return InterferenceVerdict(TRIG, math.acos(lam), 1, lam)

@@ -16,10 +16,9 @@ bookkeeping built on top of it in :mod:`hyperq.born`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import EPS_ALG, ONE, ZERO, SplitComplex, check_tol
+from .algebra import EPS_ALG, ONE, ZERO, SplitComplex, _slot_setters, _Value, check_tol
 from .errors import NotUnitaryError, PreconditionError
 
 __all__ = [
@@ -42,12 +41,14 @@ def _coords_from_list(data: object) -> tuple[SplitComplex, SplitComplex]:
     return SplitComplex.from_list(c1), SplitComplex.from_list(c2)
 
 
-@dataclass(frozen=True)
-class Vec2:
+class Vec2(_Value):
     """Pair of split-complex coordinates in an implicit ordered basis."""
 
-    c1: SplitComplex
-    c2: SplitComplex
+    __slots__ = ("c1", "c2")
+
+    def __init__(self, c1: SplitComplex, c2: SplitComplex) -> None:
+        _v_c1(self, c1)
+        _v_c2(self, c2)
 
     def __add__(self, other: Vec2) -> Vec2:
         return Vec2(self.c1 + other.c1, self.c2 + other.c2)
@@ -93,14 +94,21 @@ class Vec2:
         return cls(ZERO, ONE)
 
 
-@dataclass(frozen=True)
-class Mat2:
+_v_c1, _v_c2 = _slot_setters(Vec2)
+
+
+class Mat2(_Value):
     """2x2 matrix of split-complex entries, row major."""
 
-    a11: SplitComplex
-    a12: SplitComplex
-    a21: SplitComplex
-    a22: SplitComplex
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(
+        self, a11: SplitComplex, a12: SplitComplex, a21: SplitComplex, a22: SplitComplex
+    ) -> None:
+        _m_a11(self, a11)
+        _m_a12(self, a12)
+        _m_a21(self, a21)
+        _m_a22(self, a22)
 
     @property
     def row1(self) -> Vec2:
@@ -135,6 +143,9 @@ class Mat2:
     @classmethod
     def identity(cls) -> Mat2:
         return cls(ONE, ZERO, ZERO, ONE)
+
+
+_m_a11, _m_a12, _m_a21, _m_a22 = _slot_setters(Mat2)
 
 
 def inner(u: Vec2, v: Vec2) -> SplitComplex:

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from .algebra import EPS_ALG, EPS_MEM, _law
+from .algebra import EPS_ALG, EPS_MEM, _law, _slot_setters, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -60,21 +59,24 @@ __all__ = [
 PHASE_RANGE = 3.0
 
 
-@dataclass(frozen=True)
-class UnitaryParams:
+class UnitaryParams(_Value):
     """Parameters of one decomposable row-orthonormal matrix."""
 
-    p: float
-    gamma1: float
-    gamma2: float
-    delta: float
+    __slots__ = ("p", "gamma1", "gamma2", "delta")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie strictly inside (0, 1), got {self.p!r}")
-        for name in ("gamma1", "gamma2", "delta"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, p: float, gamma1: float, gamma2: float, delta: float) -> None:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+        for name, value in (("gamma1", gamma1), ("gamma2", gamma2), ("delta", delta)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        _up_p(self, p)
+        _up_gamma1(self, gamma1)
+        _up_gamma2(self, gamma2)
+        _up_delta(self, delta)
+
+
+_up_p, _up_gamma1, _up_gamma2, _up_delta = _slot_setters(UnitaryParams)
 
 
 def make_decomposable_unitary(params: UnitaryParams) -> Mat2:
@@ -92,8 +94,7 @@ def make_decomposable_unitary(params: UnitaryParams) -> Mat2:
     )
 
 
-@dataclass(frozen=True)
-class NonTransitivityWitness:
+class NonTransitivityWitness(_Value):
     """A decomposable state pushed out of the positive cone by a basis change.
 
     ``beta`` is decomposable, every row of ``basis`` is decomposable, yet
@@ -101,11 +102,16 @@ class NonTransitivityWitness:
     has squared norm ``norm_sq`` below zero.
     """
 
-    beta: Vec2
-    basis: Mat2
-    alpha: Vec2
-    violating_index: int
-    norm_sq: float
+    __slots__ = ("beta", "basis", "alpha", "violating_index", "norm_sq")
+
+    def __init__(
+        self, beta: Vec2, basis: Mat2, alpha: Vec2, violating_index: int, norm_sq: float
+    ) -> None:
+        _nw_beta(self, beta)
+        _nw_basis(self, basis)
+        _nw_alpha(self, alpha)
+        _nw_violating_index(self, violating_index)
+        _nw_norm_sq(self, norm_sq)
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -115,6 +121,11 @@ class NonTransitivityWitness:
             "violating_index": self.violating_index,
             "norm_sq": self.norm_sq,
         }
+
+
+_nw_beta, _nw_basis, _nw_alpha, _nw_violating_index, _nw_norm_sq = _slot_setters(
+    NonTransitivityWitness
+)
 
 
 def search_non_transitivity(

@@ -1,6 +1,5 @@
 """Split-complex arithmetic: frozen examples plus algebraic-law properties."""
 
-import dataclasses
 import math
 
 import pytest
@@ -17,7 +16,7 @@ from hyperq.algebra import (
     SplitComplex,
     expj,
 )
-from hyperq.errors import DegenerateNormError, PhaseRangeError
+from hyperq.errors import DegenerateNormError, PhaseRangeError, PreconditionError
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 numbers = st.builds(SplitComplex, coords, coords)
@@ -38,7 +37,7 @@ class TestConstruction:
 
     def test_immutable(self):
         z = SplitComplex(1.0, 2.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
             z.x = 3.0
 
     def test_list_round_trip(self):
@@ -241,3 +240,74 @@ class TestInverse:
         assert u.inverse().norm_sq() == pytest.approx(
             1.0, abs=EPS_ALG * max(1.0, u.mag() ** 2)
         )
+
+
+BIG = SplitComplex(1e308, 0.0)
+
+
+class TestOverflow:
+    """An arithmetic result that is not finite is a refused precondition."""
+
+    def test_precondition_error_is_a_value_error(self):
+        assert issubclass(PreconditionError, ValueError)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda: BIG * 10.0,
+            lambda: 10 * BIG,
+            lambda: BIG + BIG,
+            lambda: BIG + 1e308,
+            lambda: -BIG - BIG,
+            lambda: 1e308 - (-BIG),
+            lambda: BIG * BIG,
+            lambda: SplitComplex(1e308, 1e308) * SplitComplex(2.0, 0.0),
+            lambda: BIG / 1e-10,
+            lambda: BIG / SplitComplex(1e-10, 0.0),
+            lambda: SplitComplex(1e300, 0.0).inverse(),
+            lambda: SplitComplex(1e308, 1e308).inverse(),
+            lambda: PolarForm(1, 1e308, 2.0).to_number(),
+        ],
+        ids=[
+            "scalar-mul",
+            "scalar-rmul",
+            "add",
+            "add-scalar",
+            "sub",
+            "rsub",
+            "mul",
+            "mul-cross-terms",
+            "scalar-div",
+            "div",
+            "inverse-norm-overflow",
+            "inverse-nan-norm",
+            "polar-to-number",
+        ],
+    )
+    def test_overflow_raises_precondition_error(self, operation):
+        with pytest.raises(PreconditionError, match="overflows|not finite"):
+            operation()
+
+    def test_example(self):
+        with pytest.raises(PreconditionError, match=r"not finite: \(inf, 0.0\)"):
+            SplitComplex(1e308, 0) * 10.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SplitComplex(math.inf, 0.0),
+            lambda: SplitComplex(0.0, math.nan),
+            lambda: SplitComplex.from_list([math.inf, 0.0]),
+            lambda: BIG + math.inf,
+        ],
+        ids=["inf", "nan", "from_list", "inf-operand"],
+    )
+    def test_non_finite_input_stays_a_value_error(self, build):
+        with pytest.raises(ValueError, match="must be finite") as info:
+            build()
+        assert not isinstance(info.value, PreconditionError)
+
+    def test_largest_finite_results_pass(self):
+        assert BIG * 1.0 == BIG
+        assert (BIG - BIG) == ZERO
+        assert SplitComplex(1e154, 0.0).inverse() == SplitComplex(1e-154, -0.0)

@@ -3,7 +3,6 @@ sign/phase constraint system."""
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -245,7 +244,7 @@ class TestSignPhaseConstraints:
             assert report.satisfied
 
     def test_perturbed_matrix_reports_the_offset(self):
-        skewed = replace(OFFSET, a12=OFFSET.a12 * expj(0.1))
+        skewed = Mat2(OFFSET.a11, OFFSET.a12 * expj(0.1), OFFSET.a21, OFFSET.a22)
         report = check_sign_phase_constraints(skewed, witness_state())
         assert abs(report.theta_diff) == pytest.approx(0.1, abs=1e-9)
         assert not report.satisfied
@@ -357,7 +356,7 @@ class TestExtractAndPipeline:
             ),
             pytest.param(
                 witness_state(),
-                replace(OFFSET, a12=OFFSET.a12 * expj(0.1)),
+                Mat2(OFFSET.a11, OFFSET.a12 * expj(0.1), OFFSET.a21, OFFSET.a22),
                 PreconditionError,
                 "columns disagree",
                 id="skewed-column",
@@ -365,7 +364,7 @@ class TestExtractAndPipeline:
             pytest.param(
                 witness_state(),
                 # make_decomposable_unitary negates a22; undo it
-                replace(OFFSET, a22=-OFFSET.a22),
+                Mat2(OFFSET.a11, OFFSET.a12, OFFSET.a21, -OFFSET.a22),
                 PreconditionError,
                 "term signs are equal",
                 id="equal-signs",

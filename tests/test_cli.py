@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from cli_cases import GOLDEN, GOLDEN_CASES, EXIT_CASES
+from cli_cases import DATA, GOLDEN, GOLDEN_CASES, EXIT_CASES
 
 from hyperq.cli import _CHUNK_ROWS, main
 from hyperq.interference import sweep_rows
@@ -169,12 +169,32 @@ def test_closed_pipe_exits_1():
     assert "Broken pipe" in stderr
 
 
+#: Stdlib modules no subcommand may import: ``dataclasses`` pulls in
+#: ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``.
+HEAVY_STDLIB = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [CLASSIFY_ARGV, interfere_argv(3)],
-    ids=["classify", "interfere"],
+    "argv,needed,unneeded",
+    [
+        (CLASSIFY_ARGV, "interference", {"born", "space", "witness"}),
+        (interfere_argv(3), "interference", {"born", "space", "witness"}),
+        (
+            ["transform", "--state", str(DATA / "state_basis.json")]
+            + ["--matrix", str(DATA / "matrix_identity.json")],
+            "born",
+            {"interference", "witness"},
+        ),
+        (
+            ["verify", "--matrix", str(DATA / "matrix_hadamard.json")],
+            "space",
+            {"born", "interference", "witness"},
+        ),
+        (["witness", "--seed", "1"], "witness", {"interference"}),
+    ],
+    ids=["classify", "interfere", "transform", "verify", "witness"],
 )
-def test_subcommand_loads_only_what_it_needs(argv):
+def test_subcommand_loads_only_what_it_needs(argv, needed, unneeded):
     proc = run_module(argv, flags=["-X", "importtime"])
     assert proc.returncode == 0, proc.stderr
     # -X importtime names every module the child imports, one per line
@@ -183,8 +203,9 @@ def test_subcommand_loads_only_what_it_needs(argv):
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    assert "hyperq.interference" in loaded
-    assert not loaded & {"hyperq.born", "hyperq.space", "hyperq.witness"}
+    assert f"hyperq.{needed}" in loaded
+    assert not loaded & {f"hyperq.{name}" for name in unneeded}
+    assert not loaded & HEAVY_STDLIB
 
 
 @pytest.mark.skipif(shutil.which("hyperq") is None, reason="script not on PATH")

@@ -184,6 +184,25 @@ class TestInner:
             assert z == Vec2(ZERO, ZERO)
 
 
+class TestOverflow:
+    BIG = Vec2(SplitComplex(1e308, 0.0), ZERO)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda big: big + big,
+            lambda big: -big - big,
+            lambda big: big * 10.0,
+            lambda big: 10.0 * big,
+            lambda big: inner(big, big),
+        ],
+        ids=["add", "sub", "scale", "rscale", "inner"],
+    )
+    def test_overflow_raises_precondition_error(self, operation):
+        with pytest.raises(PreconditionError, match="not finite"):
+            operation(self.BIG)
+
+
 class TestOrthonormality:
     def test_identity(self):
         assert is_orthonormal_rows(Mat2.identity())
