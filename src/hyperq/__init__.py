@@ -26,88 +26,50 @@ Everything is an immutable value operated on by pure functions, safe to
 share freely across threads.
 
 The submodules are imported on first use: ``import hyperq`` loads none of
-them, and reading ``hyperq.classify`` (or ``hyperq.born``) imports just the
-submodule that defines it.  A command-line run therefore pays only for the
-modules its subcommand needs.
+them.  Each submodule lists its public names in its ``__all__``; a name read
+from the package is looked up in the submodules in dependency order
+(``errors``, ``algebra``, ``interference``, ``space``, ``born``,
+``witness``), importing each in turn until one lists it.  So
+``hyperq.classify`` loads ``errors``, ``algebra`` and ``interference``, and
+a name from ``space``, ``born`` or ``witness`` loads ``interference`` as
+well.  A submodule name (``hyperq.born``, ``hyperq.cli``) imports just that
+submodule.  The command line imports its submodules directly, so each
+subcommand pays only for the modules it needs.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = frozenset(
-    ("algebra", "born", "cli", "errors", "interference", "space", "witness")
-)
+#: The submodules that export names, each importing only earlier ones.
+_SUBMODULES = ("errors", "algebra", "interference", "space", "born", "witness")
 
-#: Each public name and the submodule that defines it, in ``__all__`` order.
-_EXPORTS = {
-    "EPS_ALG": "algebra",
-    "EPS_CLS": "interference",
-    "EPS_MEM": "algebra",
-    "THETA_MAX": "algebra",
-    "J": "algebra",
-    "ONE": "algebra",
-    "ZERO": "algebra",
-    "TRIG": "interference",
-    "HYP": "interference",
-    "BOUNDARY": "interference",
-    "SplitComplex": "algebra",
-    "PolarForm": "algebra",
-    "expj": "algebra",
-    "Vec2": "space",
-    "Mat2": "space",
-    "inner": "space",
-    "is_orthonormal_rows": "space",
-    "orthonormality_residual": "space",
-    "change_basis": "space",
-    "prob_matrix": "space",
-    "doubly_stochastic_residual": "space",
-    "Phase": "born",
-    "StateDecomposition": "born",
-    "ProbabilityModel": "born",
-    "TransformedProbabilities": "born",
-    "SignPhaseReport": "born",
-    "decompose": "born",
-    "amplitude": "born",
-    "transform_probabilities": "born",
-    "check_sign_phase_constraints": "born",
-    "extract_model": "born",
-    "pipeline_probabilities": "born",
-    "InterferenceVerdict": "interference",
-    "classify": "interference",
-    "trig_law": "interference",
-    "hyp_law": "interference",
-    "trig_linearization_residual": "interference",
-    "hyp_linearization_residual": "interference",
-    "UnitaryParams": "witness",
-    "NonTransitivityWitness": "witness",
-    "make_decomposable_unitary": "witness",
-    "search_non_transitivity": "witness",
-    "verify_witness": "witness",
-    "PreconditionError": "errors",
-    "DegenerateNormError": "errors",
-    "PhaseRangeError": "errors",
-    "NotUnitaryError": "errors",
-    "NotNormalizedError": "errors",
-    "DegenerateInputsError": "errors",
-    "ConstraintViolatedError": "errors",
-}
 
-__all__ = list(_EXPORTS)
+def _import(name: str) -> object:
+    return importlib.import_module(f".{name}", __name__)
+
+
+def _public_names() -> list[str]:
+    return [name for module in _SUBMODULES for name in _import(module).__all__]
 
 
 def __getattr__(name: str) -> object:
-    if name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    elif name in _EXPORTS:
-        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-        value = getattr(module, name)
+    if name == "__all__":
+        value = _public_names()
+    elif name in _SUBMODULES or name == "cli":
+        value = _import(name)
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        for submodule in _SUBMODULES:
+            module = _import(submodule)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # cached, so the next lookup is a plain module attribute
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})
+    return sorted({*globals(), *_public_names(), *_SUBMODULES, "cli"})

@@ -131,33 +131,45 @@ class SplitComplex(_Value):
 
     # -- ring structure ----------------------------------------------------
 
+    # Each operator takes a SplitComplex or an int/float scalar and returns
+    # NotImplemented for anything else, so a Vec2 operand reaches Vec2's
+    # reflected method and an unrelated type raises TypeError.
+
     def __add__(self, other: SplitComplex | float | int) -> SplitComplex:
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return _result(self.x + other.x, self.y + other.y)
 
     __radd__ = __add__
 
     def __sub__(self, other: SplitComplex | float | int) -> SplitComplex:
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return _result(self.x - other.x, self.y - other.y)
 
     def __rsub__(self, other: SplitComplex | float | int) -> SplitComplex:
-        return _coerce(other) - self
+        return -self + other
 
     def __mul__(self, other: SplitComplex | float | int) -> SplitComplex:
-        if isinstance(other, (int, float)):
+        if isinstance(other, SplitComplex):
+            return _result(
+                self.x * other.x + self.y * other.y,
+                self.x * other.y + other.x * self.y,
+            )
+        if isinstance(other, _SCALARS):
             return _result(self.x * other, self.y * other)
-        return _result(
-            self.x * other.x + self.y * other.y,
-            self.x * other.y + other.x * self.y,
-        )
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: SplitComplex | float | int) -> SplitComplex:
-        if isinstance(other, (int, float)):
+        if isinstance(other, SplitComplex):
+            return self * other.inverse()
+        if isinstance(other, _SCALARS):
             return _result(self.x / other, self.y / other)
-        return self * other.inverse()
+        return NotImplemented
 
     def __neg__(self) -> SplitComplex:
         return _result(-self.x, -self.y)
@@ -207,16 +219,12 @@ class SplitComplex(_Value):
         """Factor ``self = sign * modulus * expj(theta)``.
 
         Requires a strictly positive squared modulus; elements on or inside
-        the light cone raise :class:`DegenerateNormError`.  The phase is
-        recovered through ``asinh`` of the normalized j component, which is
-        single valued and keeps the sign of theta.
+        the light cone raise :class:`DegenerateNormError`, and a squared
+        modulus that overflows raises :class:`PreconditionError`.  The phase
+        is recovered through ``asinh`` of the normalized j component, which
+        is single valued and keeps the sign of theta.
         """
-        ns = self.norm_sq()
-        if ns <= 0.0:
-            raise DegenerateNormError(
-                f"polar form needs positive squared modulus, got {ns} for {self}"
-            )
-        return PolarForm(*_polar(self.x, self.y, ns))
+        return PolarForm(*_polar(self.x, self.y, self.norm_sq()))
 
     def inverse(self) -> SplitComplex:
         """Multiplicative inverse ``conj(z) / norm_sq(z)``.
@@ -228,12 +236,7 @@ class SplitComplex(_Value):
         where dividing by it would return a silent 0.
         """
         ns = self.norm_sq()
-        if ns <= 0.0:
-            raise DegenerateNormError(
-                f"no inverse on or inside the light cone (norm_sq={ns})"
-            )
-        if ns == math.inf:
-            raise PreconditionError(f"squared modulus of {self} overflows")
+        _check_norm_sq(self.x, self.y, ns)
         return _result(self.x / ns, -self.y / ns)
 
     # -- serialization -------------------------------------------------------
@@ -323,11 +326,31 @@ def check_probability(p: float) -> None:
         raise ValueError(f"probability must be nonnegative, got {p!r}")
 
 
+def _check_norm_sq(x: float, y: float, ns: float) -> None:
+    """Reject ``x + j*y`` unless its squared modulus ``ns`` is positive and finite.
+
+    The one guard of the polar form and the inverse: ``ns <= 0`` (on or
+    inside the light cone) raises :class:`DegenerateNormError`, and an
+    ``ns`` that overflowed to inf, or to NaN as ``inf * 0``, raises
+    :class:`PreconditionError`.
+    """
+    # one comparison on the valid path; NaN fails it too
+    if 0.0 < ns < math.inf:
+        return
+    if ns <= 0.0:
+        raise DegenerateNormError(
+            f"({x}, {y}) has zero or negative squared norm {ns}; "
+            "a polar form or inverse needs a positive one"
+        )
+    raise PreconditionError(f"squared norm of ({x}, {y}) is not finite: {ns}")
+
+
 def _polar(x: float, y: float, ns: float) -> tuple[int, float, float]:
     """``(sign, modulus, theta)`` of ``x + j*y`` from its squared modulus ``ns``.
 
-    The one plain-float polar kernel; the caller has checked ``ns > 0``.
+    The one plain-float polar kernel, behind :func:`_check_norm_sq`.
     """
+    _check_norm_sq(x, y, ns)
     sign = 1 if x > 0.0 else -1
     modulus = math.sqrt(ns)
     return sign, modulus, math.asinh(sign * y / modulus)
@@ -386,10 +409,17 @@ def _result(x: float, y: float) -> SplitComplex:
     return z
 
 
-def _coerce(value: SplitComplex | float | int) -> SplitComplex:
+#: The scalar operand types of the ``SplitComplex`` operators.
+_SCALARS = (int, float)
+
+
+def _coerce(value: object) -> SplitComplex | None:
+    """A ``+``/``-`` operand as a ``SplitComplex``; None for any other type."""
     if isinstance(value, SplitComplex):
         return value
-    return SplitComplex(float(value), 0.0)
+    if isinstance(value, _SCALARS):
+        return SplitComplex(float(value), 0.0)
+    return None
 
 
 #: The hyperbolic unit, with J * J == ONE.

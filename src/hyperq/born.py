@@ -41,12 +41,7 @@ from .algebra import (
     check_sign,
     check_tol,
 )
-from .errors import (
-    ConstraintViolatedError,
-    DegenerateNormError,
-    NotNormalizedError,
-    PreconditionError,
-)
+from .errors import ConstraintViolatedError, NotNormalizedError, PreconditionError
 from .space import Mat2, Vec2, change_basis
 
 __all__ = [
@@ -358,15 +353,13 @@ def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float, float] | None:
 
     Entries with norm_sq ~ 0 contribute zero probability weight, so their
     undefined phase is never needed.  A clearly negative squared norm means
-    the amplitude cannot carry a probability at all.
+    the amplitude cannot carry a probability at all, and ``_polar`` raises
+    :class:`DegenerateNormError` for it (:class:`PreconditionError` for one
+    that overflows).
     """
     q = z.norm_sq()
     if abs(q) <= EPS_MEM:
         return None
-    if q < 0:
-        raise DegenerateNormError(
-            f"amplitude ({z.x}, {z.y}) has negative squared norm {q}"
-        )
     sign, modulus, theta = _polar(z.x, z.y, q)
     return sign, modulus, theta, q
 

@@ -1,6 +1,7 @@
 """Split-complex arithmetic: frozen examples plus algebraic-law properties."""
 
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from hyperq.algebra import (
     expj,
 )
 from hyperq.errors import DegenerateNormError, PhaseRangeError, PreconditionError
+from hyperq.space import Vec2
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 numbers = st.builds(SplitComplex, coords, coords)
@@ -77,6 +79,21 @@ class TestRingOperations:
         assert -z == SplitComplex(-2.0, -3.0)
         assert +z == z
         assert z / 2 == SplitComplex(1.0, 1.5)
+
+    def test_vec2_operand_reaches_vec2(self):
+        z, v = SplitComplex(2.0, 1.0), Vec2(ONE, J)
+        assert z * v == v * z == Vec2(z, J * z)
+        with pytest.raises(TypeError):
+            z / v
+
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul, operator.truediv]
+    )
+    def test_str_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(SplitComplex(1, 0), "1.5")
+        with pytest.raises(TypeError):
+            op("1.5", SplitComplex(1, 0))
 
     def test_division_by_number(self):
         z = SplitComplex(8, 7)
@@ -267,6 +284,8 @@ class TestOverflow:
             lambda: SplitComplex(1e300, 0.0).inverse(),
             lambda: SplitComplex(1e308, 1e308).inverse(),
             lambda: PolarForm(1, 1e308, 2.0).to_number(),
+            lambda: SplitComplex(1e200, 0.0).polar(),
+            lambda: SplitComplex(1e308, -1e308).polar(),
         ],
         ids=[
             "scalar-mul",
@@ -282,11 +301,22 @@ class TestOverflow:
             "inverse-norm-overflow",
             "inverse-nan-norm",
             "polar-to-number",
+            "polar-norm-overflow",
+            "polar-nan-norm",
         ],
     )
     def test_overflow_raises_precondition_error(self, operation):
         with pytest.raises(PreconditionError, match="overflows|not finite"):
             operation()
+
+    @pytest.mark.parametrize("method", ["polar", "inverse"])
+    @pytest.mark.parametrize(
+        "z", [SplitComplex(1e200, 0.0), SplitComplex(1e308, -1e308)], ids=["inf", "nan"]
+    )
+    def test_non_finite_norm_is_not_degenerate(self, z, method):
+        with pytest.raises(PreconditionError, match="squared norm .* is not finite") as info:
+            getattr(z, method)()
+        assert not isinstance(info.value, DegenerateNormError)
 
     def test_example(self):
         with pytest.raises(PreconditionError, match=r"not finite: \(inf, 0.0\)"):

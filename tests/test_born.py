@@ -146,9 +146,21 @@ class TestProbabilityModel:
         assert balanced_model(0.0, eps1=1).eps2 == -1
         assert balanced_model(0.0, eps1=-1).eps2 == 1
 
+    @pytest.mark.parametrize("field", ["q1", "q2", "p11", "p12", "p21", "p22", "theta"])
+    def test_rejects_non_finite_field(self, field):
+        fields = dict(q1=0.5, q2=0.5, p11=0.5, p12=0.5, p21=0.5, p22=0.5, theta=0.0)
+        fields[field] = math.nan
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ProbabilityModel(**fields, eps1=1)
+
     def test_validate_rejects_bad_weights(self):
         m = ProbabilityModel(0.7, 0.7, 0.5, 0.5, 0.5, 0.5, 0.0, 1)
         with pytest.raises(PreconditionError):
+            m.validate()
+
+    def test_validate_rejects_entry_outside_unit_interval(self):
+        m = ProbabilityModel(1.5, -0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 1)
+        with pytest.raises(PreconditionError, match=r"must lie in \[0, 1\]"):
             m.validate()
 
     def test_json_round_trip(self):
@@ -158,6 +170,10 @@ class TestProbabilityModel:
     def test_from_json_rejects_malformed(self):
         with pytest.raises(ValueError):
             ProbabilityModel.from_json_dict({"q": [0.5], "P": [], "theta": 0})
+
+    def test_from_json_rejects_non_object(self):
+        with pytest.raises(ValueError, match="expected an object"):
+            ProbabilityModel.from_json_dict([0.5, 0.5])
 
 
 class TestTransformProbabilities:
@@ -339,6 +355,14 @@ class TestExtractAndPipeline:
                 PreconditionError,
                 "both interference terms",
                 id="zero-coefficient",
+            ),
+            pytest.param(
+                # squared norm 1e400 overflows to inf
+                Vec2(SplitComplex(1e200, 0.0), ONE),
+                hadamard_like(),
+                PreconditionError,
+                "squared norm .* is not finite",
+                id="norm-overflow",
             ),
             pytest.param(
                 witness_state(),

@@ -1,18 +1,54 @@
 """The package namespace: every public name resolves on first use."""
 
+import ast
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hyperq
 
+SUBMODULES = [importlib.import_module(f"hyperq.{name}") for name in hyperq._SUBMODULES]
+
 
 def test_every_public_name_resolves():
-    for name in hyperq.__all__:
-        value = getattr(hyperq, name)
-        module = getattr(hyperq, hyperq._EXPORTS[name])
-        assert value is getattr(module, name), name
+    for module in SUBMODULES:
+        for name in module.__all__:
+            assert getattr(hyperq, name) is getattr(module, name), name
+
+
+def test_all_joins_the_submodules_lists_in_order():
+    assert hyperq.__all__ == [name for m in SUBMODULES for name in m.__all__]
+
+
+def test_no_name_is_exported_twice():
+    names = [name for module in SUBMODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+
+
+def test_names_public_only_in_their_module_resolve():
+    from hyperq import check_phase, sweep_rows
+
+    assert sweep_rows is hyperq.interference.sweep_rows
+    assert check_phase is hyperq.algebra.check_phase
+
+
+def relative_imports(path):
+    """The modules named by ``from .x import ...`` anywhere in ``path``."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield node.module
+
+
+def test_each_submodule_imports_only_earlier_ones():
+    order = list(hyperq._SUBMODULES)
+    package = Path(hyperq.__file__).parent
+    for index, name in enumerate(order):
+        imported = set(relative_imports(package / f"{name}.py"))
+        assert imported <= set(order[:index]), (name, imported)
 
 
 def test_dir_lists_public_names_and_submodules():
@@ -48,10 +84,21 @@ def test_submodule_resolves_after_bare_import():
     )
 
 
+def test_classify_loads_errors_algebra_and_interference():
+    run_child(
+        "import sys, hyperq\n"
+        "hyperq.classify\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('hyperq.'))\n"
+        "assert loaded == ['hyperq.algebra', 'hyperq.errors', 'hyperq.interference'], "
+        "loaded\n"
+    )
+
+
 def test_star_import_binds_all():
     run_child(
+        "before = set(globals())\n"
         "from hyperq import *\n"
         "import hyperq\n"
-        "missing = [n for n in hyperq.__all__ if n not in globals()]\n"
-        "assert not missing, missing\n"
+        "bound = set(globals()) - before - {'before', 'hyperq'}\n"
+        "assert bound == set(hyperq.__all__), bound ^ set(hyperq.__all__)\n"
     )

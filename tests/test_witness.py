@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from hyperq.algebra import EPS_MEM, ONE, ZERO, SplitComplex
@@ -42,8 +41,9 @@ class TestUnitaryParams:
 class TestGenerator:
     def test_near_identity_limit(self):
         m = make_decomposable_unitary(UnitaryParams(0.999, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(
-            prob_matrix(m), [[0.999, 0.001], [0.001, 0.999]], atol=1e-12
+        (p11, p12), (p21, p22) = prob_matrix(m)
+        assert (p11, p12, p21, p22) == pytest.approx(
+            [0.999, 0.001, 0.001, 0.999], rel=1e-7, abs=1e-12
         )
 
     def test_balanced_real_case_is_hadamard_like(self):
@@ -60,8 +60,9 @@ class TestGenerator:
 
     def test_probability_matrix_shape(self):
         m = make_decomposable_unitary(UnitaryParams(0.3, 1.1, -0.7, 2.0))
-        np.testing.assert_allclose(
-            prob_matrix(m), [[0.3, 0.7], [0.7, 0.3]], atol=1e-12
+        (p11, p12), (p21, p22) = prob_matrix(m)
+        assert (p11, p12, p21, p22) == pytest.approx(
+            [0.3, 0.7, 0.7, 0.3], rel=1e-7, abs=1e-12
         )
 
     def test_rows_are_decomposable_states(self):
@@ -190,6 +191,21 @@ class TestVerifyWitness:
         w = analytic_witness()
         wrong = NonTransitivityWitness(w.beta, w.basis, w.alpha, 1, w.norm_sq)
         assert not verify_witness(wrong)
+
+    def test_index_out_of_range_fails(self):
+        w = analytic_witness()
+        assert not verify_witness(
+            NonTransitivityWitness(w.beta, w.basis, w.alpha, 3, w.norm_sq)
+        )
+
+    def test_non_decomposable_state_fails(self):
+        # squared norms -1 and 2: normalized, but c1 is outside the cone
+        w = analytic_witness()
+        beta = Vec2(SplitComplex(0.0, 1.0), SplitComplex(math.sqrt(2.0), 0.0))
+        alpha = change_basis(beta, w.basis)
+        assert not verify_witness(
+            NonTransitivityWitness(beta, w.basis, alpha, 1, alpha.c1.norm_sq())
+        )
 
     def test_tampered_norm_fails(self):
         w = analytic_witness()
