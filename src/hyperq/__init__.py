@@ -33,8 +33,9 @@ from the package is looked up in the submodules in dependency order
 ``hyperq.classify`` loads ``errors``, ``algebra`` and ``interference``, and
 a name from ``space``, ``born`` or ``witness`` loads ``interference`` as
 well.  A submodule name (``hyperq.born``, ``hyperq.cli``) imports just that
-submodule.  The command line imports its submodules directly, so each
-subcommand pays only for the modules it needs.
+submodule, and a dunder name that is not ``__all__`` imports nothing.  The
+command line imports its submodules directly, so each subcommand pays only
+for the modules it needs.
 """
 
 import importlib
@@ -59,7 +60,10 @@ def __getattr__(name: str) -> object:
     elif name in _SUBMODULES or name == "cli":
         value = _import(name)
     else:
-        for submodule in _SUBMODULES:
+        # a dunder probe (inspect.unwrap, doctest, pydoc) names no export and
+        # must not import the submodules to find that out
+        dunder = name.startswith("__") and name.endswith("__")
+        for submodule in () if dunder else _SUBMODULES:
             module = _import(submodule)
             if name in module.__all__:
                 value = getattr(module, name)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable
 
 from .errors import DegenerateNormError, PhaseRangeError, PreconditionError
 
@@ -57,15 +56,17 @@ THETA_MAX = 300.0
 
 
 class _Value:
-    """Base of the immutable value types: slots, equality, hash and repr.
+    """Base of the immutable value types: slots, init, equality, hash and repr.
 
-    A subclass lists its fields in ``__slots__`` and writes its own
-    ``__init__``, which checks the arguments and stores them through the
-    slot descriptors (assignment is blocked here).  Equality holds only
-    between instances of the same class with equal field tuples, the hash is
-    that of the field tuple, and the repr reads ``Name(field=value, ...)``.
-    ``__reduce__`` rebuilds through ``__init__``, so ``copy`` and ``pickle``
-    work and re-validate.
+    A subclass lists its fields in ``__slots__`` and, if its arguments need
+    checking, a static ``_check`` taking the fields in order.  The class gets
+    a generated ``__init__(self, <fields>)`` that calls ``_check`` (its own or
+    an inherited one) and stores each field through its slot descriptor
+    (assignment is blocked here).  Equality holds only between instances of
+    the same class with equal field tuples, the hash is that of the field
+    tuple, and the repr reads ``Name(field=value, ...)``.  ``__reduce__``
+    rebuilds through ``__init__``, so ``copy`` and ``pickle`` work and
+    re-validate.
     """
 
     __slots__ = ()
@@ -74,10 +75,24 @@ class _Value:
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         # the base's fields, then the slots this class adds
-        cls.__match_args__ += cls.__slots__
+        fields = cls.__match_args__ = cls.__match_args__ + cls.__slots__
         # a plain callable, not a method: called as self._field_tuple(self);
         # every value type has at least two fields, so it returns a tuple
-        cls._field_tuple = operator.attrgetter(*cls.__match_args__)
+        cls._field_tuple = operator.attrgetter(*fields)
+        # __init__ compiled from the slot names, as namedtuple compiles its
+        # __new__: _check if the class has one, then each descriptor's __set__
+        args = ", ".join(fields)
+        namespace = {f"_set{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
+        source = [f"def __init__(self, {args}):"]
+        check = getattr(cls, "_check", None)
+        if check is not None:
+            namespace["_check"] = check
+            source.append(f" _check({args})")
+        source += [f" _set{i}(self, {f})" for i, f in enumerate(fields)]
+        exec("\n".join(source), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__module__ = cls.__module__
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -104,15 +119,6 @@ class _Value:
         return self.__class__, self._field_tuple(self)
 
 
-def _slot_setters(cls: type[_Value]) -> list[Callable[[object, object], None]]:
-    """The ``__set__`` of each slot descriptor of ``cls``, in field order.
-
-    Taken once per class at import; each ``__init__`` stores its fields
-    through them, since ``_Value.__setattr__`` refuses assignment.
-    """
-    return [getattr(cls, name).__set__ for name in cls.__match_args__]
-
-
 class SplitComplex(_Value):
     """Immutable split-complex number ``x + j*y`` with finite components.
 
@@ -123,11 +129,10 @@ class SplitComplex(_Value):
 
     __slots__ = ("x", "y")
 
-    def __init__(self, x: float, y: float) -> None:
+    @staticmethod
+    def _check(x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"components must be finite, got ({x}, {y})")
-        _sc_x(self, x)
-        _sc_y(self, y)
 
     # -- ring structure ----------------------------------------------------
 
@@ -249,17 +254,9 @@ class SplitComplex(_Value):
     def from_list(cls, data: object) -> SplitComplex:
         if isinstance(data, (list, tuple)) and len(data) == 2:
             x, y = data
-            if (
-                isinstance(x, (int, float))
-                and isinstance(y, (int, float))
-                and not isinstance(x, bool)
-                and not isinstance(y, bool)
-            ):
+            if _is_number(x) and _is_number(y):
                 return cls(float(x), float(y))
         raise ValueError(f"expected [x, y] with numeric entries, got {data!r}")
-
-
-_sc_x, _sc_y = _slot_setters(SplitComplex)
 
 
 class PolarForm(_Value):
@@ -267,20 +264,15 @@ class PolarForm(_Value):
 
     __slots__ = ("sign", "modulus", "theta")
 
-    def __init__(self, sign: int, modulus: float, theta: float) -> None:
+    @staticmethod
+    def _check(sign: int, modulus: float, theta: float) -> None:
         check_sign(sign)
         if not modulus > 0.0:
             raise ValueError(f"modulus must be strictly positive, got {modulus}")
-        _pf_sign(self, sign)
-        _pf_modulus(self, modulus)
-        _pf_theta(self, theta)
 
     def to_number(self) -> SplitComplex:
         """Reconstruct the source number ``sign * modulus * expj(theta)``."""
         return expj(self.theta) * (self.sign * self.modulus)
-
-
-_pf_sign, _pf_modulus, _pf_theta = _slot_setters(PolarForm)
 
 
 def expj(theta: float) -> SplitComplex:
@@ -390,6 +382,7 @@ def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
 
 
 _new = object.__new__
+_sc_x, _sc_y = SplitComplex.x.__set__, SplitComplex.y.__set__
 
 
 def _result(x: float, y: float) -> SplitComplex:
@@ -411,6 +404,11 @@ def _result(x: float, y: float) -> SplitComplex:
 
 #: The scalar operand types of the ``SplitComplex`` operators.
 _SCALARS = (int, float)
+
+
+def _is_number(value: object) -> bool:
+    """True for an ``int`` or ``float`` that is not a ``bool``: a JSON number."""
+    return isinstance(value, _SCALARS) and not isinstance(value, bool)
 
 
 def _coerce(value: object) -> SplitComplex | None:

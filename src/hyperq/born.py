@@ -32,9 +32,9 @@ from .algebra import (
     EPS_ALG,
     EPS_MEM,
     SplitComplex,
+    _is_number,
     _law,
     _polar,
-    _slot_setters,
     _Value,
     check_phase,
     check_probability,
@@ -76,18 +76,6 @@ class StateDecomposition(_Value):
 
     __slots__ = ("coefficients", "decomposable", "probabilities", "phases")
 
-    def __init__(
-        self,
-        coefficients: Vec2,
-        decomposable: bool,
-        probabilities: tuple[float, float] | None,
-        phases: tuple[Phase | None, Phase | None] | None,
-    ) -> None:
-        _sd_coefficients(self, coefficients)
-        _sd_decomposable(self, decomposable)
-        _sd_probabilities(self, probabilities)
-        _sd_phases(self, phases)
-
     def to_json_dict(self) -> dict[str, object]:
         probs = None if self.probabilities is None else list(self.probabilities)
         return {
@@ -95,11 +83,6 @@ class StateDecomposition(_Value):
             "decomposable": self.decomposable,
             "probabilities": probs,
         }
-
-
-_sd_coefficients, _sd_decomposable, _sd_probabilities, _sd_phases = _slot_setters(
-    StateDecomposition
-)
 
 
 def _phase_of(c: SplitComplex, ns: float) -> Phase | None:
@@ -153,8 +136,8 @@ class ProbabilityModel(_Value):
 
     __slots__ = ("q1", "q2", "p11", "p12", "p21", "p22", "theta", "eps1")
 
-    def __init__(
-        self,
+    @staticmethod
+    def _check(
         q1: float,
         q2: float,
         p11: float,
@@ -170,14 +153,6 @@ class ProbabilityModel(_Value):
             name = next(n for n, v in zip(names, values) if not math.isfinite(v))
             raise ValueError(f"{name} must be finite")
         check_sign(eps1, "eps1")
-        _pm_q1(self, q1)
-        _pm_q2(self, q2)
-        _pm_p11(self, p11)
-        _pm_p12(self, p12)
-        _pm_p21(self, p21)
-        _pm_p22(self, p22)
-        _pm_theta(self, theta)
-        _pm_eps1(self, eps1)
 
     @property
     def eps2(self) -> int:
@@ -237,12 +212,17 @@ class ProbabilityModel(_Value):
             eps1 = data["eps1"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed probability model: {exc}") from exc
+        # the JSON number rule of SplitComplex.from_list; a bool is no number
+        if not all(map(_is_number, (q1, q2, p11, p12, p21, p22, theta))):
+            raise ValueError(
+                f"malformed probability model: q, P and theta must be numbers, "
+                f"got {data!r}"
+            )
+        if isinstance(eps1, bool) or not isinstance(eps1, int):
+            raise ValueError(
+                f"malformed probability model: eps1 must be an integer, got {eps1!r}"
+            )
         return cls(q1, q2, p11, p12, p21, p22, theta, eps1)
-
-
-_pm_q1, _pm_q2, _pm_p11, _pm_p12, _pm_p21, _pm_p22, _pm_theta, _pm_eps1 = (
-    _slot_setters(ProbabilityModel)
-)
 
 
 class TransformedProbabilities(NamedTuple):
@@ -302,50 +282,6 @@ class SignPhaseReport(_Value):
         "vacuous",
         "satisfied",
     )
-
-    def __init__(
-        self,
-        eta: float | None,
-        gamma1: float | None,
-        gamma2: float | None,
-        theta1: float | None,
-        theta2: float | None,
-        theta_diff: float | None,
-        eps1: int | None,
-        eps2: int | None,
-        opposite_signs: bool | None,
-        residual: float,
-        vacuous: bool,
-        satisfied: bool,
-    ) -> None:
-        _sp_eta(self, eta)
-        _sp_gamma1(self, gamma1)
-        _sp_gamma2(self, gamma2)
-        _sp_theta1(self, theta1)
-        _sp_theta2(self, theta2)
-        _sp_theta_diff(self, theta_diff)
-        _sp_eps1(self, eps1)
-        _sp_eps2(self, eps2)
-        _sp_opposite_signs(self, opposite_signs)
-        _sp_residual(self, residual)
-        _sp_vacuous(self, vacuous)
-        _sp_satisfied(self, satisfied)
-
-
-(
-    _sp_eta,
-    _sp_gamma1,
-    _sp_gamma2,
-    _sp_theta1,
-    _sp_theta2,
-    _sp_theta_diff,
-    _sp_eps1,
-    _sp_eps2,
-    _sp_opposite_signs,
-    _sp_residual,
-    _sp_vacuous,
-    _sp_satisfied,
-) = _slot_setters(SignPhaseReport)
 
 
 def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float, float] | None:

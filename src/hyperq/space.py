@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .algebra import EPS_ALG, ONE, ZERO, SplitComplex, _slot_setters, _Value, check_tol
+from .algebra import EPS_ALG, ONE, ZERO, SplitComplex, _result, _Value, check_tol
 from .errors import NotUnitaryError, PreconditionError
 
 __all__ = [
@@ -45,10 +45,6 @@ class Vec2(_Value):
     """Pair of split-complex coordinates in an implicit ordered basis."""
 
     __slots__ = ("c1", "c2")
-
-    def __init__(self, c1: SplitComplex, c2: SplitComplex) -> None:
-        _v_c1(self, c1)
-        _v_c2(self, c2)
 
     def __add__(self, other: Vec2) -> Vec2:
         return Vec2(self.c1 + other.c1, self.c2 + other.c2)
@@ -94,21 +90,10 @@ class Vec2(_Value):
         return cls(ZERO, ONE)
 
 
-_v_c1, _v_c2 = _slot_setters(Vec2)
-
-
 class Mat2(_Value):
     """2x2 matrix of split-complex entries, row major."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(
-        self, a11: SplitComplex, a12: SplitComplex, a21: SplitComplex, a22: SplitComplex
-    ) -> None:
-        _m_a11(self, a11)
-        _m_a12(self, a12)
-        _m_a21(self, a21)
-        _m_a22(self, a22)
 
     @property
     def row1(self) -> Vec2:
@@ -145,9 +130,6 @@ class Mat2(_Value):
         return cls(ONE, ZERO, ZERO, ONE)
 
 
-_m_a11, _m_a12, _m_a21, _m_a22 = _slot_setters(Mat2)
-
-
 def inner(u: Vec2, v: Vec2) -> SplitComplex:
     """Indefinite sesquilinear product, conjugation on the second argument.
 
@@ -166,26 +148,25 @@ def orthonormality_residual(m: Mat2) -> float:
     Raises :class:`PreconditionError` when a row product overflows.
     """
     # inner() written out on the components, in its operation order, so the
-    # result is bit-identical; x * (-y) == -(x * y) in IEEE arithmetic
+    # result is bit-identical; x * (-y) == -(x * y) in IEEE arithmetic.  The
+    # j parts of the self-products, x*y - x*y, are left out: they are exactly
+    # 0 while finite, and an x*y that overflows overflows x*x or y*y as well,
+    # so the real part of the same self-product is not finite either
     x11, y11 = m.a11.x, m.a11.y
     x12, y12 = m.a12.x, m.a12.y
     x21, y21 = m.a21.x, m.a21.y
     x22, y22 = m.a22.x, m.a22.y
     sums = (
         (x11 * x11 - y11 * y11) + (x12 * x12 - y12 * y12),
-        (x11 * y11 - x11 * y11) + (x12 * y12 - x12 * y12),
         (x21 * x21 - y21 * y21) + (x22 * x22 - y22 * y22),
-        (x21 * y21 - x21 * y21) + (x22 * y22 - x22 * y22),
         (x11 * x21 - y11 * y21) + (x12 * x22 - y12 * y22),
         (x21 * y11 - x11 * y21) + (x22 * y12 - x12 * y22),
     )
     # each sum on its own: the builtin max would drop a NaN
     if not all(map(math.isfinite, sums)):
         raise PreconditionError(f"row products overflow: {sums}")
-    r11x, r11y, r22x, r22y, r12x, r12y = sums
-    return max(
-        abs(r11x - 1.0), abs(r11y), abs(r22x - 1.0), abs(r22y), abs(r12x), abs(r12y)
-    )
+    r11x, r22x, r12x, r12y = sums
+    return max(abs(r11x - 1.0), abs(r22x - 1.0), abs(r12x), abs(r12y))
 
 
 def is_orthonormal_rows(m: Mat2, tol: float = EPS_ALG) -> bool:
@@ -212,19 +193,21 @@ def change_basis(coeffs: Vec2, basis: Mat2, tol: float = EPS_ALG) -> Vec2:
     if not residual <= tol:
         raise NotUnitaryError(f"rows are not orthonormal (residual {residual})")
     # SplitComplex products and sums written out in their operation order;
-    # an inf or NaN never turns finite again, so checking the outputs suffices
+    # an inf or NaN never turns finite again, so _result checking the
+    # outputs suffices
     x1, y1 = coeffs.c1.x, coeffs.c1.y
     x2, y2 = coeffs.c2.x, coeffs.c2.y
     a11, a12, a21, a22 = basis.a11, basis.a12, basis.a21, basis.a22
-    out = (
-        (x1 * a11.x + y1 * a11.y) + (x2 * a21.x + y2 * a21.y),
-        (x1 * a11.y + a11.x * y1) + (x2 * a21.y + a21.x * y2),
-        (x1 * a12.x + y1 * a12.y) + (x2 * a22.x + y2 * a22.y),
-        (x1 * a12.y + a12.x * y1) + (x2 * a22.y + a22.x * y2),
+    return Vec2(
+        _result(
+            (x1 * a11.x + y1 * a11.y) + (x2 * a21.x + y2 * a21.y),
+            (x1 * a11.y + a11.x * y1) + (x2 * a21.y + a21.x * y2),
+        ),
+        _result(
+            (x1 * a12.x + y1 * a12.y) + (x2 * a22.x + y2 * a22.y),
+            (x1 * a12.y + a12.x * y1) + (x2 * a22.y + a22.x * y2),
+        ),
     )
-    if not all(map(math.isfinite, out)):
-        raise PreconditionError(f"basis change overflows: {out}")
-    return Vec2(SplitComplex(out[0], out[1]), SplitComplex(out[2], out[3]))
 
 
 def prob_matrix(m: Mat2) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import random
 
-from .algebra import EPS_ALG, EPS_MEM, _law, _slot_setters, _Value
+from .algebra import EPS_ALG, EPS_MEM, _law, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -64,19 +64,13 @@ class UnitaryParams(_Value):
 
     __slots__ = ("p", "gamma1", "gamma2", "delta")
 
-    def __init__(self, p: float, gamma1: float, gamma2: float, delta: float) -> None:
+    @staticmethod
+    def _check(p: float, gamma1: float, gamma2: float, delta: float) -> None:
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
         for name, value in (("gamma1", gamma1), ("gamma2", gamma2), ("delta", delta)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        _up_p(self, p)
-        _up_gamma1(self, gamma1)
-        _up_gamma2(self, gamma2)
-        _up_delta(self, delta)
-
-
-_up_p, _up_gamma1, _up_gamma2, _up_delta = _slot_setters(UnitaryParams)
 
 
 def make_decomposable_unitary(params: UnitaryParams) -> Mat2:
@@ -104,15 +98,6 @@ class NonTransitivityWitness(_Value):
 
     __slots__ = ("beta", "basis", "alpha", "violating_index", "norm_sq")
 
-    def __init__(
-        self, beta: Vec2, basis: Mat2, alpha: Vec2, violating_index: int, norm_sq: float
-    ) -> None:
-        _nw_beta(self, beta)
-        _nw_basis(self, basis)
-        _nw_alpha(self, alpha)
-        _nw_violating_index(self, violating_index)
-        _nw_norm_sq(self, norm_sq)
-
     def to_json_dict(self) -> dict[str, object]:
         return {
             "beta": self.beta.to_list(),
@@ -121,11 +106,6 @@ class NonTransitivityWitness(_Value):
             "violating_index": self.violating_index,
             "norm_sq": self.norm_sq,
         }
-
-
-_nw_beta, _nw_basis, _nw_alpha, _nw_violating_index, _nw_norm_sq = _slot_setters(
-    NonTransitivityWitness
-)
 
 
 def search_non_transitivity(
@@ -191,9 +171,9 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
         if not all(entry.in_positive_cone(EPS_ALG) for entry in w.basis.entries()):
             return False
         alpha = change_basis(w.beta, w.basis)
-        if alpha.dist(w.alpha) > 1e-9:
+        if alpha.dist(w.alpha) > EPS_ALG:
             return False
         ns = alpha.coords()[w.violating_index - 1].norm_sq()
-        return ns < -EPS_MEM and abs(ns - w.norm_sq) <= 1e-9
+        return ns < -EPS_MEM and abs(ns - w.norm_sq) <= EPS_ALG
     except (PreconditionError, ValueError):
         return False

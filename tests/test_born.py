@@ -168,8 +168,20 @@ class TestProbabilityModel:
         assert ProbabilityModel.from_json_dict(m.to_json_dict()) == m
 
     def test_from_json_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            ProbabilityModel.from_json_dict({"q": [0.5], "P": [], "theta": 0})
+        good = balanced_model(LN2).to_json_dict()
+        # q, P and theta are JSON numbers (a bool is not one), eps1 an integer
+        for bad in (
+            {"q": [0.5], "P": [], "theta": 0},
+            {**good, "q": ["0.5", 0.5]},
+            {**good, "q": [None, 0.5]},
+            {**good, "q": [True, False]},
+            {**good, "P": [[0.5, 0.5], [0.5, None]]},
+            {**good, "theta": "0"},
+            {**good, "eps1": True},
+            {**good, "eps1": 1.0},
+        ):
+            with pytest.raises(ValueError, match="malformed probability model"):
+                ProbabilityModel.from_json_dict(bad)
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ValueError, match="expected an object"):

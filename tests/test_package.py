@@ -94,6 +94,16 @@ def test_classify_loads_errors_algebra_and_interference():
     )
 
 
+def test_dunder_probe_loads_no_submodule():
+    # inspect.unwrap, doctest and pydoc probe modules for such names
+    run_child(
+        "import sys, hyperq\n"
+        "assert not hasattr(hyperq, '__wrapped__')\n"
+        "loaded = [m for m in sys.modules if m.startswith('hyperq.')]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 def test_star_import_binds_all():
     run_child(
         "before = set(globals())\n"

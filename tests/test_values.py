@@ -3,15 +3,19 @@
 Each row builds one instance by keyword and checks what the frozen
 dataclasses these classes replaced gave: equality by class and fields, the
 hash of the field tuple, the ``Name(field=value, ...)`` repr, ``copy`` and
-``pickle`` round trips, and refused assignment and deletion.
+``pickle`` round trips, and refused assignment and deletion.  The generated
+``__init__`` takes exactly the fields, and a subclass keeps the checks.
 """
 
 import copy
+import inspect
+import math
 import pickle
 
 import pytest
 
-from hyperq.algebra import J, ONE, ZERO, PolarForm, SplitComplex
+import hyperq
+from hyperq.algebra import J, ONE, ZERO, PolarForm, SplitComplex, _Value
 from hyperq.born import Phase, ProbabilityModel, SignPhaseReport, StateDecomposition
 from hyperq.space import Mat2, Vec2
 from hyperq.witness import NonTransitivityWitness, UnitaryParams
@@ -91,11 +95,20 @@ ROWS = [
     ),
 ]
 
-pytestmark = pytest.mark.parametrize(
+each_row = pytest.mark.parametrize(
     "cls,kwargs,expected_repr", ROWS, ids=[cls.__name__ for cls, _, _ in ROWS]
 )
 
+# (class, field, a value its _check refuses) for each class that has one
+BAD_FIELDS = [
+    (SplitComplex, "x", math.nan),
+    (PolarForm, "modulus", 0.0),
+    (ProbabilityModel, "theta", math.inf),
+    (UnitaryParams, "p", 1.0),
+]
 
+
+@each_row
 def test_keyword_and_positional_construction_agree(cls, kwargs, expected_repr):
     value = cls(**kwargs)
     assert value == cls(*kwargs.values())
@@ -104,6 +117,7 @@ def test_keyword_and_positional_construction_agree(cls, kwargs, expected_repr):
         assert getattr(value, name) is field
 
 
+@each_row
 def test_equality_needs_the_same_class(cls, kwargs, expected_repr):
     value = cls(**kwargs)
     twin = type("Twin", (cls,), {"__slots__": ()})(**kwargs)
@@ -113,14 +127,17 @@ def test_equality_needs_the_same_class(cls, kwargs, expected_repr):
     assert value != tuple(kwargs.values())
 
 
+@each_row
 def test_hash_is_the_field_tuple_hash(cls, kwargs, expected_repr):
     assert hash(cls(**kwargs)) == hash(tuple(kwargs.values()))
 
 
+@each_row
 def test_repr_is_the_dataclass_form(cls, kwargs, expected_repr):
     assert repr(cls(**kwargs)) == expected_repr
 
 
+@each_row
 @pytest.mark.parametrize(
     "clone",
     [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
@@ -134,6 +151,7 @@ def test_copies_are_equal(cls, kwargs, expected_repr, clone):
     assert repr(copied) == expected_repr
 
 
+@each_row
 def test_fields_cannot_be_set_or_deleted(cls, kwargs, expected_repr):
     value = cls(**kwargs)
     for name, field in kwargs.items():
@@ -145,3 +163,39 @@ def test_fields_cannot_be_set_or_deleted(cls, kwargs, expected_repr):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert not hasattr(value, "__dict__")
+
+
+@each_row
+def test_signature_is_the_fields(cls, kwargs, expected_repr):
+    assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@each_row
+def test_missing_field_is_named(cls, kwargs, expected_repr):
+    for name in kwargs:
+        given = {key: value for key, value in kwargs.items() if key != name}
+        with pytest.raises(TypeError, match=f"missing 1 required .* '{name}'"):
+            cls(**given)
+
+
+@pytest.mark.parametrize(
+    "cls,name,bad", BAD_FIELDS, ids=[cls.__name__ for cls, _, _ in BAD_FIELDS]
+)
+def test_subclass_keeps_the_check(cls, name, bad):
+    kwargs = next(kwargs for row_cls, kwargs, _ in ROWS if row_cls is cls)
+    twin = type("Twin", (cls,), {"__slots__": ()})
+    for target in (cls, twin):
+        with pytest.raises(ValueError):
+            target(**{**kwargs, name: bad})
+
+
+def test_rows_cover_every_value_type():
+    # reading __all__ imports every exporting submodule
+    assert hyperq.__all__
+    subclasses = _Value.__subclasses__()
+    defined = {sub for sub in subclasses if sub.__module__.startswith("hyperq.")}
+    assert defined == {cls for cls, _, _ in ROWS}
+    checked = {cls for cls in defined if hasattr(cls, "_check")}
+    assert checked == {cls for cls, _, _ in BAD_FIELDS}
