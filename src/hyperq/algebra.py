@@ -44,10 +44,10 @@ __all__ = [
     "expj",
 ]
 
-#: Tolerance for algebraic identities expected to hold up to rounding.
+#: Fixed tolerance of every verdict, for identities that hold up to rounding.
 EPS_ALG = 1e-9
 
-#: Default tolerance for positive-cone membership tests.
+#: Negligible squared norm; the default of ``SplitComplex.in_positive_cone``.
 EPS_MEM = 1e-12
 
 #: Largest |theta| accepted by ``expj`` and the hyperbolic laws.  cosh
@@ -155,7 +155,7 @@ class SplitComplex(_Value):
         return _result(self.x - other.x, self.y - other.y)
 
     def __rsub__(self, other: SplitComplex | float | int) -> SplitComplex:
-        return -self + other
+        return -self + other if isinstance(other, _SCALARS) else NotImplemented
 
     def __mul__(self, other: SplitComplex | float | int) -> SplitComplex:
         if isinstance(other, SplitComplex):
@@ -205,9 +205,11 @@ class SplitComplex(_Value):
         """True when the squared modulus is >= -tol.
 
         Membership is non-strict: the light cone belongs to the positive
-        cone even though its elements admit no polar form.
+        cone even though its elements admit no polar form.  A negative or
+        NaN ``tol`` raises ``ValueError``.
         """
-        check_tol(tol)
+        if not tol >= 0:
+            raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
         return self.norm_sq() >= -tol
 
     def mag(self) -> float:
@@ -298,12 +300,6 @@ def check_phase(theta: float) -> None:
     if not math.isfinite(theta):
         raise ValueError(f"phase must be finite, got {theta}")
     raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds THETA_MAX = {THETA_MAX}")
-
-
-def check_tol(tol: float) -> None:
-    """Reject a negative tolerance with ``ValueError``; NaN fails too."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
 
 
 def check_sign(sign: int, name: str = "sign") -> None:
@@ -407,8 +403,16 @@ _SCALARS = (int, float)
 
 
 def _is_number(value: object) -> bool:
-    """True for an ``int`` or ``float`` that is not a ``bool``: a JSON number."""
-    return isinstance(value, _SCALARS) and not isinstance(value, bool)
+    """A JSON number: an ``int`` or ``float`` that fits a double, not a ``bool``."""
+    if isinstance(value, float):
+        return True
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    try:
+        float(value)  # an int past the largest double overflows
+    except OverflowError:
+        return False
+    return True
 
 
 def _coerce(value: object) -> SplitComplex | None:

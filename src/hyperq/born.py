@@ -39,7 +39,6 @@ from .algebra import (
     check_phase,
     check_probability,
     check_sign,
-    check_tol,
 )
 from .errors import ConstraintViolatedError, NotNormalizedError, PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -93,21 +92,20 @@ def _phase_of(c: SplitComplex, ns: float) -> Phase | None:
     return Phase(sign, theta)
 
 
-def decompose(phi: Vec2, tol: float = EPS_ALG) -> StateDecomposition:
+def decompose(phi: Vec2) -> StateDecomposition:
     """Born-rule reading of a normalized state in the implicit basis.
 
-    The squared norms of the coefficients must sum to 1 within ``tol``
-    (raises :class:`NotNormalizedError` otherwise).  The state is
-    decomposable iff both coefficients lie in the positive cone at ``tol``;
-    only then are the squared norms meaningful as probabilities.
+    Within ``EPS_ALG``, the squared norms of the coefficients must sum to 1
+    (raises :class:`NotNormalizedError` otherwise), and the state is
+    decomposable iff both coefficients lie in the positive cone; only then
+    are the squared norms meaningful as probabilities.
     """
-    check_tol(tol)
     q1, q2 = phi.norms_sq()
     # written so that a NaN sum fails too
-    if not abs(q1 + q2 - 1.0) <= tol:
+    if not abs(q1 + q2 - 1.0) <= EPS_ALG:
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
-    # SplitComplex.in_positive_cone on the squared norms already held
-    if not (q1 >= -tol and q2 >= -tol):
+    # SplitComplex.in_positive_cone(EPS_ALG) on the squared norms already held
+    if not (q1 >= -EPS_ALG and q2 >= -EPS_ALG):
         return StateDecomposition(phi, False, None, None)
     return StateDecomposition(
         phi, True, (q1, q2), (_phase_of(phi.c1, q1), _phase_of(phi.c2, q2))
@@ -122,6 +120,13 @@ def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
     r = sign * math.sqrt(q)
     # the components of expj(xi) * r, without building expj(xi)
     return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
+
+
+def _check_unit_sums(kind: str, *totals: float) -> None:
+    """Raise :class:`PreconditionError` at the first total off 1 by over ``EPS_ALG``."""
+    for index, total in enumerate(totals, start=1):
+        if abs(total - 1.0) > EPS_ALG:
+            raise PreconditionError(f"{kind} {index} sums to {total}, expected 1")
 
 
 class ProbabilityModel(_Value):
@@ -158,40 +163,29 @@ class ProbabilityModel(_Value):
     def eps2(self) -> int:
         return -self.eps1
 
-    def validate(self, tol: float = EPS_ALG) -> None:
-        """Raise :class:`PreconditionError` unless all invariants hold at tol.
+    def validate(self) -> None:
+        """Raise :class:`PreconditionError` unless all invariants hold.
 
         The checks run in order: weights sum to 1, every entry lies in
         [0, 1], both rows sum to 1, ``|theta| <= THETA_MAX``, the
         cross-column symmetry ``p11*p21 == p12*p22``, both columns sum to 1.
         Without the symmetry the two interference terms cannot cancel and
         p1 + p2 would drift from 1, so its violation raises
-        :class:`ConstraintViolatedError`.
+        :class:`ConstraintViolatedError`.  Each holds within ``EPS_ALG``.
         """
-        check_tol(tol)
-        if abs(self.q1 + self.q2 - 1.0) > tol:
+        if abs(self.q1 + self.q2 - 1.0) > EPS_ALG:
             raise PreconditionError(f"q1 + q2 = {self.q1 + self.q2}, expected 1")
         entries = (self.q1, self.q2, self.p11, self.p12, self.p21, self.p22)
-        if min(entries) < -tol or max(entries) > 1.0 + tol:
+        if min(entries) < -EPS_ALG or max(entries) > 1.0 + EPS_ALG:
             raise PreconditionError("probabilities must lie in [0, 1]")
-        for label, total in (
-            ("row 1", self.p11 + self.p12),
-            ("row 2", self.p21 + self.p22),
-        ):
-            if abs(total - 1.0) > tol:
-                raise PreconditionError(f"{label} sums to {total}, expected 1")
+        _check_unit_sums("row", self.p11 + self.p12, self.p21 + self.p22)
         check_phase(self.theta)
         gap = self.p11 * self.p21 - self.p12 * self.p22
-        if abs(gap) > tol:
+        if abs(gap) > EPS_ALG:
             raise ConstraintViolatedError(
                 f"p11*p21 - p12*p22 = {gap}; the interference terms cannot cancel"
             )
-        for label, total in (
-            ("column 1", self.p11 + self.p21),
-            ("column 2", self.p12 + self.p22),
-        ):
-            if abs(total - 1.0) > tol:
-                raise PreconditionError(f"{label} sums to {total}, expected 1")
+        _check_unit_sums("column", self.p11 + self.p21, self.p12 + self.p22)
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -236,17 +230,15 @@ class TransformedProbabilities(NamedTuple):
         return all(-EPS_ALG <= p <= 1.0 + EPS_ALG for p in self)
 
 
-def transform_probabilities(
-    m: ProbabilityModel, tol: float = EPS_ALG
-) -> TransformedProbabilities:
+def transform_probabilities(m: ProbabilityModel) -> TransformedProbabilities:
     """Closed-form new-basis probabilities of a probability model.
 
-    The model must pass :meth:`ProbabilityModel.validate` at ``tol``; a
-    matrix without the cross-column symmetry raises
-    :class:`ConstraintViolatedError`.  Out-of-range outputs are legitimate
-    (the state is then not decomposable) and reported via ``in_range``.
+    The model must pass :meth:`ProbabilityModel.validate`; a matrix without
+    the cross-column symmetry raises :class:`ConstraintViolatedError`.
+    Out-of-range outputs are legitimate (the state is then not decomposable)
+    and reported via ``in_range``.
     """
-    m.validate(tol)
+    m.validate()
     # weights can dip a hair below 0 inside the tolerance slack
     w11, w21 = max(m.q1 * m.p11, 0.0), max(m.q2 * m.p21, 0.0)
     w12, w22 = max(m.q1 * m.p12, 0.0), max(m.q2 * m.p22, 0.0)
@@ -358,18 +350,15 @@ _VACUOUS = SignPhaseReport(
 )
 
 
-def check_sign_phase_constraints(
-    basis: Mat2, beta: Vec2, tol: float = EPS_ALG
-) -> SignPhaseReport:
+def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
     """Measure the common-phase and opposite-sign constraints on (basis, beta).
 
     Purely diagnostic: the matrix is not required to be unitary, so the
     report can quantify how a perturbed matrix breaks the constraints.
     Amplitudes of negligible squared norm drop their interference term;
     amplitudes with negative squared norm have no polar form and raise
-    :class:`DegenerateNormError`.
+    :class:`DegenerateNormError`.  The constraints hold within ``EPS_ALG``.
     """
-    check_tol(tol)
     terms = _column_terms(basis, beta)
     if terms is None:
         return _VACUOUS
@@ -395,8 +384,8 @@ def check_sign_phase_constraints(
         theta_diff = theta1 - theta2
         opposite = eps2 == -eps1
     satisfied = (
-        abs(residual) <= tol
-        and (theta_diff is None or abs(theta_diff) <= tol)
+        abs(residual) <= EPS_ALG
+        and (theta_diff is None or abs(theta_diff) <= EPS_ALG)
         and opposite is not False
     )
     return SignPhaseReport(
@@ -415,7 +404,7 @@ def check_sign_phase_constraints(
     )
 
 
-def extract_model(beta: Vec2, basis: Mat2, tol: float = EPS_ALG) -> ProbabilityModel:
+def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
     """Probability model of a concrete (state, basis-matrix) pair.
 
     Requires both interference terms to be present with a shared phase and
@@ -426,14 +415,13 @@ def extract_model(beta: Vec2, basis: Mat2, tol: float = EPS_ALG) -> ProbabilityM
     phase and the sign of column 1.  The squared norms are those the polar
     forms were taken from, so each amplitude's is computed once.
     """
-    check_tol(tol)
     terms = _column_terms(basis, beta)
     if terms is None or terms[3] is None or terms[4] is None:
         raise PreconditionError("both interference terms are needed to fit a model")
     eta, q1, q2, (gamma1, eps1, _, p11, p21), (gamma2, eps2, _, p12, p22) = terms
     theta1 = eta + gamma1
     theta_diff = theta1 - (eta + gamma2)
-    if abs(theta_diff) > tol:
+    if abs(theta_diff) > EPS_ALG:
         raise PreconditionError(
             f"columns disagree on the phase: theta1 - theta2 = {theta_diff}"
         )
@@ -442,12 +430,10 @@ def extract_model(beta: Vec2, basis: Mat2, tol: float = EPS_ALG) -> ProbabilityM
     return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta=theta1, eps1=eps1)
 
 
-def pipeline_probabilities(
-    beta: Vec2, basis: Mat2, tol: float = EPS_ALG
-) -> StateDecomposition:
+def pipeline_probabilities(beta: Vec2, basis: Mat2) -> StateDecomposition:
     """Linear-algebra route: change basis, then read probabilities off.
 
     Agrees with :func:`transform_probabilities` on the model extracted by
     :func:`extract_model` whenever every amplitude admits a polar form.
     """
-    return decompose(change_basis(beta, basis, tol), tol)
+    return decompose(change_basis(beta, basis))

@@ -56,7 +56,10 @@ def _load_json(path: str) -> object:
     import json
 
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _run_classify(args: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .algebra import EPS_ALG, ONE, ZERO, SplitComplex, _result, _Value, check_tol
+from .algebra import EPS_ALG, ONE, ZERO, _SCALARS, SplitComplex, _result, _Value
 from .errors import NotUnitaryError, PreconditionError
 
 __all__ = [
@@ -47,12 +47,18 @@ class Vec2(_Value):
     __slots__ = ("c1", "c2")
 
     def __add__(self, other: Vec2) -> Vec2:
+        if not isinstance(other, Vec2):
+            return NotImplemented
         return Vec2(self.c1 + other.c1, self.c2 + other.c2)
 
     def __sub__(self, other: Vec2) -> Vec2:
+        if not isinstance(other, Vec2):
+            return NotImplemented
         return Vec2(self.c1 - other.c1, self.c2 - other.c2)
 
     def __mul__(self, scalar: SplitComplex | float | int) -> Vec2:
+        if not isinstance(scalar, (SplitComplex, *_SCALARS)):
+            return NotImplemented
         return Vec2(self.c1 * scalar, self.c2 * scalar)
 
     __rmul__ = __mul__
@@ -169,13 +175,12 @@ def orthonormality_residual(m: Mat2) -> float:
     return max(abs(r11x - 1.0), abs(r22x - 1.0), abs(r12x), abs(r12y))
 
 
-def is_orthonormal_rows(m: Mat2, tol: float = EPS_ALG) -> bool:
-    """True when both rows are unit vectors orthogonal to each other."""
-    check_tol(tol)
-    return orthonormality_residual(m) <= tol
+def is_orthonormal_rows(m: Mat2) -> bool:
+    """True when the rows are orthogonal unit vectors, within ``EPS_ALG``."""
+    return orthonormality_residual(m) <= EPS_ALG
 
 
-def change_basis(coeffs: Vec2, basis: Mat2, tol: float = EPS_ALG) -> Vec2:
+def change_basis(coeffs: Vec2, basis: Mat2) -> Vec2:
     """Coordinates of a vector after expressing each old basis vector in a new one.
 
     Row i of ``basis`` holds the new-basis coordinates of old basis vector i,
@@ -184,13 +189,12 @@ def change_basis(coeffs: Vec2, basis: Mat2, tol: float = EPS_ALG) -> Vec2:
 
         out_k = coeffs.c1 * basis[1][k] + coeffs.c2 * basis[2][k]
 
-    The matrix must pass :func:`is_orthonormal_rows` at ``tol``; anything
-    else is not a legitimate basis change and raises :class:`NotUnitaryError`.
-    A product that overflows raises :class:`PreconditionError`.
+    The matrix must pass :func:`is_orthonormal_rows`; anything else is not a
+    legitimate basis change and raises :class:`NotUnitaryError`.  A product
+    that overflows raises :class:`PreconditionError`.
     """
-    check_tol(tol)
     residual = orthonormality_residual(basis)
-    if not residual <= tol:
+    if not residual <= EPS_ALG:
         raise NotUnitaryError(f"rows are not orthonormal (residual {residual})")
     # SplitComplex products and sums written out in their operation order;
     # an inf or NaN never turns finite again, so _result checking the

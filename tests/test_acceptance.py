@@ -265,7 +265,7 @@ def test_criterion_7_unitary_stochastic_link(announce):
         )
         p = prob_matrix(m)
         checks = (
-            is_orthonormal_rows(m, 1e-9)
+            is_orthonormal_rows(m)
             and doubly_stochastic_residual(p) <= 1e-9
             and abs(p[0][0] - p[1][1]) <= 1e-9
             and abs(p[0][1] - p[1][0]) <= 1e-9

@@ -169,7 +169,8 @@ class TestProbabilityModel:
 
     def test_from_json_rejects_malformed(self):
         good = balanced_model(LN2).to_json_dict()
-        # q, P and theta are JSON numbers (a bool is not one), eps1 an integer
+        # q, P and theta are JSON numbers (a bool is not one, nor an integer
+        # too large for a double), eps1 an integer
         for bad in (
             {"q": [0.5], "P": [], "theta": 0},
             {**good, "q": ["0.5", 0.5]},
@@ -179,6 +180,7 @@ class TestProbabilityModel:
             {**good, "theta": "0"},
             {**good, "eps1": True},
             {**good, "eps1": 1.0},
+            {**good, "theta": 10**400},
         ):
             with pytest.raises(ValueError, match="malformed probability model"):
                 ProbabilityModel.from_json_dict(bad)
@@ -234,10 +236,12 @@ class TestTransformProbabilities:
             transform_probabilities(balanced_model(301.0))
 
     def test_columns_are_checked_at_the_tolerance_edge(self):
-        # rows and symmetry pass at tol = 0.01, column 1 sums to 0.985
-        m = ProbabilityModel(0.5, 0.5, 0.4925, 0.4985, 0.4925, 0.4985, 0.0, 1)
+        # rows sum to 1 + 9e-10 and the symmetry gap is 9e-10, both within
+        # EPS_ALG; column 1 sums to 1 + 1.8e-9
+        a, b = 0.5 + 0.9e-9, 0.5
+        m = ProbabilityModel(0.5, 0.5, a, b, a, b, 0.0, 1)
         with pytest.raises(PreconditionError, match="column 1"):
-            transform_probabilities(m, tol=0.01)
+            transform_probabilities(m)
 
 
 class TestSignPhaseConstraints:

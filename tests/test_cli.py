@@ -53,12 +53,28 @@ def test_exit_codes(expected_code, argv, capsys):
         assert captured.err != ""
 
 
+#: A matrix file with a 400-digit integer entry, too large for a double.
+BIG_INTEGER_MATRIX = "[[[" + "9" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+#: A file nested 100 000 arrays deep, past the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def test_malformed_json_file(tmp_path, capsys):
-    bad = tmp_path / "state.json"
-    bad.write_text("this is not json")
-    code = main(["transform", "--state", str(bad), "--matrix", str(bad)])
-    assert code == 1
-    assert capsys.readouterr().out == ""
+    # each maps to one error line and exit 1, never a traceback
+    for text in ("this is not json", BIG_INTEGER_MATRIX, DEEP_JSON):
+        bad = tmp_path / "state.json"
+        bad.write_text(text)
+        for argv in (
+            ["transform", "--state", str(bad), "--matrix", str(bad)],
+            ["verify", "--matrix", str(bad)],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

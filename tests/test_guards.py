@@ -21,20 +21,25 @@ from hyperq.space import Mat2, Vec2, change_basis, is_orthonormal_rows
 BASIS_STATE = Vec2(ONE, ZERO)
 BALANCED = ProbabilityModel(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 1)
 
-# every call is valid at a good tolerance, so only the guard can raise
+# the one settable tolerance; every call is valid at a good one, so only the
+# guard can raise
 TOL_ENTRY_POINTS = {
     "in_positive_cone": lambda tol: ONE.in_positive_cone(tol),
-    "is_orthonormal_rows": lambda tol: is_orthonormal_rows(Mat2.identity(), tol),
-    "change_basis": lambda tol: change_basis(BASIS_STATE, Mat2.identity(), tol),
-    "decompose": lambda tol: decompose(BASIS_STATE, tol),
-    "validate": lambda tol: BALANCED.validate(tol),
-    "transform_probabilities": lambda tol: transform_probabilities(BALANCED, tol),
+}
+
+# verdicts held to the fixed EPS_ALG: a tol argument is refused outright
+FIXED_TOL_ENTRY_POINTS = {
+    "is_orthonormal_rows": lambda tol: is_orthonormal_rows(Mat2.identity(), tol=tol),
+    "change_basis": lambda tol: change_basis(BASIS_STATE, Mat2.identity(), tol=tol),
+    "decompose": lambda tol: decompose(BASIS_STATE, tol=tol),
+    "validate": lambda tol: BALANCED.validate(tol=tol),
+    "transform_probabilities": lambda tol: transform_probabilities(BALANCED, tol=tol),
     "check_sign_phase_constraints": lambda tol: check_sign_phase_constraints(
-        Mat2.identity(), BASIS_STATE, tol
+        Mat2.identity(), BASIS_STATE, tol=tol
     ),
-    "extract_model": lambda tol: extract_model(BASIS_STATE, Mat2.identity(), tol),
+    "extract_model": lambda tol: extract_model(BASIS_STATE, Mat2.identity(), tol=tol),
     "pipeline_probabilities": lambda tol: pipeline_probabilities(
-        BASIS_STATE, Mat2.identity(), tol
+        BASIS_STATE, Mat2.identity(), tol=tol
     ),
 }
 
@@ -49,10 +54,16 @@ SIGN_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan], ids=["negative", "nan"])
-@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", [*TOL_ENTRY_POINTS, *FIXED_TOL_ENTRY_POINTS])
 def test_tolerance_guard(entry, tol):
-    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-        TOL_ENTRY_POINTS[entry](tol)
+    # a bad tolerance never gets through: in_positive_cone refuses its value,
+    # every other entry point has no tolerance to set
+    if entry in TOL_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            TOL_ENTRY_POINTS[entry](tol)
+    else:
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            FIXED_TOL_ENTRY_POINTS[entry](tol)
 
 
 @pytest.mark.parametrize("sign", [0, 2, -1.5, math.nan])

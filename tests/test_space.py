@@ -1,6 +1,7 @@
 """Indefinite inner product, orthonormality, and basis changes in 2D."""
 
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -62,6 +63,24 @@ class TestVec2:
         assert -u == Vec2(-ONE, -J)
         assert 2 * u == Vec2(SplitComplex(2, 0), SplitComplex(0, 2))
         assert u * J == Vec2(J, ONE)
+
+    @pytest.mark.parametrize(
+        "op,operand",
+        [
+            pytest.param(operator.mul, Vec2(ONE, ONE), id="vec2-times-vec2"),
+            pytest.param(operator.mul, Mat2.identity(), id="vec2-times-mat2"),
+            pytest.param(operator.add, 1, id="vec2-plus-int"),
+            pytest.param(operator.sub, ONE, id="vec2-minus-scalar"),
+            pytest.param(operator.mul, "2", id="vec2-times-str"),
+        ],
+    )
+    def test_foreign_operand_raises_type_error(self, op, operand):
+        # the message names Vec2 as an operand, not one of its coordinates
+        u = Vec2(ONE, ZERO)
+        with pytest.raises(TypeError, match="'Vec2'"):
+            op(u, operand)
+        with pytest.raises(TypeError, match="'Vec2'"):
+            op(operand, u)
 
     def test_norms(self):
         v = Vec2(SplitComplex(3, 2), J)
@@ -208,7 +227,7 @@ class TestOrthonormality:
         assert orthonormality_residual(Mat2.identity()) == 0.0
 
     def test_hyperbolic_rotation(self):
-        assert is_orthonormal_rows(hyperbolic_rotation(0.7), 1e-9)
+        assert is_orthonormal_rows(hyperbolic_rotation(0.7))
 
     def test_repeated_row(self):
         m = Mat2(ONE, ZERO, ONE, ZERO)
@@ -216,7 +235,7 @@ class TestOrthonormality:
 
     @given(unitaries)
     def test_generated_unitaries_pass(self, m):
-        assert is_orthonormal_rows(m, 1e-9)
+        assert is_orthonormal_rows(m)
 
     @given(wide_matrices)
     def test_residual_equals_the_inner_products(self, m):
@@ -249,10 +268,9 @@ class TestChangeBasis:
         with pytest.raises(PreconditionError):
             change_basis(big, hyperbolic_rotation(1.4))
 
-    @given(wide_vectors, wide_matrices)
+    @given(wide_vectors, unitaries)
     def test_equals_the_operator_product(self, v, m):
-        # tol = inf admits any matrix, so the product is checked on all of them
-        assert change_basis(v, m, math.inf) == Vec2(
+        assert change_basis(v, m) == Vec2(
             v.c1 * m.a11 + v.c2 * m.a21, v.c1 * m.a12 + v.c2 * m.a22
         )
 

@@ -56,7 +56,7 @@ class TestGenerator:
 
     def test_phase_carrying_case_is_orthonormal(self):
         m = make_decomposable_unitary(UnitaryParams(0.5, LN2, 0.0, 0.0))
-        assert is_orthonormal_rows(m, 1e-9)
+        assert is_orthonormal_rows(m)
 
     def test_probability_matrix_shape(self):
         m = make_decomposable_unitary(UnitaryParams(0.3, 1.1, -0.7, 2.0))
@@ -81,7 +81,7 @@ class TestGenerator:
                     rng.uniform(-3, 3),
                 )
             )
-            assert is_orthonormal_rows(m, 1e-9)
+            assert is_orthonormal_rows(m)
             assert all(e.in_positive_cone(EPS_MEM) for e in m.entries())
             assert doubly_stochastic_residual(prob_matrix(m)) <= 1e-9
 
