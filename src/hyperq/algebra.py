@@ -122,8 +122,9 @@ class _Value:
 class SplitComplex(_Value):
     """Immutable split-complex number ``x + j*y`` with finite components.
 
-    A non-finite component given to the constructor raises ``ValueError``;
-    an arithmetic result that is not finite (an overflow) raises
+    A non-finite component given to the constructor, or an ``int`` too
+    large for a double, raises ``ValueError``; an arithmetic result that is
+    not finite (an overflow), or such an ``int`` operand, raises
     :class:`PreconditionError`.
     """
 
@@ -131,8 +132,14 @@ class SplitComplex(_Value):
 
     @staticmethod
     def _check(x: float, y: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"components must be finite, got ({x}, {y})")
+        try:
+            if math.isfinite(x) and math.isfinite(y):
+                return
+        except OverflowError:
+            raise ValueError(
+                "components must be finite, got an int too large for a double"
+            ) from None
+        raise ValueError(f"components must be finite, got ({x}, {y})")
 
     # -- ring structure ----------------------------------------------------
 
@@ -164,7 +171,10 @@ class SplitComplex(_Value):
                 self.x * other.y + other.x * self.y,
             )
         if isinstance(other, _SCALARS):
-            return _result(self.x * other, self.y * other)
+            try:
+                return _result(self.x * other, self.y * other)
+            except OverflowError:
+                raise _int_overflow() from None
         return NotImplemented
 
     __rmul__ = __mul__
@@ -173,7 +183,10 @@ class SplitComplex(_Value):
         if isinstance(other, SplitComplex):
             return self * other.inverse()
         if isinstance(other, _SCALARS):
-            return _result(self.x / other, self.y / other)
+            try:
+                return _result(self.x / other, self.y / other)
+            except OverflowError:
+                raise _int_overflow() from None
         return NotImplemented
 
     def __neg__(self) -> SplitComplex:
@@ -292,7 +305,9 @@ def check_phase(theta: float) -> None:
     """Reject a phase that is not finite or exceeds ``THETA_MAX``.
 
     A non-finite phase raises ``ValueError``, an out-of-range one
-    :class:`PhaseRangeError`.
+    :class:`PhaseRangeError`.  ``hyp_law``, a hot entry point, tests the same
+    predicate, ``abs(theta) <= THETA_MAX``, inline and calls this guard only
+    to raise.
     """
     # one comparison on the valid path; NaN and inf fail it too
     if abs(theta) <= THETA_MAX:
@@ -303,13 +318,21 @@ def check_phase(theta: float) -> None:
 
 
 def check_sign(sign: int, name: str = "sign") -> None:
-    """Reject a term or polar sign other than +1 or -1 with ``ValueError``."""
+    """Reject a term or polar sign other than +1 or -1 with ``ValueError``.
+
+    ``hyp_law``, a hot entry point, tests the same predicate inline and
+    calls this guard only to raise.
+    """
     if sign not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {sign!r}")
 
 
 def check_probability(p: float) -> None:
-    """Reject a negative probability with ``ValueError``; NaN fails too."""
+    """Reject a negative probability with ``ValueError``; NaN fails too.
+
+    ``trig_law`` and ``hyp_law``, the hot entry points, test the same
+    predicate, ``p >= 0.0``, inline and call this guard only to raise.
+    """
     if not p >= 0:
         raise ValueError(f"probability must be nonnegative, got {p!r}")
 
@@ -420,8 +443,24 @@ def _coerce(value: object) -> SplitComplex | None:
     if isinstance(value, SplitComplex):
         return value
     if isinstance(value, _SCALARS):
-        return SplitComplex(float(value), 0.0)
+        try:
+            return SplitComplex(float(value), 0.0)
+        except OverflowError:
+            raise _int_overflow() from None
     return None
+
+
+def _int_overflow() -> PreconditionError:
+    """The error of an ``int`` operand that no double can hold."""
+    return PreconditionError("int operand overflows a double")
+
+
+def _is_finite(value: float) -> bool:
+    """``math.isfinite``, but False for an ``int`` too large for a double."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 #: The hyperbolic unit, with J * J == ONE.

@@ -32,6 +32,7 @@ from .algebra import (
     EPS_ALG,
     EPS_MEM,
     SplitComplex,
+    _is_finite,
     _is_number,
     _law,
     _polar,
@@ -153,9 +154,13 @@ class ProbabilityModel(_Value):
         eps1: int,
     ) -> None:
         values = (q1, q2, p11, p12, p21, p22, theta)
-        if not all(map(math.isfinite, values)):
+        try:
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an int too large for a double
+            finite = False
+        if not finite:
             names = ("q1", "q2", "p11", "p12", "p21", "p22", "theta")
-            name = next(n for n, v in zip(names, values) if not math.isfinite(v))
+            name = next(n for n, v in zip(names, values) if not _is_finite(v))
             raise ValueError(f"{name} must be finite")
         check_sign(eps1, "eps1")
 

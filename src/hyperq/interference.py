@@ -21,6 +21,15 @@ coefficient
 decides the regime: |lambda| < 1 is reachable by a cosine, |lambda| > 1
 only by a hyperbolic cosine, and a narrow band around |lambda| = 1 is
 reported as the boundary where both laws coincide at theta = 0.
+
+The hot entry points, :func:`trig_law`, :func:`hyp_law` and
+:func:`classify`, run once per point of a sweep.  Each tests the same
+predicate as its guards (``check_probability``, ``check_sign``,
+``check_phase``, classify's finite-then-positive tests) inline, as one
+comparison chain, and calls the guards only when that chain fails, in their
+usual order, so the first failing guard raises its usual error.  On float
+arguments the chain accepts exactly what the guards accept, so the outputs
+and the errors are those of calling the guards every time.
 """
 
 from __future__ import annotations
@@ -55,6 +64,11 @@ _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 # largest |lambda| that classify maps to a phase
 _LAMBDA_MAX = math.cosh(THETA_MAX)
 
+# edges of the degenerate band around |lambda| = 1
+_TRIG_MAX, _HYP_MIN = 1.0 - EPS_CLS, 1.0 + EPS_CLS
+
+_INF = math.inf
+
 TRIG = "trig"
 HYP = "hyp"
 BOUNDARY = "boundary"
@@ -77,6 +91,10 @@ class InterferenceVerdict(NamedTuple):
         }
 
 
+# builds a verdict from a 4-tuple without the NamedTuple's Python-level __new__
+_verdict = tuple.__new__
+
+
 def trig_law(p1: float, p2: float, theta: float) -> float:
     """Trigonometric interference of two probabilities at phase theta.
 
@@ -84,10 +102,12 @@ def trig_law(p1: float, p2: float, theta: float) -> float:
     ``math.cos`` already does for an infinite one.  A value that overflows
     raises :class:`PreconditionError`.
     """
-    check_probability(p1)
-    check_probability(p2)
-    if math.isnan(theta):
-        raise ValueError("phase must not be NaN")
+    # the guards' predicate in one chain; they run only to raise
+    if not (p1 >= 0.0 and p2 >= 0.0 and theta == theta):
+        check_probability(p1)
+        check_probability(p2)
+        if math.isnan(theta):
+            raise ValueError("phase must not be NaN")
     return _law(p1, p2, theta, 1, True)
 
 
@@ -98,10 +118,12 @@ def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
     signature feature of the hyperbolic regime, not an error.  A value that
     overflows raises :class:`PreconditionError`.
     """
-    check_probability(p1)
-    check_probability(p2)
-    check_sign(sign)
-    check_phase(theta)
+    # the guards' predicate in one chain; they run only to raise
+    if not (p1 >= 0.0 and p2 >= 0.0 and sign in (1, -1) and abs(theta) <= THETA_MAX):
+        check_probability(p1)
+        check_probability(p2)
+        check_sign(sign)
+        check_phase(theta)
     return _law(p1, p2, theta, sign, False)
 
 
@@ -136,14 +158,14 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     coefficient is too large for any representable phase.  Any real
     ``pprime`` is accepted; physical admissibility is the caller's concern.
     """
-    if not (
-        math.isfinite(pprime) and math.isfinite(p1) and math.isfinite(p2)
-    ):
-        raise DegenerateInputsError("inputs must be finite")
-    if p1 <= 0 or p2 <= 0:
-        raise DegenerateInputsError(
-            f"reference probabilities must be positive, got {p1!r}, {p2!r}"
-        )
+    # the guards' predicate in one chain; they run only to raise
+    if not (0.0 < p1 < _INF and 0.0 < p2 < _INF and -_INF < pprime < _INF):
+        if not (math.isfinite(pprime) and math.isfinite(p1) and math.isfinite(p2)):
+            raise DegenerateInputsError("inputs must be finite")
+        if p1 <= 0 or p2 <= 0:
+            raise DegenerateInputsError(
+                f"reference probabilities must be positive, got {p1!r}, {p2!r}"
+            )
     product = p1 * p2
     if _NORMAL_MIN <= product <= _NORMAL_MAX:
         root = math.sqrt(product)
@@ -155,13 +177,13 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     mag = abs(lam)
     if mag > _LAMBDA_MAX:
         raise DegenerateInputsError(f"coefficient {lam} exceeds any admissible phase")
-    if mag < 1.0 - EPS_CLS:
-        return InterferenceVerdict(TRIG, math.acos(lam), 1, lam)
-    if mag > 1.0 + EPS_CLS:
+    if mag < _TRIG_MAX:
+        return _verdict(InterferenceVerdict, (TRIG, math.acos(lam), 1, lam))
+    if mag > _HYP_MIN:
         sign = 1 if lam > 0 else -1
-        return InterferenceVerdict(HYP, math.acosh(mag), sign, lam)
+        return _verdict(InterferenceVerdict, (HYP, math.acosh(mag), sign, lam))
     sign = 1 if lam >= 0 else -1
-    return InterferenceVerdict(BOUNDARY, 0.0, sign, lam)
+    return _verdict(InterferenceVerdict, (BOUNDARY, 0.0, sign, lam))
 
 
 def sweep_rows(

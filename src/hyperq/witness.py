@@ -40,10 +40,9 @@ scratch.
 
 from __future__ import annotations
 
-import math
 import random
 
-from .algebra import EPS_ALG, EPS_MEM, _law, _Value
+from .algebra import EPS_ALG, EPS_MEM, _is_finite, _law, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -69,7 +68,7 @@ class UnitaryParams(_Value):
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
         for name, value in (("gamma1", gamma1), ("gamma2", gamma2), ("delta", delta)):
-            if not math.isfinite(value):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be finite")
 
 

@@ -260,6 +260,8 @@ class TestInverse:
 
 
 BIG = SplitComplex(1e308, 0.0)
+# an int that no double can hold
+HUGE = 10**400
 
 
 class TestOverflow:
@@ -286,6 +288,13 @@ class TestOverflow:
             lambda: PolarForm(1, 1e308, 2.0).to_number(),
             lambda: SplitComplex(1e200, 0.0).polar(),
             lambda: SplitComplex(1e308, -1e308).polar(),
+            lambda: SplitComplex(1.0, 0.0) * HUGE,
+            lambda: HUGE * SplitComplex(1.0, 0.0),
+            lambda: SplitComplex(1.0, 0.0) / HUGE,
+            lambda: SplitComplex(1.0, 0.0) + HUGE,
+            lambda: HUGE + SplitComplex(1.0, 0.0),
+            lambda: SplitComplex(1.0, 0.0) - HUGE,
+            lambda: HUGE - SplitComplex(1.0, 0.0),
         ],
         ids=[
             "scalar-mul",
@@ -303,6 +312,13 @@ class TestOverflow:
             "polar-to-number",
             "polar-norm-overflow",
             "polar-nan-norm",
+            "huge-int-mul",
+            "huge-int-rmul",
+            "huge-int-div",
+            "huge-int-add",
+            "huge-int-radd",
+            "huge-int-sub",
+            "huge-int-rsub",
         ],
     )
     def test_overflow_raises_precondition_error(self, operation):
@@ -329,8 +345,10 @@ class TestOverflow:
             lambda: SplitComplex(0.0, math.nan),
             lambda: SplitComplex.from_list([math.inf, 0.0]),
             lambda: BIG + math.inf,
+            lambda: SplitComplex(HUGE, 0.0),
+            lambda: SplitComplex(0.0, -HUGE),
         ],
-        ids=["inf", "nan", "from_list", "inf-operand"],
+        ids=["inf", "nan", "from_list", "inf-operand", "huge-int-x", "huge-int-y"],
     )
     def test_non_finite_input_stays_a_value_error(self, build):
         with pytest.raises(ValueError, match="must be finite") as info:

@@ -2,19 +2,22 @@
 
 import importlib.util
 import math
+import pickle
 import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hyperq.algebra import _law, check_phase, check_probability, check_sign
 from hyperq.errors import DegenerateInputsError, PhaseRangeError, PreconditionError
 from hyperq.interference import (
     BOUNDARY,
     HYP,
     TRIG,
+    InterferenceVerdict,
     classify,
     hyp_law,
     hyp_linearization_residual,
@@ -283,3 +286,145 @@ class TestClassify:
             assert math.cos(v.theta) * v.sign == pytest.approx(v.lambda_, abs=1e-9)
         elif v.regime == HYP:
             assert math.cosh(v.theta) * v.sign == pytest.approx(v.lambda_, abs=1e-9)
+
+
+NAN, INF = math.nan, math.inf
+
+# (entry point, arguments with two or more of them bad, error, its message):
+# the guards run in their order, so the first failing one names the fault
+FIRST_ERROR_CASES = [
+    (hyp_law, (-1, 0.5, NAN, 0), ValueError, "probability must be nonnegative, got -1"),
+    (hyp_law, (0.5, 0.5, NAN, 0), ValueError, "sign must be +1 or -1, got 0"),
+    (hyp_law, (NAN, -1.0, 400.0, 2), ValueError, "probability must be nonnegative, got nan"),
+    (hyp_law, (0.5, -INF, 400.0, 2), ValueError, "probability must be nonnegative, got -inf"),
+    (hyp_law, (0.5, 0.5, INF, 2), ValueError, "sign must be +1 or -1, got 2"),
+    (hyp_law, (0.5, 0.5, -301.0, 1.5), ValueError, "sign must be +1 or -1, got 1.5"),
+    (
+        hyp_law,
+        (1e308, 1e308, 301.0, 1),
+        PhaseRangeError,
+        "|theta| = 301.0 exceeds THETA_MAX = 300.0",
+    ),
+    (trig_law, (NAN, 0.5, NAN), ValueError, "probability must be nonnegative, got nan"),
+    (trig_law, (0.5, -INF, NAN), ValueError, "probability must be nonnegative, got -inf"),
+    (trig_law, (-0.5, -0.25, 0.0), ValueError, "probability must be nonnegative, got -0.5"),
+    (trig_law, (1e308, 1e308, NAN), ValueError, "phase must not be NaN"),
+    (classify, (INF, -1.0, 0.5), DegenerateInputsError, "inputs must be finite"),
+    (classify, (0.5, 0.0, NAN), DegenerateInputsError, "inputs must be finite"),
+    (classify, (NAN, 0.0, 0.0), DegenerateInputsError, "inputs must be finite"),
+    (classify, (-INF, INF, 0.5), DegenerateInputsError, "inputs must be finite"),
+    (
+        classify,
+        (0.5, -0.0, 0.5),
+        DegenerateInputsError,
+        "reference probabilities must be positive, got -0.0, 0.5",
+    ),
+    (
+        classify,
+        (0.5, -1.0, -2.0),
+        DegenerateInputsError,
+        "reference probabilities must be positive, got -1.0, -2.0",
+    ),
+    (
+        classify,
+        (1e155, 0.25, -0.25),
+        DegenerateInputsError,
+        "reference probabilities must be positive, got 0.25, -0.25",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,args,error,message",
+    FIRST_ERROR_CASES,
+    ids=[f"{entry.__name__}{args}" for entry, args, _, _ in FIRST_ERROR_CASES],
+)
+def test_first_failing_guard_wins(entry, args, error, message):
+    with pytest.raises(error) as info:
+        entry(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "triple,regime",
+    [((0.5, 0.5, 0.5), TRIG), ((1.25, 0.25, 0.25), HYP), ((1.0, 0.25, 0.25), BOUNDARY)],
+    ids=[TRIG, HYP, BOUNDARY],
+)
+def test_verdict_is_a_full_named_tuple(triple, regime):
+    v = classify(*triple)
+    assert type(v) is InterferenceVerdict
+    assert v.regime == regime
+    assert v == InterferenceVerdict(*v)
+    assert repr(v) == repr(InterferenceVerdict(*v))
+    regime, theta, sign, lambda_ = v
+    assert v._asdict() == dict(regime=regime, theta=theta, sign=sign, lambda_=lambda_)
+    assert v.to_json_dict() == {
+        "regime": regime, "theta": theta, "sign": sign, "lambda": lambda_
+    }
+    clone = pickle.loads(pickle.dumps(v))
+    assert type(clone) is InterferenceVerdict
+    assert clone == v
+
+
+# floats with every edge of the guards, and signs that pass and fail
+edge_floats = st.sampled_from(
+    [NAN, INF, -INF, 0.0, -0.0, 5e-324, 1e-320, 0.5, 1e308, -1.0, 300.0, -300.0, 301.0]
+) | st.floats()
+any_signs = st.sampled_from([1, -1, 0, 2, 1.0, -1.0, True, 1.5, NAN])
+
+
+def outcome(call, *args):
+    """The repr of the result, or the type and message of the error."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def guarded_trig_law(p1, p2, theta):
+    check_probability(p1)
+    check_probability(p2)
+    if math.isnan(theta):
+        raise ValueError("phase must not be NaN")
+    return _law(p1, p2, theta, 1, True)
+
+
+def guarded_hyp_law(p1, p2, theta, sign):
+    check_probability(p1)
+    check_probability(p2)
+    check_sign(sign)
+    check_phase(theta)
+    return _law(p1, p2, theta, sign, False)
+
+
+class TestInlineGuards:
+    """The laws' inline tests agree with calling every guard, in order."""
+
+    @given(edge_floats, edge_floats, edge_floats)
+    @example(0.5, 0.5, NAN)
+    @example(0.5, -0.5, 0.5)
+    def test_trig_law(self, p1, p2, theta):
+        assert outcome(trig_law, p1, p2, theta) == outcome(guarded_trig_law, p1, p2, theta)
+
+    @given(edge_floats, edge_floats, edge_floats, any_signs)
+    @example(0.5, 0.5, 301.0, 1)
+    @example(0.5, 0.5, 0.5, 0)
+    @example(0.5, -0.5, 0.5, 1)
+    def test_hyp_law(self, p1, p2, theta, sign):
+        got = outcome(hyp_law, p1, p2, theta, sign)
+        assert got == outcome(guarded_hyp_law, p1, p2, theta, sign)
+
+    @given(edge_floats, edge_floats, edge_floats)
+    @example(INF, 0.5, 0.5)
+    @example(NAN, 0.5, 0.5)
+    @example(0.5, 0.5, -0.5)
+    def test_classify(self, pprime, p1, p2):
+        got = outcome(classify, pprime, p1, p2)
+        if not all(map(math.isfinite, (pprime, p1, p2))):
+            assert got == (DegenerateInputsError, "inputs must be finite")
+        elif p1 <= 0 or p2 <= 0:
+            message = f"reference probabilities must be positive, got {p1!r}, {p2!r}"
+            assert got == (DegenerateInputsError, message)
+        else:
+            assert isinstance(got, str) or "exceeds any admissible phase" in got[1]

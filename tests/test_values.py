@@ -99,12 +99,20 @@ each_row = pytest.mark.parametrize(
     "cls,kwargs,expected_repr", ROWS, ids=[cls.__name__ for cls, _, _ in ROWS]
 )
 
-# (class, field, a value its _check refuses) for each class that has one
+# (class, field, a value its _check refuses) for each class that has one,
+# then the classes whose finiteness test also refuses an int past any double
 BAD_FIELDS = [
     (SplitComplex, "x", math.nan),
     (PolarForm, "modulus", 0.0),
     (ProbabilityModel, "theta", math.inf),
     (UnitaryParams, "p", 1.0),
+    (SplitComplex, "y", 10**400),
+    (ProbabilityModel, "q1", 10**400),
+    (UnitaryParams, "delta", -(10**400)),
+]
+BAD_FIELD_IDS = [
+    cls.__name__ if isinstance(bad, float) else f"{cls.__name__}-huge-{name}"
+    for cls, name, bad in BAD_FIELDS
 ]
 
 
@@ -180,14 +188,12 @@ def test_missing_field_is_named(cls, kwargs, expected_repr):
             cls(**given)
 
 
-@pytest.mark.parametrize(
-    "cls,name,bad", BAD_FIELDS, ids=[cls.__name__ for cls, _, _ in BAD_FIELDS]
-)
+@pytest.mark.parametrize("cls,name,bad", BAD_FIELDS, ids=BAD_FIELD_IDS)
 def test_subclass_keeps_the_check(cls, name, bad):
     kwargs = next(kwargs for row_cls, kwargs, _ in ROWS if row_cls is cls)
     twin = type("Twin", (cls,), {"__slots__": ()})
     for target in (cls, twin):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must"):
             target(**{**kwargs, name: bad})
 
 
