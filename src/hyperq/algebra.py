@@ -136,10 +136,14 @@ class SplitComplex(_Value):
             if math.isfinite(x) and math.isfinite(y):
                 return
         except OverflowError:
-            raise ValueError(
-                "components must be finite, got an int too large for a double"
-            ) from None
-        raise ValueError(f"components must be finite, got ({x}, {y})")
+            pass
+        else:
+            # a non-finite x ends the test before y, which may be a huge int
+            if not isinstance(y, int) or _is_finite(y):
+                raise ValueError(f"components must be finite, got ({x}, {y})")
+        raise ValueError(
+            "components must be finite, got an int too large for a double"
+        )
 
     # -- ring structure ----------------------------------------------------
 
@@ -223,7 +227,7 @@ class SplitComplex(_Value):
         """
         if not tol >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
-        return self.norm_sq() >= -tol
+        return _in_cone(self.norm_sq(), tol)
 
     def mag(self) -> float:
         """Largest absolute component; a cheap magnitude for tolerance scaling."""
@@ -304,15 +308,19 @@ def expj(theta: float) -> SplitComplex:
 def check_phase(theta: float) -> None:
     """Reject a phase that is not finite or exceeds ``THETA_MAX``.
 
-    A non-finite phase raises ``ValueError``, an out-of-range one
-    :class:`PhaseRangeError`.  ``hyp_law``, a hot entry point, tests the same
-    predicate, ``abs(theta) <= THETA_MAX``, inline and calls this guard only
-    to raise.
+    A non-finite phase raises ``ValueError``, an out-of-range one (an ``int``
+    too large for a double included) :class:`PhaseRangeError`.  ``hyp_law``,
+    a hot entry point, tests the same predicate, ``abs(theta) <= THETA_MAX``,
+    inline and calls this guard only to raise.
     """
     # one comparison on the valid path; NaN and inf fail it too
     if abs(theta) <= THETA_MAX:
         return
-    if not math.isfinite(theta):
+    if not _is_finite(theta):
+        if isinstance(theta, int):
+            raise PhaseRangeError(
+                f"an int phase too large for a double exceeds THETA_MAX = {THETA_MAX}"
+            )
         raise ValueError(f"phase must be finite, got {theta}")
     raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds THETA_MAX = {THETA_MAX}")
 
@@ -335,6 +343,15 @@ def check_probability(p: float) -> None:
     """
     if not p >= 0:
         raise ValueError(f"probability must be nonnegative, got {p!r}")
+
+
+def _in_cone(ns: float, tol: float) -> bool:
+    """The positive-cone rule: squared norm ``ns >= -tol``; NaN fails.
+
+    The one test of decomposability (``tol = EPS_ALG``) and of the witness
+    threshold (a witness is a squared norm outside the cone at ``EPS_MEM``).
+    """
+    return ns >= -tol
 
 
 def _check_norm_sq(x: float, y: float, ns: float) -> None:

@@ -32,6 +32,7 @@ from .algebra import (
     EPS_ALG,
     EPS_MEM,
     SplitComplex,
+    _in_cone,
     _is_finite,
     _is_number,
     _law,
@@ -42,7 +43,7 @@ from .algebra import (
     check_sign,
 )
 from .errors import ConstraintViolatedError, NotNormalizedError, PreconditionError
-from .space import Mat2, Vec2, change_basis
+from .space import Mat2, Vec2, _is_unit_sum, change_basis
 
 __all__ = [
     "Phase",
@@ -102,11 +103,9 @@ def decompose(phi: Vec2) -> StateDecomposition:
     are the squared norms meaningful as probabilities.
     """
     q1, q2 = phi.norms_sq()
-    # written so that a NaN sum fails too
-    if not abs(q1 + q2 - 1.0) <= EPS_ALG:
+    if not _is_unit_sum(q1 + q2):
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
-    # SplitComplex.in_positive_cone(EPS_ALG) on the squared norms already held
-    if not (q1 >= -EPS_ALG and q2 >= -EPS_ALG):
+    if not (_in_cone(q1, EPS_ALG) and _in_cone(q2, EPS_ALG)):
         return StateDecomposition(phi, False, None, None)
     return StateDecomposition(
         phi, True, (q1, q2), (_phase_of(phi.c1, q1), _phase_of(phi.c2, q2))
@@ -126,7 +125,7 @@ def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
 def _check_unit_sums(kind: str, *totals: float) -> None:
     """Raise :class:`PreconditionError` at the first total off 1 by over ``EPS_ALG``."""
     for index, total in enumerate(totals, start=1):
-        if abs(total - 1.0) > EPS_ALG:
+        if not _is_unit_sum(total):
             raise PreconditionError(f"{kind} {index} sums to {total}, expected 1")
 
 
@@ -178,10 +177,10 @@ class ProbabilityModel(_Value):
         p1 + p2 would drift from 1, so its violation raises
         :class:`ConstraintViolatedError`.  Each holds within ``EPS_ALG``.
         """
-        if abs(self.q1 + self.q2 - 1.0) > EPS_ALG:
+        if not _is_unit_sum(self.q1 + self.q2):
             raise PreconditionError(f"q1 + q2 = {self.q1 + self.q2}, expected 1")
         entries = (self.q1, self.q2, self.p11, self.p12, self.p21, self.p22)
-        if min(entries) < -EPS_ALG or max(entries) > 1.0 + EPS_ALG:
+        if not _in_unit_interval(entries):
             raise PreconditionError("probabilities must lie in [0, 1]")
         _check_unit_sums("row", self.p11 + self.p12, self.p21 + self.p22)
         check_phase(self.theta)
@@ -224,15 +223,21 @@ class ProbabilityModel(_Value):
         return cls(q1, q2, p11, p12, p21, p22, theta, eps1)
 
 
+def _in_unit_interval(values: tuple[float, ...]) -> bool:
+    """The unit-interval rule: each value in ``[-EPS_ALG, 1 + EPS_ALG]``; NaN fails.
+
+    The one test of a probability model's entries and of ``in_range``.
+    """
+    return all(-EPS_ALG <= p <= 1.0 + EPS_ALG for p in values)
+
+
 class TransformedProbabilities(NamedTuple):
     """Output pair of the closed-form transformation; may leave [0, 1]."""
 
     p1: float
     p2: float
 
-    @property
-    def in_range(self) -> bool:
-        return all(-EPS_ALG <= p <= 1.0 + EPS_ALG for p in self)
+    in_range = property(_in_unit_interval)
 
 
 def transform_probabilities(m: ProbabilityModel) -> TransformedProbabilities:
@@ -339,6 +344,17 @@ def _column_terms(
     )
 
 
+def _sign_phase(eta: float, term1: _Term, term2: _Term) -> tuple[float, bool, bool]:
+    """``(theta1 - theta2, common phase, opposite signs)`` of two column terms.
+
+    The one test of the common-phase (within ``EPS_ALG``) and opposite-sign
+    constraints, for :func:`check_sign_phase_constraints` and
+    :func:`extract_model`; ``theta_k = eta + gamma_k``.
+    """
+    theta_diff = (eta + term1[0]) - (eta + term2[0])
+    return theta_diff, abs(theta_diff) <= EPS_ALG, term2[1] == -term1[1]
+
+
 _VACUOUS = SignPhaseReport(
     eta=None,
     gamma1=None,
@@ -383,16 +399,9 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
         theta2 = eta + gamma2
         residual += eps2 * w2 * math.cosh(theta2)
 
-    theta_diff = None
-    opposite = None
+    theta_diff, common, opposite = None, True, None
     if term1 is not None and term2 is not None:
-        theta_diff = theta1 - theta2
-        opposite = eps2 == -eps1
-    satisfied = (
-        abs(residual) <= EPS_ALG
-        and (theta_diff is None or abs(theta_diff) <= EPS_ALG)
-        and opposite is not False
-    )
+        theta_diff, common, opposite = _sign_phase(eta, term1, term2)
     return SignPhaseReport(
         eta=eta,
         gamma1=gamma1,
@@ -405,7 +414,7 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
         opposite_signs=opposite,
         residual=residual,
         vacuous=False,
-        satisfied=satisfied,
+        satisfied=abs(residual) <= EPS_ALG and common and opposite is not False,
     )
 
 
@@ -414,25 +423,23 @@ def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
 
     Requires both interference terms to be present with a shared phase and
     opposite signs; anything else has no closed-form counterpart and raises
-    :class:`PreconditionError`.  The checks are those of
-    :func:`check_sign_phase_constraints` on the same column phases, but no
-    report is built and no residual is computed: the fit reads only the
-    phase and the sign of column 1.  The squared norms are those the polar
-    forms were taken from, so each amplitude's is computed once.
+    :class:`PreconditionError`.  No report is built and no residual is
+    computed: the fit reads only the phase and the sign of column 1.  The
+    squared norms are those the polar forms were taken from, so each
+    amplitude's is computed once.
     """
     terms = _column_terms(basis, beta)
     if terms is None or terms[3] is None or terms[4] is None:
         raise PreconditionError("both interference terms are needed to fit a model")
-    eta, q1, q2, (gamma1, eps1, _, p11, p21), (gamma2, eps2, _, p12, p22) = terms
-    theta1 = eta + gamma1
-    theta_diff = theta1 - (eta + gamma2)
-    if abs(theta_diff) > EPS_ALG:
+    eta, q1, q2, (gamma1, eps1, _, p11, p21), (_, _, _, p12, p22) = terms
+    theta_diff, common, opposite = _sign_phase(eta, terms[3], terms[4])
+    if not common:
         raise PreconditionError(
             f"columns disagree on the phase: theta1 - theta2 = {theta_diff}"
         )
-    if eps2 != -eps1:
+    if not opposite:
         raise PreconditionError("term signs are equal; no valid model exists")
-    return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta=theta1, eps1=eps1)
+    return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta=eta + gamma1, eps1=eps1)
 
 
 def pipeline_probabilities(beta: Vec2, basis: Mat2) -> StateDecomposition:

@@ -100,27 +100,29 @@ def _run_transform(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    from .algebra import EPS_ALG, EPS_MEM
     from .space import (
         Mat2,
+        _is_unit_sum,
         doubly_stochastic_residual,
+        is_orthonormal_rows,
         orthonormality_residual,
         prob_matrix,
     )
 
     basis = Mat2.from_list(_load_json(args.matrix))
-    residual = orthonormality_residual(basis)
-    stochastic_residual = doubly_stochastic_residual(prob_matrix(basis))
-    unitary = residual <= EPS_ALG
-    in_cone = all(entry.in_positive_cone(EPS_MEM) for entry in basis.entries())
-    stochastic = stochastic_residual <= EPS_ALG
+    (a, b), (c, d) = p = prob_matrix(basis)
+    # each verdict comes from the one function that decides its rule; the
+    # cone rule's default tolerance is EPS_MEM
+    unitary = is_orthonormal_rows(basis)
+    in_cone = all(entry.in_positive_cone() for entry in basis.entries())
+    stochastic = all(map(_is_unit_sum, (a + b, c + d, a + c, b + d)))
     _emit(
         {
             "unitary": unitary,
             "entries_in_g_plus": in_cone,
             "doubly_stochastic": stochastic,
-            "orthonormality_residual": residual,
-            "stochasticity_residual": stochastic_residual,
+            "orthonormality_residual": orthonormality_residual(basis),
+            "stochasticity_residual": doubly_stochastic_residual(p),
         }
     )
     return 0 if unitary and in_cone and stochastic else 3

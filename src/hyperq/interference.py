@@ -38,7 +38,15 @@ import math
 import sys
 from typing import NamedTuple
 
-from .algebra import THETA_MAX, _law, check_phase, check_probability, check_sign, expj
+from .algebra import (
+    THETA_MAX,
+    _int_overflow,
+    _law,
+    check_phase,
+    check_probability,
+    check_sign,
+    expj,
+)
 from .errors import DegenerateInputsError
 
 __all__ = [
@@ -99,8 +107,9 @@ def trig_law(p1: float, p2: float, theta: float) -> float:
     """Trigonometric interference of two probabilities at phase theta.
 
     Any finite phase is accepted; a NaN phase raises ``ValueError``, as
-    ``math.cos`` already does for an infinite one.  A value that overflows
-    raises :class:`PreconditionError`.
+    ``math.cos`` already does for an infinite one.  A value that overflows,
+    or an ``int`` argument too large for a double, raises
+    :class:`PreconditionError`.
     """
     # the guards' predicate in one chain; they run only to raise
     if not (p1 >= 0.0 and p2 >= 0.0 and theta == theta):
@@ -108,7 +117,10 @@ def trig_law(p1: float, p2: float, theta: float) -> float:
         check_probability(p2)
         if math.isnan(theta):
             raise ValueError("phase must not be NaN")
-    return _law(p1, p2, theta, 1, True)
+    try:
+        return _law(p1, p2, theta, 1, True)
+    except OverflowError:  # an int too large for a double
+        raise _int_overflow() from None
 
 
 def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
@@ -116,7 +128,8 @@ def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
 
     The output may leave [0, 1] even for probability inputs; that is the
     signature feature of the hyperbolic regime, not an error.  A value that
-    overflows raises :class:`PreconditionError`.
+    overflows, or an ``int`` argument too large for a double, raises
+    :class:`PreconditionError` (:class:`PhaseRangeError` for the phase).
     """
     # the guards' predicate in one chain; they run only to raise
     if not (p1 >= 0.0 and p2 >= 0.0 and sign in (1, -1) and abs(theta) <= THETA_MAX):
@@ -124,7 +137,10 @@ def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
         check_probability(p2)
         check_sign(sign)
         check_phase(theta)
-    return _law(p1, p2, theta, sign, False)
+    try:
+        return _law(p1, p2, theta, sign, False)
+    except OverflowError:  # an int too large for a double
+        raise _int_overflow() from None
 
 
 def trig_linearization_residual(a: float, b: float, theta: float) -> float:
@@ -155,25 +171,29 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     Both reference probabilities must be strictly positive, otherwise the
     interference coefficient is undefined and
     :class:`DegenerateInputsError` is raised; the same happens when the
-    coefficient is too large for any representable phase.  Any real
-    ``pprime`` is accepted; physical admissibility is the caller's concern.
+    coefficient is too large for any representable phase, or an ``int``
+    argument too large for a double.  Any real ``pprime`` is accepted;
+    physical admissibility is the caller's concern.
     """
-    # the guards' predicate in one chain; they run only to raise
-    if not (0.0 < p1 < _INF and 0.0 < p2 < _INF and -_INF < pprime < _INF):
-        if not (math.isfinite(pprime) and math.isfinite(p1) and math.isfinite(p2)):
-            raise DegenerateInputsError("inputs must be finite")
-        if p1 <= 0 or p2 <= 0:
-            raise DegenerateInputsError(
-                f"reference probabilities must be positive, got {p1!r}, {p2!r}"
-            )
-    product = p1 * p2
-    if _NORMAL_MIN <= product <= _NORMAL_MAX:
-        root = math.sqrt(product)
-    else:
-        # p1*p2 underflowed or overflowed; the split root does neither
-        root = math.sqrt(p1) * math.sqrt(p2)
-    # 2*root can overflow; halving the quotient gives the same normal floats
-    lam = (pprime - p1 - p2) / root / 2.0
+    try:
+        # the guards' predicate in one chain; they run only to raise
+        if not (0.0 < p1 < _INF and 0.0 < p2 < _INF and -_INF < pprime < _INF):
+            if not (math.isfinite(pprime) and math.isfinite(p1) and math.isfinite(p2)):
+                raise DegenerateInputsError("inputs must be finite")
+            if p1 <= 0 or p2 <= 0:
+                raise DegenerateInputsError(
+                    f"reference probabilities must be positive, got {p1!r}, {p2!r}"
+                )
+        product = p1 * p2
+        if _NORMAL_MIN <= product <= _NORMAL_MAX:
+            root = math.sqrt(product)
+        else:
+            # p1*p2 underflowed or overflowed; the split root does neither
+            root = math.sqrt(p1) * math.sqrt(p2)
+        # 2*root can overflow; halving the quotient gives the same normal floats
+        lam = (pprime - p1 - p2) / root / 2.0
+    except OverflowError:  # an int too large for a double, never printed
+        raise DegenerateInputsError("inputs must fit a double") from None
     mag = abs(lam)
     if mag > _LAMBDA_MAX:
         raise DegenerateInputsError(f"coefficient {lam} exceeds any admissible phase")
@@ -201,7 +221,7 @@ def sweep_rows(
     kernel runs at each point.  ``law`` must be ``"trig"`` or ``"hyp"``
     (``ValueError`` otherwise).  Raises :class:`PreconditionError` when a
     law value is not finite, as it can be for probabilities near the top of
-    the float range.
+    the float range, or when an ``int`` argument is too large for a double.
     """
     if law not in (TRIG, HYP):
         raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
@@ -209,17 +229,20 @@ def sweep_rows(
         raise ValueError(f"steps must be at least 2, got {steps!r}")
     if not theta_min < theta_max:
         raise ValueError("theta-min must be strictly below theta-max")
-    span = theta_max - theta_min
-    # an infinite span would put a NaN phase (0 * inf) at the first point
-    if not math.isfinite(span):
-        raise ValueError(f"phase range [{theta_min}, {theta_max}] must be finite")
-    check_probability(p1)
-    check_probability(p2)
-    check_sign(sign)
-    thetas = [theta_min + span * i / (steps - 1) for i in range(steps)]
-    trig = law == TRIG
-    if not trig:
-        # the grid is monotone, so its end points bound every phase
-        check_phase(thetas[0])
-        check_phase(thetas[-1])
-    return [(theta, _law(p1, p2, theta, sign, trig)) for theta in thetas]
+    try:
+        span = theta_max - theta_min
+        # an infinite span would put a NaN phase (0 * inf) at the first point
+        if not math.isfinite(span):
+            raise ValueError(f"phase range [{theta_min}, {theta_max}] must be finite")
+        check_probability(p1)
+        check_probability(p2)
+        check_sign(sign)
+        thetas = [theta_min + span * i / (steps - 1) for i in range(steps)]
+        trig = law == TRIG
+        if not trig:
+            # the grid is monotone, so its end points bound every phase
+            check_phase(thetas[0])
+            check_phase(thetas[-1])
+        return [(theta, _law(p1, p2, theta, sign, trig)) for theta in thetas]
+    except OverflowError:  # an int too large for a double
+        raise _int_overflow() from None

@@ -176,7 +176,11 @@ def orthonormality_residual(m: Mat2) -> float:
 
 
 def is_orthonormal_rows(m: Mat2) -> bool:
-    """True when the rows are orthogonal unit vectors, within ``EPS_ALG``."""
+    """True when the rows are orthogonal unit vectors, within ``EPS_ALG``.
+
+    The one test of unitarity; :func:`change_basis` and ``hyperq verify``
+    call it.
+    """
     return orthonormality_residual(m) <= EPS_ALG
 
 
@@ -193,8 +197,8 @@ def change_basis(coeffs: Vec2, basis: Mat2) -> Vec2:
     legitimate basis change and raises :class:`NotUnitaryError`.  A product
     that overflows raises :class:`PreconditionError`.
     """
-    residual = orthonormality_residual(basis)
-    if not residual <= EPS_ALG:
+    if not is_orthonormal_rows(basis):
+        residual = orthonormality_residual(basis)
         raise NotUnitaryError(f"rows are not orthonormal (residual {residual})")
     # SplitComplex products and sums written out in their operation order;
     # an inf or NaN never turns finite again, so _result checking the
@@ -224,6 +228,15 @@ def prob_matrix(m: Mat2) -> tuple[tuple[float, float], tuple[float, float]]:
         (m.a11.norm_sq(), m.a12.norm_sq()),
         (m.a21.norm_sq(), m.a22.norm_sq()),
     )
+
+
+def _is_unit_sum(total: float) -> bool:
+    """The unit-sum rule: ``total`` is 1 within ``EPS_ALG``; NaN fails.
+
+    The one test of a state's normalization, of a probability model's
+    weight, row and column sums, and of ``hyperq verify``'s stochasticity.
+    """
+    return abs(total - 1.0) <= EPS_ALG
 
 
 def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import EPS_ALG, EPS_MEM, _is_finite, _law, _Value
+from .algebra import EPS_ALG, EPS_MEM, _in_cone, _is_finite, _law, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -139,7 +139,7 @@ def search_non_transitivity(
             continue
         q2 = 1.0 - q1
         p2 = _law(q1 * (1.0 - p), q2 * p, xi1 - xi2 + delta, -1, False)
-        if p2 >= -EPS_MEM:
+        if _in_cone(p2, EPS_MEM):
             continue
         beta = Vec2(amplitude(1, q1, xi1), amplitude(1, q2, xi2))
         basis = make_decomposable_unitary(UnitaryParams(p, gamma1, gamma2, delta))
@@ -147,7 +147,7 @@ def search_non_transitivity(
         # a hit counts only if the linear-algebra route confirms it
         for index, coord in enumerate(alpha.coords(), start=1):
             ns = coord.norm_sq()
-            if ns < -EPS_MEM:
+            if not _in_cone(ns, EPS_MEM):
                 return NonTransitivityWitness(beta, basis, alpha, index, ns)
     return None
 
@@ -173,6 +173,6 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
         if alpha.dist(w.alpha) > EPS_ALG:
             return False
         ns = alpha.coords()[w.violating_index - 1].norm_sq()
-        return ns < -EPS_MEM and abs(ns - w.norm_sq) <= EPS_ALG
+        return not _in_cone(ns, EPS_MEM) and abs(ns - w.norm_sq) <= EPS_ALG
     except (PreconditionError, ValueError):
         return False

@@ -347,13 +347,26 @@ class TestOverflow:
             lambda: BIG + math.inf,
             lambda: SplitComplex(HUGE, 0.0),
             lambda: SplitComplex(0.0, -HUGE),
+            lambda: SplitComplex(math.nan, HUGE),
+            lambda: SplitComplex(math.inf, -(10**5000)),
         ],
-        ids=["inf", "nan", "from_list", "inf-operand", "huge-int-x", "huge-int-y"],
+        ids=[
+            "inf",
+            "nan",
+            "from_list",
+            "inf-operand",
+            "huge-int-x",
+            "huge-int-y",
+            "nan-and-huge-int",
+            "inf-and-huger-int",
+        ],
     )
     def test_non_finite_input_stays_a_value_error(self, build):
         with pytest.raises(ValueError, match="must be finite") as info:
             build()
         assert not isinstance(info.value, PreconditionError)
+        # a huge int is never printed, so the message stays short
+        assert len(str(info.value)) < 80
 
     def test_largest_finite_results_pass(self):
         assert BIG * 1.0 == BIG

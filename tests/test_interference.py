@@ -21,6 +21,7 @@ from hyperq.interference import (
     classify,
     hyp_law,
     hyp_linearization_residual,
+    sweep_rows,
     trig_law,
     trig_linearization_residual,
 )
@@ -289,9 +290,14 @@ class TestClassify:
 
 
 NAN, INF = math.nan, math.inf
+# an int that no double can hold
+HUGE = 10**400
+INT_OVERFLOW = "int operand overflows a double"
 
 # (entry point, arguments with two or more of them bad, error, its message):
-# the guards run in their order, so the first failing one names the fault
+# the guards run in their order, so the first failing one names the fault.
+# The HUGE rows have one bad argument, which no guard tests: the error is the
+# documented one, and its message never prints the int
 FIRST_ERROR_CASES = [
     (hyp_law, (-1, 0.5, NAN, 0), ValueError, "probability must be nonnegative, got -1"),
     (hyp_law, (0.5, 0.5, NAN, 0), ValueError, "sign must be +1 or -1, got 0"),
@@ -331,13 +337,38 @@ FIRST_ERROR_CASES = [
         DegenerateInputsError,
         "reference probabilities must be positive, got 0.25, -0.25",
     ),
+    (hyp_law, (HUGE, 0.5, 0.0, 1), PreconditionError, INT_OVERFLOW),
+    (hyp_law, (0.5, HUGE, 1.0, -1), PreconditionError, INT_OVERFLOW),
+    (
+        hyp_law,
+        (0.5, 0.5, HUGE, 1),
+        PhaseRangeError,
+        "an int phase too large for a double exceeds THETA_MAX = 300.0",
+    ),
+    (trig_law, (HUGE, 0.5, 0.0), PreconditionError, INT_OVERFLOW),
+    (trig_law, (0.5, 0.5, HUGE), PreconditionError, INT_OVERFLOW),
+    (classify, (0.5, HUGE, 0.5), DegenerateInputsError, "inputs must fit a double"),
+    (classify, (HUGE, 0.5, 0.5), DegenerateInputsError, "inputs must fit a double"),
+    (classify, (0.5, HUGE, HUGE), DegenerateInputsError, "inputs must fit a double"),
+    (sweep_rows, ("trig", HUGE, 0.5, 0.0, 1.0, 3), PreconditionError, INT_OVERFLOW),
+    (sweep_rows, ("hyp", 0.5, HUGE, 0.0, 1.0, 3), PreconditionError, INT_OVERFLOW),
+    (sweep_rows, ("trig", 0.5, 0.5, 0, HUGE, 3), PreconditionError, INT_OVERFLOW),
+    (
+        sweep_rows,
+        ("trig", 0.5, 0.5, HUGE, HUGE + 1, 3),
+        PreconditionError,
+        INT_OVERFLOW,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "entry,args,error,message",
     FIRST_ERROR_CASES,
-    ids=[f"{entry.__name__}{args}" for entry, args, _, _ in FIRST_ERROR_CASES],
+    ids=[
+        f"{entry.__name__}{args}".replace(str(HUGE), "HUGE")
+        for entry, args, _, _ in FIRST_ERROR_CASES
+    ],
 )
 def test_first_failing_guard_wins(entry, args, error, message):
     with pytest.raises(error) as info:

@@ -1,0 +1,310 @@
+"""Each tolerance rule is decided in one place, and every entry point agrees.
+
+For each rule an input sits at the tolerance edge (the last float input the
+rule accepts) and another at the next float beyond it.  Every public entry
+point that uses the rule must accept the first and refuse the second.  An
+AST scan then locks the set of comparisons against the tolerance constants,
+so a new inline copy of a rule fails here.
+"""
+
+import ast
+import json
+import math
+import struct
+from pathlib import Path
+
+import pytest
+
+from hyperq.algebra import EPS_ALG, EPS_MEM, ONE, ZERO, SplitComplex
+from hyperq.born import (
+    ProbabilityModel,
+    TransformedProbabilities,
+    amplitude,
+    check_sign_phase_constraints,
+    decompose,
+    extract_model,
+    pipeline_probabilities,
+)
+from hyperq.cli import main
+from hyperq.errors import NotNormalizedError, NotUnitaryError, PreconditionError
+from hyperq.space import Mat2, Vec2, change_basis, is_orthonormal_rows
+from hyperq.witness import NonTransitivityWitness, verify_witness
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hyperq"
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def edge(accepts, lo, hi):
+    """Adjacent floats ``(x0, x1)`` in ``[lo, hi]``, ``accepts(x0)`` and not ``x1``.
+
+    Bisection on the bit patterns of non-negative floats, which are ordered
+    like the floats; needs ``accepts(lo)`` and not ``accepts(hi)``.
+    """
+    a, b = _bits(lo), _bits(hi)
+    assert 0 <= a < b and accepts(lo) and not accepts(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if accepts(_float(mid)):
+            a = mid
+        else:
+            b = mid
+    return _float(a), _float(b)
+
+
+def verify_report(tmp_path, capsys, matrix):
+    """``hyperq verify`` on ``matrix``: its exit code and JSON report."""
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix.to_list()))
+    code = main(["verify", "--matrix", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def transform_code(tmp_path, capsys, beta, basis):
+    """Exit code of ``hyperq transform`` on a state and a matrix."""
+    (tmp_path / "state.json").write_text(json.dumps(beta.to_list()))
+    (tmp_path / "basis.json").write_text(json.dumps(basis.to_list()))
+    argv = ["transform", "--state", str(tmp_path / "state.json")]
+    code = main(argv + ["--matrix", str(tmp_path / "basis.json")])
+    capsys.readouterr()
+    return code
+
+
+def raises(error, call, *args):
+    """True when ``call(*args)`` raises exactly ``error``, False when it returns."""
+    try:
+        call(*args)
+    except error as exc:
+        assert type(exc) is error
+        return True
+    return False
+
+
+# -- unitarity: orthonormality_residual(m) <= EPS_ALG -------------------------
+
+
+def stretched(x):
+    """``diag(1, x)``: its orthonormality residual is ``|x*x - 1|``."""
+    return Mat2(ONE, ZERO, ZERO, SplitComplex(x, 0.0))
+
+
+UNITARY_EDGE = edge(lambda x: abs(x * x - 1.0) <= EPS_ALG, 1.0, 1.0 + 2 * EPS_ALG)
+
+
+AT_AND_BEYOND = {"ids": ["at", "beyond"]}
+
+
+@pytest.mark.parametrize("x,unitary", zip(UNITARY_EDGE, (True, False)), **AT_AND_BEYOND)
+def test_unitarity_edge(x, unitary, tmp_path, capsys):
+    m = stretched(x)
+    assert is_orthonormal_rows(m) is unitary
+    assert raises(NotUnitaryError, change_basis, Vec2.basis1(), m) is not unitary
+    code, report = verify_report(tmp_path, capsys, m)
+    assert report["unitary"] is unitary
+    assert code == (0 if unitary else 3)
+
+
+# -- unit sum: abs(total - 1) <= EPS_ALG ----------------------------------------
+
+
+def unit_sum_edge():
+    """``(t0, t1)``: the last float total above 1 the rule accepts, and the next."""
+    t = 1.0 + EPS_ALG
+    while t - 1.0 > EPS_ALG:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, 2.0) - 1.0 <= EPS_ALG:
+        t = math.nextafter(t, 2.0)
+    return t, math.nextafter(t, 2.0)
+
+
+def with_norm(g):
+    """A coefficient whose squared norm is exactly ``g = t - 1``, with t near 1.
+
+    ``x = t/2`` and ``y = (2 - t)/2`` are exact, ``x - y = t - 1`` is exact
+    by Sterbenz's lemma and ``x + y = 1``.
+    """
+    t = 1.0 + g
+    return SplitComplex(t / 2.0, (2.0 - t) / 2.0)
+
+
+@pytest.mark.parametrize("t,unit", zip(unit_sum_edge(), (True, False)), **AT_AND_BEYOND)
+def test_unit_sum_edge(t, unit, tmp_path, capsys):
+    g = t - 1.0
+    c = with_norm(g)
+    assert c.norm_sq() == g
+    # a state: squared norms 1 and g
+    assert raises(NotNormalizedError, decompose, Vec2(ONE, c)) is not unit
+    # a model: weights, then row 1, sum to t (column 2 too, when row 1 passes)
+    weights = ProbabilityModel(1.0, g, 0.5, 0.5, 0.5, 0.5, 0.0, 1)
+    assert raises(PreconditionError, weights.validate) is not unit
+    rows = ProbabilityModel(0.5, 0.5, 1.0, g, 0.0, 1.0, 0.0, 1)
+    assert raises(PreconditionError, rows.validate) is not unit
+    # a matrix whose row 1 and column 2 of squared norms sum to t
+    _, report = verify_report(tmp_path, capsys, Mat2(ONE, c, ZERO, ONE))
+    assert report["doubly_stochastic"] is unit
+
+
+# -- unit interval: -EPS_ALG <= p <= 1 + EPS_ALG ------------------------------
+
+LOW, HIGH = -EPS_ALG, 1.0 + EPS_ALG
+
+
+@pytest.mark.parametrize(
+    "low,high,inside",
+    [
+        (LOW, HIGH, True),
+        (math.nextafter(LOW, -1.0), HIGH, False),
+        (LOW, math.nextafter(HIGH, 2.0), False),
+    ],
+    ids=["at", "beyond-low", "beyond-high"],
+)
+def test_unit_interval_edge(low, high, inside):
+    assert TransformedProbabilities(low, high).in_range is inside
+    # rows and columns sum to 1 within EPS_ALG and p11*p21 == p12*p22, so
+    # only the entry range can fail
+    model = ProbabilityModel(0.5, 0.5, low, high, high, low, 0.0, 1)
+    if inside:
+        model.validate()
+    else:
+        with pytest.raises(PreconditionError, match=r"must lie in \[0, 1\]"):
+            model.validate()
+
+
+# -- positive cone: norm_sq >= -tol, at EPS_ALG and at EPS_MEM -----------------
+
+
+def tilted(y):
+    """A unitary ``[[u, v], [-conj(v), conj(u)]]`` with ``u = j*y``, norm ``-y*y``."""
+    u = SplitComplex(0.0, y)
+    v = SplitComplex(math.sqrt(1.0 + y * y), 0.0)
+    return Mat2(u, v, -v.conj(), u.conj())
+
+
+def witness_of(basis):
+    """The claimed witness of ``basis1`` through ``basis``: coordinate 1, ``-y*y``."""
+    beta = Vec2.basis1()
+    alpha = change_basis(beta, basis)
+    return NonTransitivityWitness(beta, basis, alpha, 1, alpha.c1.norm_sq())
+
+
+def cone_edge(tol):
+    """``(y0, y1)``: ``-y*y`` is in the cone at ``tol`` for ``y0``, not for ``y1``."""
+    return edge(lambda y: -(y * y) >= -tol, 0.0, 2.0 * math.sqrt(tol))
+
+
+@pytest.mark.parametrize(
+    "y,inside", zip(cone_edge(EPS_ALG), (True, False)), **AT_AND_BEYOND
+)
+def test_cone_edge_at_eps_alg(y, inside, tmp_path, capsys):
+    basis = tilted(y)
+    assert is_orthonormal_rows(basis)
+    assert basis.a11.in_positive_cone(EPS_ALG) is inside
+    # squared norms 1 + 2**-30 (about) and -y*y still sum to 1 within EPS_ALG
+    state = Vec2(SplitComplex(1.0 + 2.0**-31, 0.0), SplitComplex(0.0, y))
+    assert decompose(state).decomposable is inside
+    assert pipeline_probabilities(Vec2.basis1(), basis).decomposable is inside
+    code = transform_code(tmp_path, capsys, Vec2.basis1(), basis)
+    assert code == (0 if inside else 3)
+    # the matrix entries must lie in the cone at EPS_ALG; -y*y is a witness
+    assert verify_witness(witness_of(basis)) is inside
+
+
+@pytest.mark.parametrize(
+    "y,inside", zip(cone_edge(EPS_MEM), (True, False)), **AT_AND_BEYOND
+)
+def test_cone_edge_at_eps_mem(y, inside, tmp_path, capsys):
+    basis = tilted(y)
+    assert basis.a11.in_positive_cone() is inside
+    _, report = verify_report(tmp_path, capsys, basis)
+    assert report["entries_in_g_plus"] is inside
+    # the witness threshold: a squared norm outside the cone at EPS_MEM
+    assert verify_witness(witness_of(basis)) is not inside
+
+
+# -- common phase and opposite signs: |theta1 - theta2| <= EPS_ALG ------------
+
+STATE = Vec2(amplitude(1, 0.5, 0.0), amplitude(1, 0.5, 0.0))
+
+
+def skewed(t):
+    """Column phases 0 and about ``t``, opposite signs, a negligible residual."""
+    half = amplitude(1, 0.5, 0.0)
+    return Mat2(half, half, half, amplitude(-1, 0.5, -t))
+
+
+PHASE_EDGE = edge(
+    lambda t: abs(check_sign_phase_constraints(skewed(t), STATE).theta_diff) <= EPS_ALG,
+    0.0,
+    2.0 * EPS_ALG,
+)
+
+
+@pytest.mark.parametrize("t,common", zip(PHASE_EDGE, (True, False)), **AT_AND_BEYOND)
+def test_common_phase_edge(t, common):
+    report = check_sign_phase_constraints(skewed(t), STATE)
+    assert report.opposite_signs
+    assert abs(report.residual) <= EPS_ALG
+    assert report.satisfied is common
+    if common:
+        assert extract_model(STATE, skewed(t)).theta == report.theta1
+    else:
+        with pytest.raises(PreconditionError, match="columns disagree on the phase"):
+            extract_model(STATE, skewed(t))
+
+
+# -- the AST lock ---------------------------------------------------------------
+
+#: Every comparison in ``src/hyperq`` that names ``EPS_ALG``, ``EPS_MEM`` or
+#: the cone rule's ``tol``, by function.  A rule is decided where it appears
+#: here; a new comparison means a new rule or a copy of an old one.
+ALLOWED = {
+    "algebra.SplitComplex.in_positive_cone": ["tol >= 0"],
+    "algebra._in_cone": ["ns >= -tol"],
+    "born._phase_of": ["ns <= EPS_MEM"],
+    "born.ProbabilityModel.validate": ["abs(gap) > EPS_ALG"],
+    "born._in_unit_interval": ["-EPS_ALG <= p <= 1.0 + EPS_ALG"],
+    "born._polar_or_absent": ["abs(q) <= EPS_MEM"],
+    "born._sign_phase": ["abs(theta_diff) <= EPS_ALG"],
+    "born.check_sign_phase_constraints": ["abs(residual) <= EPS_ALG"],
+    "space.is_orthonormal_rows": ["orthonormality_residual(m) <= EPS_ALG"],
+    "space._is_unit_sum": ["abs(total - 1.0) <= EPS_ALG"],
+    "witness.verify_witness": [
+        "alpha.dist(w.alpha) > EPS_ALG",
+        "abs(ns - w.norm_sq) <= EPS_ALG",
+    ],
+}
+
+TOLERANCE_NAMES = {"EPS_ALG", "EPS_MEM", "tol"}
+
+
+def tolerance_comparisons():
+    """``{module.qualname: [comparison source, ...]}`` over ``src/hyperq``."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Compare):
+            names = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            }
+            if names & TOLERANCE_NAMES:
+                found.setdefault(".".join(scope), []).append(ast.unparse(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_tolerance_comparisons_are_the_allowed_ones():
+    assert tolerance_comparisons() == ALLOWED
