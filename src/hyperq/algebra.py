@@ -226,7 +226,7 @@ class SplitComplex(_Value):
         NaN ``tol`` raises ``ValueError``.
         """
         if not tol >= 0:
-            raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+            raise ValueError(f"tolerance must be nonnegative, got {_echo(tol)}")
         return _in_cone(self.norm_sq(), tol)
 
     def mag(self) -> float:
@@ -287,7 +287,7 @@ class PolarForm(_Value):
     def _check(sign: int, modulus: float, theta: float) -> None:
         check_sign(sign)
         if not modulus > 0.0:
-            raise ValueError(f"modulus must be strictly positive, got {modulus}")
+            raise ValueError(f"modulus must be strictly positive, got {_echo(modulus)}")
 
     def to_number(self) -> SplitComplex:
         """Reconstruct the source number ``sign * modulus * expj(theta)``."""
@@ -332,7 +332,7 @@ def check_sign(sign: int, name: str = "sign") -> None:
     calls this guard only to raise.
     """
     if sign not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1, got {sign!r}")
+        raise ValueError(f"{name} must be +1 or -1, got {_echo(sign)}")
 
 
 def check_probability(p: float) -> None:
@@ -342,7 +342,7 @@ def check_probability(p: float) -> None:
     predicate, ``p >= 0.0``, inline and call this guard only to raise.
     """
     if not p >= 0:
-        raise ValueError(f"probability must be nonnegative, got {p!r}")
+        raise ValueError(f"probability must be nonnegative, got {_echo(p)}")
 
 
 def _in_cone(ns: float, tol: float) -> bool:
@@ -478,6 +478,18 @@ def _is_finite(value: float) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _echo(value: object) -> str:
+    """A scalar argument as an error message shows it; for raise paths only.
+
+    The ``repr``, except for an ``int`` too large for a double: its digits
+    would swamp the message, and past 4300 of them formatting raises the
+    interpreter's digit-limit ``ValueError`` in place of the message.
+    """
+    if isinstance(value, int) and not _is_finite(value):
+        return "an int too large for a double"
+    return repr(value)
 
 
 #: The hyperbolic unit, with J * J == ONE.

@@ -33,6 +33,7 @@ from .algebra import (
     EPS_MEM,
     SplitComplex,
     _in_cone,
+    _int_overflow,
     _is_finite,
     _is_number,
     _law,
@@ -117,7 +118,10 @@ def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
     check_sign(sign)
     check_probability(q)
     check_phase(xi)
-    r = sign * math.sqrt(q)
+    try:
+        r = sign * math.sqrt(q)
+    except OverflowError:  # an int too large for a double
+        raise _int_overflow() from None
     # the components of expj(xi) * r, without building expj(xi)
     return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
 
@@ -267,7 +271,7 @@ class SignPhaseReport(_Value):
     normalized interference terms, the amount by which total probability
     conservation fails.  Fields are None when the corresponding column
     carries no interference term; if no term survives at all the report is
-    ``vacuous`` and the constraints hold trivially.
+    ``vacuous``, ``eta`` is None too, and the constraints hold trivially.
     """
 
     __slots__ = (
@@ -302,30 +306,17 @@ def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float, float] | None:
     return sign, modulus, theta, q
 
 
-#: ``(gamma, eps, weight, top_norm_sq, bottom_norm_sq)`` of one column's
-#: interference term.
-_Term = tuple[float, int, float, float, float]
-
-
-def _column_term(
-    top: SplitComplex, bottom: SplitComplex, state_sign: int
-) -> _Term | None:
-    """The interference term of one matrix column, or None if it vanishes."""
-    pt = _polar_or_absent(top)
-    pb = _polar_or_absent(bottom)
-    if pt is None or pb is None:
-        return None
-    return pt[2] - pb[2], state_sign * pt[0] * pb[0], pt[1] * pb[1], pt[3], pb[3]
-
-
-def _column_terms(
-    basis: Mat2, beta: Vec2
-) -> tuple[float, float, float, _Term | None, _Term | None] | None:
+def _column_terms(basis: Mat2, beta: Vec2) -> tuple | None:
     """``(eta, q1, q2, term1, term2)`` of a (basis, state) pair, or None.
 
     ``eta`` is the phase difference of the two state coefficients and
-    ``q1``, ``q2`` their squared norms; None when either coefficient is
-    negligible, so that no interference term exists.
+    ``q1``, ``q2`` their squared norms.  ``term_k`` is the interference
+    term of matrix column k, ``(gamma, theta, eps, weight, p_top,
+    p_bottom)``: the phase difference of its entries, the term's phase
+    ``theta = eta + gamma``, its sign, its weight (the product of the moduli
+    of its entries) and the squared norms of its entries; None when an
+    entry is negligible.  The whole result is None when no term
+    survives: a state coefficient is negligible, or both columns are.
     Amplitudes are read in the order beta.c1, beta.c2, a11, a21, a12, a22,
     and the first with negative squared norm raises
     :class:`DegenerateNormError`.
@@ -334,41 +325,35 @@ def _column_terms(
     s2 = _polar_or_absent(beta.c2)
     if s1 is None or s2 is None:
         return None
+    eta = s1[2] - s2[2]
     state_sign = s1[0] * s2[0]
-    return (
-        s1[2] - s2[2],
-        s1[3],
-        s2[3],
-        _column_term(basis.a11, basis.a21, state_sign),
-        _column_term(basis.a12, basis.a22, state_sign),
-    )
+    terms = []
+    for top, bottom in ((basis.a11, basis.a21), (basis.a12, basis.a22)):
+        pt = _polar_or_absent(top)
+        pb = _polar_or_absent(bottom)
+        if pt is None or pb is None:
+            terms.append(None)
+        else:
+            gamma = pt[2] - pb[2]
+            sign = state_sign * pt[0] * pb[0]
+            terms.append((gamma, eta + gamma, sign, pt[1] * pb[1], pt[3], pb[3]))
+    term1, term2 = terms
+    if term1 is None and term2 is None:
+        return None
+    return eta, s1[3], s2[3], term1, term2
 
 
-def _sign_phase(eta: float, term1: _Term, term2: _Term) -> tuple[float, bool, bool]:
+def _sign_phase(
+    theta1: float, theta2: float, eps1: int, eps2: int
+) -> tuple[float, bool, bool]:
     """``(theta1 - theta2, common phase, opposite signs)`` of two column terms.
 
     The one test of the common-phase (within ``EPS_ALG``) and opposite-sign
     constraints, for :func:`check_sign_phase_constraints` and
-    :func:`extract_model`; ``theta_k = eta + gamma_k``.
+    :func:`extract_model`.
     """
-    theta_diff = (eta + term1[0]) - (eta + term2[0])
-    return theta_diff, abs(theta_diff) <= EPS_ALG, term2[1] == -term1[1]
-
-
-_VACUOUS = SignPhaseReport(
-    eta=None,
-    gamma1=None,
-    gamma2=None,
-    theta1=None,
-    theta2=None,
-    theta_diff=None,
-    eps1=None,
-    eps2=None,
-    opposite_signs=None,
-    residual=0.0,
-    vacuous=True,
-    satisfied=True,
-)
+    theta_diff = theta1 - theta2
+    return theta_diff, abs(theta_diff) <= EPS_ALG, eps2 == -eps1
 
 
 def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
@@ -381,27 +366,18 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
     :class:`DegenerateNormError`.  The constraints hold within ``EPS_ALG``.
     """
     terms = _column_terms(basis, beta)
-    if terms is None:
-        return _VACUOUS
-    eta, _, _, term1, term2 = terms
-    if term1 is None and term2 is None:
-        return _VACUOUS
-
-    gamma1 = eps1 = theta1 = None
-    gamma2 = eps2 = theta2 = None
+    eta, _, _, term1, term2 = terms or (None,) * 5
+    gamma1 = theta1 = eps1 = gamma2 = theta2 = eps2 = None
     residual = 0.0
     if term1 is not None:
-        gamma1, eps1, w1, _, _ = term1
-        theta1 = eta + gamma1
+        gamma1, theta1, eps1, w1, _, _ = term1
         residual += eps1 * w1 * math.cosh(theta1)
     if term2 is not None:
-        gamma2, eps2, w2, _, _ = term2
-        theta2 = eta + gamma2
+        gamma2, theta2, eps2, w2, _, _ = term2
         residual += eps2 * w2 * math.cosh(theta2)
-
     theta_diff, common, opposite = None, True, None
     if term1 is not None and term2 is not None:
-        theta_diff, common, opposite = _sign_phase(eta, term1, term2)
+        theta_diff, common, opposite = _sign_phase(theta1, theta2, eps1, eps2)
     return SignPhaseReport(
         eta=eta,
         gamma1=gamma1,
@@ -413,7 +389,7 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
         eps2=eps2,
         opposite_signs=opposite,
         residual=residual,
-        vacuous=False,
+        vacuous=terms is None,
         satisfied=abs(residual) <= EPS_ALG and common and opposite is not False,
     )
 
@@ -428,18 +404,18 @@ def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
     squared norms are those the polar forms were taken from, so each
     amplitude's is computed once.
     """
-    terms = _column_terms(basis, beta)
-    if terms is None or terms[3] is None or terms[4] is None:
+    _, q1, q2, term1, term2 = _column_terms(basis, beta) or (None,) * 5
+    if term1 is None or term2 is None:
         raise PreconditionError("both interference terms are needed to fit a model")
-    eta, q1, q2, (gamma1, eps1, _, p11, p21), (_, _, _, p12, p22) = terms
-    theta_diff, common, opposite = _sign_phase(eta, terms[3], terms[4])
+    (_, theta1, eps1, _, p11, p21), (_, theta2, eps2, _, p12, p22) = term1, term2
+    theta_diff, common, opposite = _sign_phase(theta1, theta2, eps1, eps2)
     if not common:
         raise PreconditionError(
             f"columns disagree on the phase: theta1 - theta2 = {theta_diff}"
         )
     if not opposite:
         raise PreconditionError("term signs are equal; no valid model exists")
-    return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta=eta + gamma1, eps1=eps1)
+    return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta1, eps1)
 
 
 def pipeline_probabilities(beta: Vec2, basis: Mat2) -> StateDecomposition:

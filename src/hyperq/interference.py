@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 from .algebra import (
     THETA_MAX,
+    _echo,
     _int_overflow,
     _law,
     check_phase,
@@ -226,7 +227,7 @@ def sweep_rows(
     if law not in (TRIG, HYP):
         raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
     if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps!r}")
+        raise ValueError(f"steps must be at least 2, got {_echo(steps)}")
     if not theta_min < theta_max:
         raise ValueError("theta-min must be strictly below theta-max")
     try:

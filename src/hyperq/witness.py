@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import EPS_ALG, EPS_MEM, _in_cone, _is_finite, _law, _Value
+from .algebra import EPS_ALG, EPS_MEM, _echo, _in_cone, _is_finite, _law, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -66,7 +66,7 @@ class UnitaryParams(_Value):
     @staticmethod
     def _check(p: float, gamma1: float, gamma2: float, delta: float) -> None:
         if not 0.0 < p < 1.0:
-            raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+            raise ValueError(f"p must lie strictly inside (0, 1), got {_echo(p)}")
         for name, value in (("gamma1", gamma1), ("gamma2", gamma2), ("delta", delta)):
             if not _is_finite(value):
                 raise ValueError(f"{name} must be finite")
@@ -124,7 +124,7 @@ def search_non_transitivity(
     returned; None if ``max_iter`` samples all stay decomposable.
     """
     if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+        raise ValueError(f"max_iter must be at least 1, got {_echo(max_iter)}")
     rng = random.Random(seed)
     for _ in range(max_iter):
         q1 = rng.uniform(0.0, 1.0)

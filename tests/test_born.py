@@ -12,6 +12,7 @@ from hyperq.algebra import EPS_ALG, ONE, ZERO, SplitComplex, expj
 from hyperq.born import (
     Phase,
     ProbabilityModel,
+    SignPhaseReport,
     amplitude,
     check_sign_phase_constraints,
     decompose,
@@ -254,6 +255,20 @@ class TestSignPhaseConstraints:
     def test_zero_coefficient_is_vacuous(self):
         report = check_sign_phase_constraints(hadamard_like(), Vec2(ONE, ZERO))
         assert report.vacuous and report.satisfied
+
+    def test_vacuous_reports_are_one_empty_report(self):
+        # a negligible state coefficient, and a full state whose columns both
+        # have a negligible entry: eta is None in both, not the state's phase
+        fields = dict.fromkeys(SignPhaseReport.__slots__)
+        fields.update(residual=0.0, vacuous=True, satisfied=True)
+        empty = SignPhaseReport(**fields)
+        for basis, beta in [
+            (hadamard_like(), Vec2(ONE, ZERO)),
+            (Mat2(ONE, ZERO, ZERO, ONE), witness_state()),
+        ]:
+            report = check_sign_phase_constraints(basis, beta)
+            assert report == empty
+            assert repr(report) == repr(empty)
 
     def test_generator_satisfies_constraints(self):
         rng = random.Random(11)

@@ -118,6 +118,27 @@ def interfere_argv(steps):
     ]
 
 
+#: A negative integer argument of 400 digits, too large for a double.
+HUGE_NEGATIVE = "-" + "9" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--seed", "1", "--max-iter", HUGE_NEGATIVE],
+        interfere_argv(HUGE_NEGATIVE),
+    ],
+    ids=["witness", "interfere"],
+)
+def test_huge_argument_gets_one_short_error_line(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+
+
 @pytest.mark.parametrize("steps", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
 def test_interfere_chunks_match_row_by_row(steps, capsys):
     assert main(interfere_argv(steps)) == 0

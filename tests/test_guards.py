@@ -15,8 +15,15 @@ from hyperq.born import (
     pipeline_probabilities,
     transform_probabilities,
 )
-from hyperq.interference import hyp_law
+from hyperq.errors import PreconditionError
+from hyperq.interference import (
+    hyp_law,
+    hyp_linearization_residual,
+    sweep_rows,
+    trig_linearization_residual,
+)
 from hyperq.space import Mat2, Vec2, change_basis, is_orthonormal_rows
+from hyperq.witness import UnitaryParams, search_non_transitivity
 
 BASIS_STATE = Vec2(ONE, ZERO)
 BALANCED = ProbabilityModel(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 1)
@@ -50,6 +57,44 @@ SIGN_ENTRY_POINTS = {
         0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, sign
     ),
     "hyp_law": lambda sign: hyp_law(0.25, 0.25, 0.0, sign),
+    "hyp_linearization_residual": lambda sign: hyp_linearization_residual(
+        0.25, 0.25, 0.0, sign
+    ),
+    "sweep_rows": lambda sign: sweep_rows("hyp", 0.25, 0.25, 0.0, 1.0, 2, sign),
+}
+
+# ints no double can hold; the 5000-digit ones are past the interpreter's
+# 4300-digit limit on int-to-str conversion
+HUGE_INTS = [10**400, -(10**400), 10**5000, -(10**5000)]
+HUGE_IDS = ["1e400", "-1e400", "1e5000", "-1e5000"]
+
+# every entry point outside test_interference.FIRST_ERROR_CASES that echoes a
+# scalar argument in its message, with the error of a negative and of a
+# positive huge int; None where the positive one is a valid argument
+SCALAR_ENTRY_POINTS = {
+    "trig_linearization_residual": (
+        lambda n: trig_linearization_residual(n, 0.5, 0.0),
+        ValueError,
+        PreconditionError,
+    ),
+    "hyp_linearization_residual": (
+        lambda n: hyp_linearization_residual(0.5, n, 0.0, 1),
+        ValueError,
+        PreconditionError,
+    ),
+    "amplitude": (lambda n: amplitude(1, n, 0.0), ValueError, PreconditionError),
+    "in_positive_cone": (lambda n: ONE.in_positive_cone(n), ValueError, None),
+    "PolarForm.modulus": (lambda n: PolarForm(1, n, 0.0), ValueError, None),
+    "UnitaryParams.p": (
+        lambda n: UnitaryParams(n, 0.0, 0.0, 0.0),
+        ValueError,
+        ValueError,
+    ),
+    "search_non_transitivity": (
+        lambda n: search_non_transitivity(1, n),
+        ValueError,
+        None,
+    ),
 }
 
 
@@ -66,10 +111,28 @@ def test_tolerance_guard(entry, tol):
             FIXED_TOL_ENTRY_POINTS[entry](tol)
 
 
-@pytest.mark.parametrize("sign", [0, 2, -1.5, math.nan])
+@pytest.mark.parametrize(
+    "sign", [0, 2, -1.5, math.nan, *HUGE_INTS], ids=["0", "2", "-1.5", "nan", *HUGE_IDS]
+)
 @pytest.mark.parametrize("entry", SIGN_ENTRY_POINTS)
 def test_sign_guard(entry, sign):
-    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+    with pytest.raises(ValueError, match=r"must be \+1 or -1") as info:
         SIGN_ENTRY_POINTS[entry](sign)
+    assert len(str(info.value)) < 80
     SIGN_ENTRY_POINTS[entry](1)
     SIGN_ENTRY_POINTS[entry](-1)
+
+
+@pytest.mark.parametrize("n", HUGE_INTS, ids=HUGE_IDS)
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_huge_int_gets_a_short_message(entry, n):
+    # never OverflowError, never the digits, never the digit-limit error
+    call, negative, positive = SCALAR_ENTRY_POINTS[entry]
+    error = negative if n < 0 else positive
+    if error is None:
+        call(n)
+        return
+    with pytest.raises(error) as info:
+        call(n)
+    assert type(info.value) is error
+    assert len(str(info.value)) < 80

@@ -290,14 +290,18 @@ class TestClassify:
 
 
 NAN, INF = math.nan, math.inf
-# an int that no double can hold
-HUGE = 10**400
+# ints that no double can hold; GIANT is past the interpreter's 4300-digit
+# limit on int-to-str conversion
+HUGE, GIANT = 10**400, 10**5000
 INT_OVERFLOW = "int operand overflows a double"
+TOO_LARGE = "an int too large for a double"
+NEGATIVE_HUGE = f"probability must be nonnegative, got {TOO_LARGE}"
+SIGN_HUGE = f"sign must be +1 or -1, got {TOO_LARGE}"
 
 # (entry point, arguments with two or more of them bad, error, its message):
 # the guards run in their order, so the first failing one names the fault.
-# The HUGE rows have one bad argument, which no guard tests: the error is the
-# documented one, and its message never prints the int
+# The HUGE and GIANT rows have one bad argument: the error is the documented
+# one, and its message, under 80 characters, never prints the int
 FIRST_ERROR_CASES = [
     (hyp_law, (-1, 0.5, NAN, 0), ValueError, "probability must be nonnegative, got -1"),
     (hyp_law, (0.5, 0.5, NAN, 0), ValueError, "sign must be +1 or -1, got 0"),
@@ -359,22 +363,57 @@ FIRST_ERROR_CASES = [
         PreconditionError,
         INT_OVERFLOW,
     ),
+    # a guard that refuses a huge int names it and prints no digit
+    (hyp_law, (-HUGE, 0.5, 0.0, 1), ValueError, NEGATIVE_HUGE),
+    (hyp_law, (0.5, -GIANT, NAN, 0), ValueError, NEGATIVE_HUGE),
+    (hyp_law, (0.5, 0.5, NAN, HUGE), ValueError, SIGN_HUGE),
+    (hyp_law, (0.5, 0.5, 0.0, -GIANT), ValueError, SIGN_HUGE),
+    (hyp_law, (GIANT, 0.5, 0.0, 1), PreconditionError, INT_OVERFLOW),
+    (trig_law, (0.5, -HUGE, NAN), ValueError, NEGATIVE_HUGE),
+    (trig_law, (-GIANT, 0.5, 0.0), ValueError, NEGATIVE_HUGE),
+    (trig_law, (0.5, GIANT, 0.0), PreconditionError, INT_OVERFLOW),
+    (classify, (0.5, -GIANT, 0.5), DegenerateInputsError, "inputs must fit a double"),
+    (sweep_rows, ("hyp", -HUGE, 0.5, 0.0, 1.0, 3), ValueError, NEGATIVE_HUGE),
+    (sweep_rows, ("hyp", 0.5, 0.5, 0.0, 1.0, 3, -GIANT), ValueError, SIGN_HUGE),
+    (
+        sweep_rows,
+        ("trig", 0.5, 0.5, 0.0, 1.0, -HUGE),
+        ValueError,
+        f"steps must be at least 2, got {TOO_LARGE}",
+    ),
+    (
+        sweep_rows,
+        ("trig", 0.5, 0.5, 0.0, 1.0, -GIANT),
+        ValueError,
+        f"steps must be at least 2, got {TOO_LARGE}",
+    ),
+    (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, GIANT), PreconditionError, INT_OVERFLOW),
 ]
+
+
+def case_id(entry, args):
+    """The call as a test id, with HUGE and GIANT by name."""
+    shown = [
+        # str() of GIANT raises the digit-limit error
+        ("-GIANT" if a < 0 else "GIANT")
+        if isinstance(a, int) and abs(a) == GIANT
+        else repr(a).replace(str(HUGE), "HUGE")
+        for a in args
+    ]
+    return f"{entry.__name__}({', '.join(shown)})"
 
 
 @pytest.mark.parametrize(
     "entry,args,error,message",
     FIRST_ERROR_CASES,
-    ids=[
-        f"{entry.__name__}{args}".replace(str(HUGE), "HUGE")
-        for entry, args, _, _ in FIRST_ERROR_CASES
-    ],
+    ids=[case_id(entry, args) for entry, args, _, _ in FIRST_ERROR_CASES],
 )
 def test_first_failing_guard_wins(entry, args, error, message):
     with pytest.raises(error) as info:
         entry(*args)
     assert type(info.value) is error
     assert str(info.value) == message
+    assert len(message) < 80
 
 
 @pytest.mark.parametrize(
