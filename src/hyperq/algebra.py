@@ -59,7 +59,8 @@ class _Value:
     """Base of the immutable value types: slots, init, equality, hash and repr.
 
     A subclass lists its fields in ``__slots__`` and, if its arguments need
-    checking, a static ``_check`` taking the fields in order.  The class gets
+    checking, a static ``_check`` taking the fields in order; real fields go
+    through the one finiteness rule, :func:`_check_finite`.  The class gets
     a generated ``__init__(self, <fields>)`` that calls ``_check`` (its own or
     an inherited one) and stores each field through its slot descriptor
     (assignment is blocked here).  Equality holds only between instances of
@@ -132,18 +133,13 @@ class SplitComplex(_Value):
 
     @staticmethod
     def _check(x: float, y: float) -> None:
+        # the finiteness rule inline on the valid path; _check_finite raises
         try:
             if math.isfinite(x) and math.isfinite(y):
                 return
-        except OverflowError:
+        except OverflowError:  # an int too large for a double
             pass
-        else:
-            # a non-finite x ends the test before y, which may be a huge int
-            if not isinstance(y, int) or _is_finite(y):
-                raise ValueError(f"components must be finite, got ({x}, {y})")
-        raise ValueError(
-            "components must be finite, got an int too large for a double"
-        )
+        _check_finite(("x", "y"), (x, y))
 
     # -- ring structure ----------------------------------------------------
 
@@ -271,21 +267,26 @@ class SplitComplex(_Value):
 
     @classmethod
     def from_list(cls, data: object) -> SplitComplex:
-        if isinstance(data, (list, tuple)) and len(data) == 2:
-            x, y = data
-            if _is_number(x) and _is_number(y):
-                return cls(float(x), float(y))
-        raise ValueError(f"expected [x, y] with numeric entries, got {data!r}")
+        """Read the JSON form ``[x, y]``; anything else raises ``ValueError``."""
+        match data:
+            case [x, y]:
+                return cls(*_floats(_NUMBER, x, y))
+        raise _malformed(_NUMBER, data)
 
 
 class PolarForm(_Value):
-    """Polar data ``(sign, modulus, theta)`` of a split-complex number."""
+    """Polar data ``(sign, modulus, theta)`` of a split-complex number.
+
+    The sign is +1 or -1, the modulus finite and positive, the phase finite;
+    anything else raises ``ValueError``.
+    """
 
     __slots__ = ("sign", "modulus", "theta")
 
     @staticmethod
     def _check(sign: int, modulus: float, theta: float) -> None:
         check_sign(sign)
+        _check_finite(("modulus", "theta"), (modulus, theta))
         if not modulus > 0.0:
             raise ValueError(f"modulus must be strictly positive, got {_echo(modulus)}")
 
@@ -316,12 +317,11 @@ def check_phase(theta: float) -> None:
     # one comparison on the valid path; NaN and inf fail it too
     if abs(theta) <= THETA_MAX:
         return
-    if not _is_finite(theta):
-        if isinstance(theta, int):
-            raise PhaseRangeError(
-                f"an int phase too large for a double exceeds THETA_MAX = {THETA_MAX}"
-            )
-        raise ValueError(f"phase must be finite, got {theta}")
+    if isinstance(theta, int) and not _is_finite(theta):
+        raise PhaseRangeError(
+            f"an int phase too large for a double exceeds THETA_MAX = {THETA_MAX}"
+        )
+    _check_finite(("phase",), (theta,))
     raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds THETA_MAX = {THETA_MAX}")
 
 
@@ -446,13 +446,8 @@ def _is_number(value: object) -> bool:
     """A JSON number: an ``int`` or ``float`` that fits a double, not a ``bool``."""
     if isinstance(value, float):
         return True
-    if isinstance(value, bool) or not isinstance(value, int):
-        return False
-    try:
-        float(value)  # an int past the largest double overflows
-    except OverflowError:
-        return False
-    return True
+    # an int past the largest double is not finite to _is_finite
+    return isinstance(value, int) and not isinstance(value, bool) and _is_finite(value)
 
 
 def _coerce(value: object) -> SplitComplex | None:
@@ -483,13 +478,63 @@ def _is_finite(value: float) -> bool:
 def _echo(value: object) -> str:
     """A scalar argument as an error message shows it; for raise paths only.
 
-    The ``repr``, except for an ``int`` too large for a double: its digits
-    would swamp the message, and past 4300 of them formatting raises the
-    interpreter's digit-limit ``ValueError`` in place of the message.
+    The ``repr``, except for an ``int`` of more than 53 bits: its digits
+    would swamp the message (past 4300 of them formatting raises the
+    interpreter's digit-limit ``ValueError``), so it shows as the ``repr``
+    of its double, or as the words below when no double holds it.
     """
-    if isinstance(value, int) and not _is_finite(value):
-        return "an int too large for a double"
+    if isinstance(value, int) and value.bit_length() > 53:
+        try:
+            return repr(float(value))
+        except OverflowError:
+            return "an int too large for a double"
     return repr(value)
+
+
+def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
+    """The finiteness rule: each of ``values`` is a finite real.
+
+    The first that is not (an ``int`` too large for a double included)
+    raises ``ValueError("<name> must be finite, got <value>")``, with the
+    value shown by :func:`_echo`.  The one check behind every value type's
+    fields and ``check_phase``; ``SplitComplex``, built per arithmetic
+    result, tests the same predicate inline and calls this only to raise.
+    """
+    try:
+        if all(map(math.isfinite, values)):
+            return
+    except OverflowError:  # an int too large for a double
+        pass
+    name, value = next(pair for pair in zip(names, values) if not _is_finite(pair[1]))
+    raise ValueError(f"{name} must be finite, got {_echo(value)}")
+
+
+#: Name and shape of the JSON document read by ``SplitComplex.from_list``.
+_NUMBER = "split-complex number", "[x, y]"
+
+
+def _floats(form: tuple[str, str], *leaves: object) -> list[float]:
+    """The leaves of a JSON document, each a JSON number, as floats.
+
+    The first leaf that is no number (:func:`_is_number`) is refused
+    through :func:`_malformed`.
+    """
+    if all(map(_is_number, leaves)):
+        return list(map(float, leaves))
+    bad = next(leaf for leaf in leaves if not _is_number(leaf))
+    raise _malformed(form, bad, " with numeric entries")
+
+
+def _malformed(form: tuple[str, str], found: object, entries: str = "") -> ValueError:
+    """The refusal of a JSON reader, for raise paths only.
+
+    It names the document and its expected shape, and the kind of value
+    found in its place: a number through :func:`_echo`, otherwise a type
+    name.  It never echoes the document, which may be any size.
+    """
+    number = isinstance(found, _SCALARS) and not isinstance(found, bool)
+    kind = _echo(found) if number else type(found).__name__
+    return ValueError(f"malformed {form[0]}: expected {form[1]}{entries}, got {kind}")
 
 
 #: The hyperbolic unit, with J * J == ONE.

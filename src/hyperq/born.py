@@ -32,11 +32,12 @@ from .algebra import (
     EPS_ALG,
     EPS_MEM,
     SplitComplex,
+    _check_finite,
+    _floats,
     _in_cone,
     _int_overflow,
-    _is_finite,
-    _is_number,
     _law,
+    _malformed,
     _polar,
     _Value,
     check_phase,
@@ -133,6 +134,12 @@ def _check_unit_sums(kind: str, *totals: float) -> None:
             raise PreconditionError(f"{kind} {index} sums to {total}, expected 1")
 
 
+#: Name and shape of the JSON document read by ``from_json_dict``.
+_MODEL = "probability model", (
+    '{"q": [q1, q2], "P": [[p11, p12], [p21, p22]], "theta": theta, "eps1": eps1}'
+)
+
+
 class ProbabilityModel(_Value):
     """Probability-level data of a basis change: weights, matrix, phase, sign.
 
@@ -146,25 +153,9 @@ class ProbabilityModel(_Value):
     __slots__ = ("q1", "q2", "p11", "p12", "p21", "p22", "theta", "eps1")
 
     @staticmethod
-    def _check(
-        q1: float,
-        q2: float,
-        p11: float,
-        p12: float,
-        p21: float,
-        p22: float,
-        theta: float,
-        eps1: int,
-    ) -> None:
-        values = (q1, q2, p11, p12, p21, p22, theta)
-        try:
-            finite = all(map(math.isfinite, values))
-        except OverflowError:  # an int too large for a double
-            finite = False
-        if not finite:
-            names = ("q1", "q2", "p11", "p12", "p21", "p22", "theta")
-            name = next(n for n, v in zip(names, values) if not _is_finite(v))
-            raise ValueError(f"{name} must be finite")
+    def _check(q1, q2, p11, p12, p21, p22, theta, eps1) -> None:
+        # zip in _check_finite pairs the seven real fields with their names
+        _check_finite(ProbabilityModel.__slots__, (q1, q2, p11, p12, p21, p22, theta))
         check_sign(eps1, "eps1")
 
     @property
@@ -205,26 +196,20 @@ class ProbabilityModel(_Value):
 
     @classmethod
     def from_json_dict(cls, data: object) -> ProbabilityModel:
-        if not isinstance(data, dict):
-            raise ValueError(f"expected an object, got {data!r}")
-        try:
-            (q1, q2) = data["q"]
-            ((p11, p12), (p21, p22)) = data["P"]
-            theta = data["theta"]
-            eps1 = data["eps1"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed probability model: {exc}") from exc
-        # the JSON number rule of SplitComplex.from_list; a bool is no number
-        if not all(map(_is_number, (q1, q2, p11, p12, p21, p22, theta))):
-            raise ValueError(
-                f"malformed probability model: q, P and theta must be numbers, "
-                f"got {data!r}"
-            )
-        if isinstance(eps1, bool) or not isinstance(eps1, int):
-            raise ValueError(
-                f"malformed probability model: eps1 must be an integer, got {eps1!r}"
-            )
-        return cls(q1, q2, p11, p12, p21, p22, theta, eps1)
+        """Read the JSON form of :meth:`to_json_dict`; else ``ValueError``.
+
+        ``q``, ``P`` and ``theta`` hold JSON numbers, ``eps1`` an integer
+        (a bool is neither); other keys are ignored.
+        """
+        match data:
+            case {
+                "q": [q1, q2],
+                "P": [[p11, p12], [p21, p22]],
+                "theta": theta,
+                "eps1": int(eps1),
+            } if not isinstance(eps1, bool):
+                return cls(*_floats(_MODEL, q1, q2, p11, p12, p21, p22, theta), eps1)
+        raise _malformed(_MODEL, data)
 
 
 def _in_unit_interval(values: tuple[float, ...]) -> bool:

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .algebra import EPS_ALG, ONE, ZERO, _SCALARS, SplitComplex, _result, _Value
+from .algebra import (
+    EPS_ALG, ONE, ZERO, _SCALARS, SplitComplex, _floats, _malformed, _result, _Value
+)
 from .errors import NotUnitaryError, PreconditionError
 
 __all__ = [
@@ -32,13 +34,9 @@ __all__ = [
     "doubly_stochastic_residual",
 ]
 
-
-def _coords_from_list(data: object) -> tuple[SplitComplex, SplitComplex]:
-    """The two coordinates of ``[[x1,y1],[x2,y2]]``, checked in order."""
-    if not isinstance(data, (list, tuple)) or len(data) != 2:
-        raise ValueError(f"expected [[x1,y1],[x2,y2]], got {data!r}")
-    c1, c2 = data
-    return SplitComplex.from_list(c1), SplitComplex.from_list(c2)
+#: Name and shape of the JSON documents read by ``from_list``.
+_VECTOR = "vector", "[[x1, y1], [x2, y2]]"
+_MATRIX = "matrix", "[[[x11, y11], [x12, y12]], [[x21, y21], [x22, y22]]]"
 
 
 class Vec2(_Value):
@@ -85,7 +83,12 @@ class Vec2(_Value):
 
     @classmethod
     def from_list(cls, data: object) -> Vec2:
-        return cls(*_coords_from_list(data))
+        """Read the JSON form ``[[x1, y1], [x2, y2]]``; else ``ValueError``."""
+        match data:
+            case [[x1, y1], [x2, y2]]:
+                x1, y1, x2, y2 = _floats(_VECTOR, x1, y1, x2, y2)
+                return cls(SplitComplex(x1, y1), SplitComplex(x2, y2))
+        raise _malformed(_VECTOR, data)
 
     @classmethod
     def basis1(cls) -> Vec2:
@@ -121,11 +124,19 @@ class Mat2(_Value):
 
     @classmethod
     def from_list(cls, data: object) -> Mat2:
-        if not isinstance(data, (list, tuple)) or len(data) != 2:
-            raise ValueError(f"expected two rows, got {data!r}")
-        r1, r2 = data
-        # row 1 is checked in full before row 2, so the first bad row is named
-        return cls(*_coords_from_list(r1), *_coords_from_list(r2))
+        """Read the JSON form of :meth:`to_list`; anything else raises ``ValueError``."""
+        match data:
+            case [[[x11, y11], [x12, y12]], [[x21, y21], [x22, y22]]]:
+                x11, y11, x12, y12, x21, y21, x22, y22 = _floats(
+                    _MATRIX, x11, y11, x12, y12, x21, y21, x22, y22
+                )
+                return cls(
+                    SplitComplex(x11, y11),
+                    SplitComplex(x12, y12),
+                    SplitComplex(x21, y21),
+                    SplitComplex(x22, y22),
+                )
+        raise _malformed(_MATRIX, data)
 
     @classmethod
     def from_rows(cls, r1: Vec2, r2: Vec2) -> Mat2:

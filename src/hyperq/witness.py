@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import EPS_ALG, EPS_MEM, _echo, _in_cone, _is_finite, _law, _Value
+from .algebra import EPS_ALG, EPS_MEM, _check_finite, _echo, _in_cone, _law, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -67,9 +67,7 @@ class UnitaryParams(_Value):
     def _check(p: float, gamma1: float, gamma2: float, delta: float) -> None:
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must lie strictly inside (0, 1), got {_echo(p)}")
-        for name, value in (("gamma1", gamma1), ("gamma2", gamma2), ("delta", delta)):
-            if not _is_finite(value):
-                raise ValueError(f"{name} must be finite")
+        _check_finite(("gamma1", "gamma2", "delta"), (gamma1, gamma2, delta))
 
 
 def make_decomposable_unitary(params: UnitaryParams) -> Mat2:

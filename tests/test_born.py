@@ -30,6 +30,14 @@ from hyperq.errors import (
 from hyperq.space import Mat2, Vec2, change_basis, prob_matrix
 from hyperq.witness import UnitaryParams, make_decomposable_unitary
 
+# the refusals of ProbabilityModel.from_json_dict: the shape, never the content
+MODEL = (
+    "malformed probability model: expected "
+    '{"q": [q1, q2], "P": [[p11, p12], [p21, p22]], "theta": theta, "eps1": eps1}'
+)
+MODEL_ENTRIES = f"{MODEL} with numeric entries"
+HUGE = "an int too large for a double"
+
 LN2 = math.log(2)
 SQH = math.sqrt(0.5)
 
@@ -172,23 +180,30 @@ class TestProbabilityModel:
         good = balanced_model(LN2).to_json_dict()
         # q, P and theta are JSON numbers (a bool is not one, nor an integer
         # too large for a double), eps1 an integer
-        for bad in (
-            {"q": [0.5], "P": [], "theta": 0},
-            {**good, "q": ["0.5", 0.5]},
-            {**good, "q": [None, 0.5]},
-            {**good, "q": [True, False]},
-            {**good, "P": [[0.5, 0.5], [0.5, None]]},
-            {**good, "theta": "0"},
-            {**good, "eps1": True},
-            {**good, "eps1": 1.0},
-            {**good, "theta": 10**400},
+        for bad, message in (
+            ({"q": [0.5], "P": [], "theta": 0}, f"{MODEL}, got dict"),
+            ({**good, "q": ["0.5", 0.5]}, f"{MODEL_ENTRIES}, got str"),
+            ({**good, "q": [None, 0.5]}, f"{MODEL_ENTRIES}, got NoneType"),
+            ({**good, "q": [True, False]}, f"{MODEL_ENTRIES}, got bool"),
+            ({**good, "q": {0.5, 0.25}}, f"{MODEL}, got dict"),
+            ({**good, "P": [[0.5, 0.5], [0.5, None]]}, f"{MODEL_ENTRIES}, got NoneType"),
+            ({**good, "P": [[0.5, 0.5], [0.5, "0.5"]]}, f"{MODEL_ENTRIES}, got str"),
+            ({**good, "theta": "0"}, f"{MODEL_ENTRIES}, got str"),
+            ({**good, "eps1": True}, f"{MODEL}, got dict"),
+            ({**good, "eps1": 1.0}, f"{MODEL}, got dict"),
+            ({**good, "theta": 10**400}, f"{MODEL_ENTRIES}, got {HUGE}"),
+            ({**good, "q": [0.5, -(10**400)]}, f"{MODEL_ENTRIES}, got {HUGE}"),
         ):
-            with pytest.raises(ValueError, match="malformed probability model"):
+            with pytest.raises(ValueError) as info:
                 ProbabilityModel.from_json_dict(bad)
+            assert str(info.value) == message
+            assert len(message) < 200
 
     def test_from_json_rejects_non_object(self):
-        with pytest.raises(ValueError, match="expected an object"):
-            ProbabilityModel.from_json_dict([0.5, 0.5])
+        for bad, kind in (([0.5, 0.5], "list"), ({0.5}, "set"), ("q", "str"), (None, "NoneType")):
+            with pytest.raises(ValueError) as info:
+                ProbabilityModel.from_json_dict(bad)
+            assert str(info.value) == f"{MODEL}, got {kind}"
 
 
 class TestTransformProbabilities:

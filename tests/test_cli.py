@@ -59,10 +59,23 @@ BIG_INTEGER_MATRIX = "[[[" + "9" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"
 #: A file nested 100 000 arrays deep, past the JSON decoder's recursion limit.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
+#: A matrix file whose second row holds 100 000 zeros.
+WIDE_ROW_MATRIX = "[[[1, 0], [0, 0]], [" + ", ".join(["0"] * 100_000) + "]]"
+
+#: A matrix file with an ``Infinity`` entry, which Python's JSON decoder accepts.
+INFINITY_MATRIX = "[[[Infinity, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
 
 def test_malformed_json_file(tmp_path, capsys):
-    # each maps to one error line and exit 1, never a traceback
-    for text in ("this is not json", BIG_INTEGER_MATRIX, DEEP_JSON):
+    # each maps to one short error line and exit 1, never a traceback, and
+    # the message never echoes the document
+    for text in (
+        "this is not json",
+        BIG_INTEGER_MATRIX,
+        DEEP_JSON,
+        WIDE_ROW_MATRIX,
+        INFINITY_MATRIX,
+    ):
         bad = tmp_path / "state.json"
         bad.write_text(text)
         for argv in (
@@ -75,6 +88,7 @@ def test_malformed_json_file(tmp_path, capsys):
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
+            assert len(captured.err.encode()) < 200
 
 
 def test_help_exits_zero(capsys):

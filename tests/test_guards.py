@@ -84,7 +84,7 @@ SCALAR_ENTRY_POINTS = {
     ),
     "amplitude": (lambda n: amplitude(1, n, 0.0), ValueError, PreconditionError),
     "in_positive_cone": (lambda n: ONE.in_positive_cone(n), ValueError, None),
-    "PolarForm.modulus": (lambda n: PolarForm(1, n, 0.0), ValueError, None),
+    "PolarForm.modulus": (lambda n: PolarForm(1, n, 0.0), ValueError, ValueError),
     "UnitaryParams.p": (
         lambda n: UnitaryParams(n, 0.0, 0.0, 0.0),
         ValueError,
@@ -135,4 +135,20 @@ def test_huge_int_gets_a_short_message(entry, n):
     with pytest.raises(error) as info:
         call(n)
     assert type(info.value) is error
+    assert len(str(info.value)) < 80
+
+
+@pytest.mark.parametrize("n", [10**300, -(10**300)], ids=["1e300", "-1e300"])
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_long_int_gets_a_short_message(entry, n):
+    # a double holds it: every entry point refuses the negative one, and only
+    # UnitaryParams.p the positive one; a refusal shows the double, not 301 digits
+    call, negative, _ = SCALAR_ENTRY_POINTS[entry]
+    if n > 0 and entry != "UnitaryParams.p":
+        call(n)
+        return
+    with pytest.raises(negative) as info:
+        call(n)
+    assert type(info.value) is negative
+    assert "e+300" in str(info.value)
     assert len(str(info.value)) < 80

@@ -2,7 +2,6 @@
 
 import math
 import operator
-import re
 import subprocess
 import sys
 
@@ -23,6 +22,13 @@ from hyperq.space import (
     prob_matrix,
 )
 from hyperq.witness import UnitaryParams, make_decomposable_unitary
+
+# the refusals of the JSON readers: the document's shape, never its content
+VECTOR = "malformed vector: expected [[x1, y1], [x2, y2]]"
+VECTOR_ENTRIES = f"{VECTOR} with numeric entries"
+MATRIX = "malformed matrix: expected [[[x11, y11], [x12, y12]], [[x21, y21], [x22, y22]]]"
+MATRIX_ENTRIES = f"{MATRIX} with numeric entries"
+HUGE = "an int too large for a double"
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 numbers = st.builds(SplitComplex, coords, coords)
@@ -95,26 +101,25 @@ class TestVec2:
     @pytest.mark.parametrize(
         "bad,message",
         [
-            pytest.param([[1, 2]], "expected [[x1,y1],[x2,y2]], got [[1, 2]]", id="bad0"),
-            pytest.param([[1, 2], [3]], "numeric entries, got [3]", id="bad1"),
-            pytest.param("xy", "expected [[x1,y1],[x2,y2]], got 'xy'", id="xy"),
-            pytest.param([1, 2], "numeric entries, got 1", id="bad3"),
-            pytest.param(
-                [[1, 2], [3, 4], [5, 6]],
-                "expected [[x1,y1],[x2,y2]], got [[1, 2], [3, 4], [5, 6]]",
-                id="three-pairs",
-            ),
-            pytest.param([[1, 0], [True, 0]], "numeric entries, got [True, 0]", id="bool"),
-            pytest.param([{"x": 1}, [0, 1]], "numeric entries, got {'x': 1}", id="dict"),
-            pytest.param(
-                [[1, 0], [math.inf, 0]], "components must be finite, got (inf, 0.0)", id="inf"
-            ),
-            pytest.param(["ab", [0, 1]], "numeric entries, got 'ab'", id="string"),
+            pytest.param([[1, 2]], f"{VECTOR}, got list", id="bad0"),
+            pytest.param([[1, 2], [3]], f"{VECTOR}, got list", id="bad1"),
+            pytest.param("xy", f"{VECTOR}, got str", id="xy"),
+            pytest.param([1, 2], f"{VECTOR}, got list", id="bad3"),
+            pytest.param([[1, 2], [3, 4], [5, 6]], f"{VECTOR}, got list", id="three-pairs"),
+            pytest.param([[1, 0], [True, 0]], f"{VECTOR_ENTRIES}, got bool", id="bool"),
+            pytest.param([{"x": 1}, [0, 1]], f"{VECTOR}, got list", id="dict"),
+            pytest.param([[1, 0], [math.inf, 0]], "x must be finite, got inf", id="inf"),
+            pytest.param(["ab", [0, 1]], f"{VECTOR}, got list", id="string"),
+            pytest.param({1, 2}, f"{VECTOR}, got set", id="set"),
+            pytest.param([[1, 0], ["0", 1]], f"{VECTOR_ENTRIES}, got str", id="str-leaf"),
+            pytest.param([[1, 0], [0, 10**400]], f"{VECTOR_ENTRIES}, got {HUGE}", id="huge"),
         ],
     )
     def test_from_list_rejects(self, bad, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError) as info:
             Vec2.from_list(bad)
+        assert str(info.value) == message
+        assert len(message) < 200
 
 
 class TestMat2:
@@ -132,37 +137,44 @@ class TestMat2:
     @pytest.mark.parametrize(
         "bad,message",
         [
-            pytest.param([[1, 2], [3, 4]], "numeric entries, got 1", id="bad0"),
-            pytest.param([[[1, 2]]], "expected two rows, got [[[1, 2]]]", id="bad1"),
-            pytest.param(None, "expected two rows, got None", id="None"),
+            pytest.param([[1, 2], [3, 4]], f"{MATRIX}, got list", id="bad0"),
+            pytest.param([[[1, 2]]], f"{MATRIX}, got list", id="bad1"),
+            pytest.param(None, f"{MATRIX}, got NoneType", id="None"),
             pytest.param(
                 [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]]],
-                "expected [[x1,y1],[x2,y2]], got [[1, 0], [0, 0], [0, 0]]",
+                f"{MATRIX}, got list",
                 id="three-pairs",
             ),
             pytest.param(
                 [[[1, 0], [0, 0]], [[0, False], [1, 0]]],
-                "numeric entries, got [0, False]",
+                f"{MATRIX_ENTRIES}, got bool",
                 id="bool",
             ),
-            pytest.param(
-                [[[1, 0], [0, 0]], {"a": 1}],
-                "expected [[x1,y1],[x2,y2]], got {'a': 1}",
-                id="dict",
-            ),
+            pytest.param([[[1, 0], [0, 0]], {"a": 1}], f"{MATRIX}, got list", id="dict"),
             pytest.param(
                 [[[1, 0], [0, 0]], [[0, 0], [math.inf, 0]]],
-                "components must be finite, got (inf, 0.0)",
+                "x must be finite, got inf",
                 id="inf",
             ),
+            pytest.param(["ab", [[0, 0], [1, 0]]], f"{MATRIX}, got list", id="string"),
+            pytest.param({1, 2}, f"{MATRIX}, got set", id="set"),
             pytest.param(
-                ["ab", [[0, 0], [1, 0]]], "expected [[x1,y1],[x2,y2]], got 'ab'", id="string"
+                [[[1, 0], [0, 0]], [[0, 0], [1, "0"]]],
+                f"{MATRIX_ENTRIES}, got str",
+                id="str-leaf",
+            ),
+            pytest.param(
+                [[[-(10**400), 0], [0, 0]], [[0, 0], [1, 0]]],
+                f"{MATRIX_ENTRIES}, got {HUGE}",
+                id="huge",
             ),
         ],
     )
     def test_from_list_rejects(self, bad, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError) as info:
             Mat2.from_list(bad)
+        assert str(info.value) == message
+        assert len(message) < 200
 
 
 class TestInner:

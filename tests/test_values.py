@@ -114,6 +114,13 @@ BAD_FIELD_IDS = [
     cls.__name__ if isinstance(bad, float) else f"{cls.__name__}-huge-{name}"
     for cls, name, bad in BAD_FIELDS
 ]
+# PolarForm's modulus and phase go through the same finiteness rule
+BAD_FIELDS += [
+    (PolarForm, "modulus", math.inf),
+    (PolarForm, "modulus", 10**400),
+    (PolarForm, "theta", math.nan),
+]
+BAD_FIELD_IDS += ["PolarForm-inf-modulus", "PolarForm-huge-modulus", "PolarForm-nan-theta"]
 
 
 @each_row
