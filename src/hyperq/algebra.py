@@ -310,9 +310,9 @@ def check_phase(theta: float) -> None:
     """Reject a phase that is not finite or exceeds ``THETA_MAX``.
 
     A non-finite phase raises ``ValueError``, an out-of-range one (an ``int``
-    too large for a double included) :class:`PhaseRangeError`.  ``hyp_law``,
-    a hot entry point, tests the same predicate, ``abs(theta) <= THETA_MAX``,
-    inline and calls this guard only to raise.
+    too large for a double included) :class:`PhaseRangeError`.  ``hyp_law``
+    and ``born.amplitude``, hot entry points, test the same predicate,
+    ``abs(theta) <= THETA_MAX``, inline and call this guard only to raise.
     """
     # one comparison on the valid path; NaN and inf fail it too
     if abs(theta) <= THETA_MAX:
@@ -328,8 +328,8 @@ def check_phase(theta: float) -> None:
 def check_sign(sign: int, name: str = "sign") -> None:
     """Reject a term or polar sign other than +1 or -1 with ``ValueError``.
 
-    ``hyp_law``, a hot entry point, tests the same predicate inline and
-    calls this guard only to raise.
+    ``hyp_law`` and ``born.amplitude``, hot entry points, test the same
+    predicate inline and call this guard only to raise.
     """
     if sign not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {_echo(sign)}")
@@ -338,8 +338,8 @@ def check_sign(sign: int, name: str = "sign") -> None:
 def check_probability(p: float) -> None:
     """Reject a negative probability with ``ValueError``; NaN fails too.
 
-    ``trig_law`` and ``hyp_law``, the hot entry points, test the same
-    predicate, ``p >= 0.0``, inline and call this guard only to raise.
+    ``trig_law``, ``hyp_law`` and ``born.amplitude``, the hot entry points,
+    test the same predicate inline and call this guard only to raise.
     """
     if not p >= 0:
         raise ValueError(f"probability must be nonnegative, got {_echo(p)}")
@@ -525,16 +525,26 @@ def _floats(form: tuple[str, str], *leaves: object) -> list[float]:
     raise _malformed(form, bad, " with numeric entries")
 
 
-def _malformed(form: tuple[str, str], found: object, entries: str = "") -> ValueError:
+def _malformed(
+    form: tuple[str, str], found: object, entries: str = "", detail: str = ""
+) -> ValueError:
     """The refusal of a JSON reader, for raise paths only.
 
     It names the document and its expected shape, and the kind of value
-    found in its place: a number through :func:`_echo`, otherwise a type
-    name.  It never echoes the document, which may be any size.
+    found in its place (:func:`_kind`), followed by ``detail``.  It never
+    echoes the document, which may be any size.
     """
+    kind = _kind(found)
+    return ValueError(
+        f"malformed {form[0]}: expected {form[1]}{entries}, got {kind}{detail}"
+    )
+
+
+def _kind(found: object) -> str:
+    """A JSON value as a refusal names it: a number through :func:`_echo`,
+    otherwise its type name."""
     number = isinstance(found, _SCALARS) and not isinstance(found, bool)
-    kind = _echo(found) if number else type(found).__name__
-    return ValueError(f"malformed {form[0]}: expected {form[1]}{entries}, got {kind}")
+    return _echo(found) if number else type(found).__name__
 
 
 #: The hyperbolic unit, with J * J == ONE.

@@ -31,11 +31,13 @@ from typing import NamedTuple
 from .algebra import (
     EPS_ALG,
     EPS_MEM,
+    THETA_MAX,
     SplitComplex,
     _check_finite,
     _floats,
     _in_cone,
     _int_overflow,
+    _kind,
     _law,
     _malformed,
     _polar,
@@ -74,10 +76,20 @@ class StateDecomposition(_Value):
 
     ``probabilities`` and ``phases`` are None when the state is not
     decomposable; a phase entry is None for a coefficient of negligible
-    squared norm, where the polar form carries no information.
+    squared norm, where the polar form carries no information.  ``phases``
+    is computed on access from the coefficients and the probabilities; it
+    is not a field.
     """
 
-    __slots__ = ("coefficients", "decomposable", "probabilities", "phases")
+    __slots__ = ("coefficients", "decomposable", "probabilities")
+
+    @property
+    def phases(self) -> tuple[Phase | None, Phase | None] | None:
+        if self.probabilities is None:
+            return None
+        c1, c2 = self.coefficients.coords()
+        q1, q2 = self.probabilities
+        return _phase_of(c1, q1), _phase_of(c2, q2)
 
     def to_json_dict(self) -> dict[str, object]:
         probs = None if self.probabilities is None else list(self.probabilities)
@@ -108,17 +120,17 @@ def decompose(phi: Vec2) -> StateDecomposition:
     if not _is_unit_sum(q1 + q2):
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
     if not (_in_cone(q1, EPS_ALG) and _in_cone(q2, EPS_ALG)):
-        return StateDecomposition(phi, False, None, None)
-    return StateDecomposition(
-        phi, True, (q1, q2), (_phase_of(phi.c1, q1), _phase_of(phi.c2, q2))
-    )
+        return StateDecomposition(phi, False, None)
+    return StateDecomposition(phi, True, (q1, q2))
 
 
 def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
     """Coefficient ``sign * sqrt(q) * expj(xi)`` with squared norm ``q``."""
-    check_sign(sign)
-    check_probability(q)
-    check_phase(xi)
+    # the guards' predicate in one chain; they run only to raise
+    if not (sign in (1, -1) and q >= 0 and abs(xi) <= THETA_MAX):
+        check_sign(sign)
+        check_probability(q)
+        check_phase(xi)
     try:
         r = sign * math.sqrt(q)
     except OverflowError:  # an int too large for a double
@@ -209,7 +221,25 @@ class ProbabilityModel(_Value):
                 "eps1": int(eps1),
             } if not isinstance(eps1, bool):
                 return cls(*_floats(_MODEL, q1, q2, p11, p12, p21, p22, theta), eps1)
+            case {}:
+                raise _malformed(_MODEL, data, detail=_misfit(data))
         raise _malformed(_MODEL, data)
+
+
+def _misfit(data: dict) -> str:
+    """The first key of a model document that is missing or does not match
+    ``_MODEL``, and the kind of its value; for raise paths only."""
+    for key in ("q", "P", "theta", "eps1"):
+        if key not in data:
+            return f' without "{key}"'
+        match key, data[key]:
+            case ("q", [_, _]) | ("P", [[_, _], [_, _]]) | ("theta", _):
+                continue
+            case "eps1", int(eps1) if not isinstance(eps1, bool):
+                continue
+            case _, found:
+                return f' with "{key}": {_kind(found)}'
+    return ""
 
 
 def _in_unit_interval(values: tuple[float, ...]) -> bool:

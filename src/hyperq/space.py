@@ -75,7 +75,13 @@ class Vec2(_Value):
         return self.c1.norm_sq() + self.c2.norm_sq()
 
     def dist(self, other: Vec2) -> float:
-        return max(self.c1.dist(other.c1), self.c2.dist(other.c2))
+        """Chebyshev distance over the four components.
+
+        One ``max`` over the component gaps: the components are finite, so
+        this is the larger of the two coordinates' ``SplitComplex.dist``.
+        """
+        a, b, c, d = self.c1, other.c1, self.c2, other.c2
+        return max(abs(a.x - b.x), abs(a.y - b.y), abs(c.x - d.x), abs(c.y - d.y))
 
     def to_list(self) -> list[list[float]]:
         """JSON form ``[[x1, y1], [x2, y2]]``."""

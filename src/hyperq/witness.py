@@ -123,16 +123,20 @@ def search_non_transitivity(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {_echo(max_iter)}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    # rng.uniform(lo, hi) computed as it documents, lo + (hi - lo) * random();
+    # uniform(0.0, 1.0) is then random() itself
+    lo, hi = -PHASE_RANGE, PHASE_RANGE
+    span = hi - lo
     for _ in range(max_iter):
-        q1 = rng.uniform(0.0, 1.0)
-        xi1 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
-        xi2 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
-        p = rng.uniform(0.0, 1.0)
-        gamma1 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
-        gamma2 = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
-        delta = rng.uniform(-PHASE_RANGE, PHASE_RANGE)
-        # uniform() is closed at the endpoints; open-interval draws only
+        q1 = draw()
+        xi1 = lo + span * draw()
+        xi2 = lo + span * draw()
+        p = draw()
+        gamma1 = lo + span * draw()
+        gamma2 = lo + span * draw()
+        delta = lo + span * draw()
+        # the weights must lie in (0, 1); random() can return 0.0
         if not (0.0 < q1 < 1.0 and 0.0 < p < 1.0):
             continue
         q2 = 1.0 - q1
@@ -165,7 +169,13 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
             return False
         if not decompose(w.beta).decomposable:
             return False
-        if not all(entry.in_positive_cone(EPS_ALG) for entry in w.basis.entries()):
+        a11, a12, a21, a22 = w.basis.entries()
+        if not (
+            _in_cone(a11.norm_sq(), EPS_ALG)
+            and _in_cone(a12.norm_sq(), EPS_ALG)
+            and _in_cone(a21.norm_sq(), EPS_ALG)
+            and _in_cone(a22.norm_sq(), EPS_ALG)
+        ):
             return False
         alpha = change_basis(w.beta, w.basis)
         if alpha.dist(w.alpha) > EPS_ALG:

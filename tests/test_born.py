@@ -5,14 +5,26 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyperq.algebra import EPS_ALG, ONE, ZERO, SplitComplex, expj
+from hyperq.algebra import (
+    EPS_ALG,
+    ONE,
+    THETA_MAX,
+    ZERO,
+    SplitComplex,
+    _int_overflow,
+    check_phase,
+    check_probability,
+    check_sign,
+    expj,
+)
 from hyperq.born import (
     Phase,
     ProbabilityModel,
     SignPhaseReport,
+    _phase_of,
     amplitude,
     check_sign_phase_constraints,
     decompose,
@@ -100,6 +112,18 @@ class TestDecompose:
             decompose(Vec2(ONE, ONE))
 
     @given(states)
+    @example(Vec2(ONE, ZERO))
+    @example(Vec2(SplitComplex(0.3, 0.3), ONE))
+    @example(change_basis(witness_state(), hadamard_like()))
+    def test_phases_equal_the_eager_tuple(self, phi):
+        # _phase_of over both coefficients, or None when not decomposable
+        d = decompose(phi)
+        q1, q2 = phi.norms_sq()
+        eager = (_phase_of(phi.c1, q1), _phase_of(phi.c2, q2)) if d.decomposable else None
+        assert d.phases == eager
+        assert type(d.phases) is type(eager)
+
+    @given(states)
     def test_phases_are_the_polar_phases(self, phi):
         polar = [c.polar() for c in phi.coords()]
         assert decompose(phi).phases == tuple((p.sign, p.theta) for p in polar)
@@ -108,6 +132,37 @@ class TestDecompose:
         # (1e308 - -1e308) * (1e308 + -1e308) = inf * 0 = NaN
         with pytest.raises(NotNormalizedError):
             decompose(Vec2(SplitComplex(1e308, -1e308), ONE))
+
+
+# arguments with every edge of amplitude's guards, and signs that pass and fail
+amplitude_args = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.5, 1.0, 1e308, -1.0]
+    + [THETA_MAX, -THETA_MAX, math.nextafter(THETA_MAX, 400.0), 10**400, -(10**400)]
+    + [True, False, "0.5", None]
+) | st.floats()
+amplitude_signs = st.sampled_from(
+    [1, -1, 0, 2, 1.0, -1.0, True, False, 1.5, math.nan, "1", None]
+)
+
+
+def outcome(call, *args):
+    """The repr of the result, or the type and message of the error."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def guarded_amplitude(sign, q, xi):
+    """``amplitude`` calling its three guards, in order, before computing."""
+    check_sign(sign)
+    check_probability(q)
+    check_phase(xi)
+    try:
+        r = sign * math.sqrt(q)
+    except OverflowError:
+        raise _int_overflow() from None
+    return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
 
 
 class TestAmplitude:
@@ -137,6 +192,20 @@ class TestAmplitude:
         for _ in range(1000):
             sign, q, xi = rng.choice((1, -1)), rng.random(), rng.uniform(-300, 300)
             assert amplitude(sign, q, xi) == expj(xi) * (sign * math.sqrt(q))
+
+    @given(amplitude_signs, amplitude_args, amplitude_args)
+    @example(1, 10**400, 0.0)
+    @example(-1, 0.5, -(10**400))
+    @example(1, math.nan, 0.0)
+    @example(1, 0.5, math.nextafter(THETA_MAX, math.inf))
+    @example(1, "0.5", 0.0)
+    @example(1, 0.5, "0")
+    @example(True, 0.5, 0.5)
+    @example(2, "0.5", math.nan)
+    @example(math.nan, -1.0, 400.0)
+    def test_inline_guards_match_the_guards(self, sign, q, xi):
+        got = outcome(amplitude, sign, q, xi)
+        assert got == outcome(guarded_amplitude, sign, q, xi)
 
 
 def balanced_model(theta: float, eps1: int = 1) -> ProbabilityModel:
@@ -179,18 +248,27 @@ class TestProbabilityModel:
     def test_from_json_rejects_malformed(self):
         good = balanced_model(LN2).to_json_dict()
         # q, P and theta are JSON numbers (a bool is not one, nor an integer
-        # too large for a double), eps1 an integer
+        # too large for a double), eps1 an integer; a key that is missing or
+        # of another shape is named, its value is not echoed
+        without = {key: value for key, value in good.items() if key != "theta"}
         for bad, message in (
-            ({"q": [0.5], "P": [], "theta": 0}, f"{MODEL}, got dict"),
+            ({"q": [0.5], "P": [], "theta": 0}, f'{MODEL}, got dict with "q": list'),
             ({**good, "q": ["0.5", 0.5]}, f"{MODEL_ENTRIES}, got str"),
             ({**good, "q": [None, 0.5]}, f"{MODEL_ENTRIES}, got NoneType"),
             ({**good, "q": [True, False]}, f"{MODEL_ENTRIES}, got bool"),
-            ({**good, "q": {0.5, 0.25}}, f"{MODEL}, got dict"),
+            ({**good, "q": {0.5, 0.25}}, f'{MODEL}, got dict with "q": set'),
+            ({**good, "q": [0.5, 0.25, 0.25]}, f'{MODEL}, got dict with "q": list'),
             ({**good, "P": [[0.5, 0.5], [0.5, None]]}, f"{MODEL_ENTRIES}, got NoneType"),
             ({**good, "P": [[0.5, 0.5], [0.5, "0.5"]]}, f"{MODEL_ENTRIES}, got str"),
+            ({**good, "P": [[0.5, 0.5]]}, f'{MODEL}, got dict with "P": list'),
+            ({**good, "P": [[0.5, 0.5], 0.5]}, f'{MODEL}, got dict with "P": list'),
+            ({**good, "P": None}, f'{MODEL}, got dict with "P": NoneType'),
             ({**good, "theta": "0"}, f"{MODEL_ENTRIES}, got str"),
-            ({**good, "eps1": True}, f"{MODEL}, got dict"),
-            ({**good, "eps1": 1.0}, f"{MODEL}, got dict"),
+            (without, f'{MODEL}, got dict without "theta"'),
+            ({"P": good["P"]}, f'{MODEL}, got dict without "q"'),
+            ({**good, "eps1": True}, f'{MODEL}, got dict with "eps1": bool'),
+            ({**good, "eps1": 1.0}, f'{MODEL}, got dict with "eps1": 1.0'),
+            ({**good, "eps1": "1"}, f'{MODEL}, got dict with "eps1": str'),
             ({**good, "theta": 10**400}, f"{MODEL_ENTRIES}, got {HUGE}"),
             ({**good, "q": [0.5, -(10**400)]}, f"{MODEL_ENTRIES}, got {HUGE}"),
         ):

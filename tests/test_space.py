@@ -88,6 +88,16 @@ class TestVec2:
         with pytest.raises(TypeError, match="'Vec2'"):
             op(operand, u)
 
+    @given(wide_vectors, wide_vectors)
+    def test_dist_is_the_larger_coordinate_dist(self, u, v):
+        assert u.dist(v) == max(u.c1.dist(v.c1), u.c2.dist(v.c2))
+
+    def test_dist_reads_every_component(self):
+        u = Vec2(ZERO, ZERO)
+        for gaps in ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)):
+            x1, y1, x2, y2 = gaps
+            assert u.dist(Vec2(SplitComplex(x1, y1), SplitComplex(x2, y2))) == 3.0
+
     def test_norms(self):
         v = Vec2(SplitComplex(3, 2), J)
         assert v.norms_sq() == (5.0, -1.0)
@@ -323,6 +333,12 @@ class TestProbMatrix:
         p = prob_matrix(m)
         assert math.isnan(p[0][0])
         assert math.isnan(doubly_stochastic_residual(p))
+        # a NaN at each position: in p21 or p22 the first of the four sums
+        # stays finite, and the builtin max would return a finite gap
+        for row, col in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            table = [[0.5, 0.25], [0.5, 0.75]]
+            table[row][col] = math.nan
+            assert math.isnan(doubly_stochastic_residual(table)), (row, col)
 
 
 def test_import_leaves_numpy_out():

@@ -26,7 +26,21 @@ from hyperq.born import (
     pipeline_probabilities,
 )
 from hyperq.cli import main
-from hyperq.errors import NotNormalizedError, NotUnitaryError, PreconditionError
+from hyperq.errors import (
+    DegenerateInputsError,
+    NotNormalizedError,
+    NotUnitaryError,
+    PreconditionError,
+)
+from hyperq.interference import (
+    _HYP_MIN,
+    _LAMBDA_MAX,
+    _TRIG_MAX,
+    BOUNDARY,
+    HYP,
+    TRIG,
+    classify,
+)
 from hyperq.space import Mat2, Vec2, change_basis, is_orthonormal_rows
 from hyperq.witness import NonTransitivityWitness, verify_witness
 
@@ -256,6 +270,49 @@ def test_common_phase_edge(t, common):
     else:
         with pytest.raises(PreconditionError, match="columns disagree on the phase"):
             extract_model(STATE, skewed(t))
+
+
+# -- regime band: classify's |lambda| against _TRIG_MAX, _HYP_MIN, _LAMBDA_MAX --
+
+
+def band_lambda(pprime):
+    """``lambda`` of ``classify(pprime, 1.0, 1.0)`` in its own operations (root 1)."""
+    return (pprime - 1.0 - 1.0) / 1.0 / 2.0
+
+
+def band_regime(pprime):
+    """The regime ``classify`` gives ``(pprime, 1.0, 1.0)``; None when it refuses."""
+    try:
+        return classify(pprime, 1.0, 1.0).regime
+    except DegenerateInputsError:
+        return None
+
+
+# (lambda at a bound, pprime giving it, the next float pprime beyond, regimes);
+# _TRIG_MAX is reached from below zero: above it, adjacent pprimes step
+# lambda by two floats
+BAND_EDGES = [
+    (
+        -_TRIG_MAX,
+        *edge(lambda x: band_lambda(x) <= -_TRIG_MAX, 0.0, 1.0),
+        (BOUNDARY, TRIG),
+    ),
+    (_HYP_MIN, *edge(lambda x: band_lambda(x) <= _HYP_MIN, 2.0, 8.0), (BOUNDARY, HYP)),
+    (
+        _LAMBDA_MAX,
+        *edge(lambda x: band_lambda(x) <= _LAMBDA_MAX, 2.0, 4.0 * _LAMBDA_MAX),
+        (HYP, None),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "bound,at,beyond,regimes", BAND_EDGES, ids=["trig-max", "hyp-min", "lambda-max"]
+)
+def test_regime_band_edges(bound, at, beyond, regimes):
+    assert band_lambda(at) == bound
+    assert classify(at, 1.0, 1.0).lambda_ == bound
+    assert (band_regime(at), band_regime(beyond)) == regimes
 
 
 # -- the AST lock ---------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 import hyperq
 from hyperq.algebra import J, ONE, ZERO, PolarForm, SplitComplex, _Value
-from hyperq.born import Phase, ProbabilityModel, SignPhaseReport, StateDecomposition
+from hyperq.born import ProbabilityModel, SignPhaseReport, StateDecomposition
 from hyperq.space import Mat2, Vec2
 from hyperq.witness import NonTransitivityWitness, UnitaryParams
 
@@ -45,14 +45,9 @@ ROWS = [
     ),
     (
         StateDecomposition,
-        dict(
-            coefficients=V,
-            decomposable=True,
-            probabilities=(1.0, -1.0),
-            phases=(Phase(1, 0.0), None),
-        ),
+        dict(coefficients=V, decomposable=True, probabilities=(1.0, -1.0)),
         f"StateDecomposition(coefficients={V_REPR}, decomposable=True, "
-        "probabilities=(1.0, -1.0), phases=(Phase(sign=1, xi=0.0), None))",
+        "probabilities=(1.0, -1.0))",
     ),
     (
         ProbabilityModel,
