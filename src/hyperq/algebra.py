@@ -47,7 +47,7 @@ __all__ = [
 #: Fixed tolerance of every verdict, for identities that hold up to rounding.
 EPS_ALG = 1e-9
 
-#: Negligible squared norm; the default of ``SplitComplex.in_positive_cone``.
+#: Negligible weight: a squared norm this small carries no phase.
 EPS_MEM = 1e-12
 
 #: Largest |theta| accepted by ``expj`` and the hyperbolic laws.  cosh
@@ -214,16 +214,18 @@ class SplitComplex(_Value):
         """
         return (self.x - self.y) * (self.x + self.y)
 
-    def in_positive_cone(self, tol: float = EPS_MEM) -> bool:
+    def in_positive_cone(self, tol: float = EPS_ALG) -> bool:
         """True when the squared modulus is >= -tol.
 
         Membership is non-strict: the light cone belongs to the positive
-        cone even though its elements admit no polar form.  A negative or
-        NaN ``tol`` raises ``ValueError``.
+        cone even though its elements admit no polar form.  At the default
+        ``tol = EPS_ALG`` this is the library's cone rule, :func:`_in_cone`;
+        ``tol = 0.0`` gives the exact cone.  A negative or NaN ``tol``
+        raises ``ValueError``.
         """
         if not tol >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {_echo(tol)}")
-        return _in_cone(self.norm_sq(), tol)
+        return self.norm_sq() >= -tol
 
     def mag(self) -> float:
         """Largest absolute component; a cheap magnitude for tolerance scaling."""
@@ -345,13 +347,13 @@ def check_probability(p: float) -> None:
         raise ValueError(f"probability must be nonnegative, got {_echo(p)}")
 
 
-def _in_cone(ns: float, tol: float) -> bool:
-    """The positive-cone rule: squared norm ``ns >= -tol``; NaN fails.
+def _in_cone(ns: float) -> bool:
+    """The positive-cone rule: squared norm ``ns >= -EPS_ALG``; NaN fails.
 
-    The one test of decomposability (``tol = EPS_ALG``) and of the witness
-    threshold (a witness is a squared norm outside the cone at ``EPS_MEM``).
+    The one test of decomposability, of a matrix entry's membership and of
+    the witness threshold (a witness is a squared norm outside the cone).
     """
-    return ns >= -tol
+    return ns >= -EPS_ALG
 
 
 def _check_norm_sq(x: float, y: float, ns: float) -> None:

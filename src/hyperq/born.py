@@ -119,9 +119,8 @@ def decompose(phi: Vec2) -> StateDecomposition:
     q1, q2 = phi.norms_sq()
     if not _is_unit_sum(q1 + q2):
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
-    if not (_in_cone(q1, EPS_ALG) and _in_cone(q2, EPS_ALG)):
-        return StateDecomposition(phi, False, None)
-    return StateDecomposition(phi, True, (q1, q2))
+    inside = _in_cone(q1) and _in_cone(q2)
+    return StateDecomposition(phi, inside, (q1, q2) if inside else None)
 
 
 def amplitude(sign: int, q: float, xi: float) -> SplitComplex:

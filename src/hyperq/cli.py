@@ -100,6 +100,7 @@ def _run_transform(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .algebra import _in_cone
     from .space import (
         Mat2,
         _is_unit_sum,
@@ -111,10 +112,9 @@ def _run_verify(args: argparse.Namespace) -> int:
 
     basis = Mat2.from_list(_load_json(args.matrix))
     (a, b), (c, d) = p = prob_matrix(basis)
-    # each verdict comes from the one function that decides its rule; the
-    # cone rule's default tolerance is EPS_MEM
+    # each verdict comes from the one function that decides its rule
     unitary = is_orthonormal_rows(basis)
-    in_cone = all(entry.in_positive_cone() for entry in basis.entries())
+    in_cone = all(_in_cone(entry.norm_sq()) for entry in basis.entries())
     stochastic = all(map(_is_unit_sum, (a + b, c + d, a + c, b + d)))
     _emit(
         {

@@ -35,14 +35,16 @@ the search evaluates it with the interference kernel
 The search draws random states and matrices from this family and returns
 the first combination whose transformed coordinates leave the positive
 cone, packaged with everything needed to re-verify the violation from
-scratch.
+scratch.  Leaving the cone means a squared norm below ``-EPS_ALG``: the
+one cone rule, ``hyperq.algebra._in_cone``, that also decides
+``decompose``, so a witness's transformed state is never decomposable.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algebra import EPS_ALG, EPS_MEM, _check_finite, _echo, _in_cone, _law, _Value
+from .algebra import EPS_ALG, _check_finite, _echo, _in_cone, _law, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -118,8 +120,9 @@ def search_non_transitivity(
     witness built along the linear-algebra route, ``change_basis`` of the
     state through :func:`make_decomposable_unitary`, which supplies the
     violating index and its squared norm.  The first sample whose
-    transformed coordinates acquire a squared norm below ``-EPS_MEM`` is
-    returned; None if ``max_iter`` samples all stay decomposable.
+    transformed coordinates leave the positive cone (a squared norm below
+    ``-EPS_ALG``, the rule ``decompose`` applies) is returned; None if
+    ``max_iter`` samples all stay decomposable.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {_echo(max_iter)}")
@@ -141,7 +144,7 @@ def search_non_transitivity(
             continue
         q2 = 1.0 - q1
         p2 = _law(q1 * (1.0 - p), q2 * p, xi1 - xi2 + delta, -1, False)
-        if _in_cone(p2, EPS_MEM):
+        if _in_cone(p2):
             continue
         beta = Vec2(amplitude(1, q1, xi1), amplitude(1, q2, xi2))
         basis = make_decomposable_unitary(UnitaryParams(p, gamma1, gamma2, delta))
@@ -149,7 +152,7 @@ def search_non_transitivity(
         # a hit counts only if the linear-algebra route confirms it
         for index, coord in enumerate(alpha.coords(), start=1):
             ns = coord.norm_sq()
-            if not _in_cone(ns, EPS_MEM):
+            if not _in_cone(ns):
                 return NonTransitivityWitness(beta, basis, alpha, index, ns)
     return None
 
@@ -161,8 +164,9 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
     the positive cone (``change_basis`` checks that the rows are
     orthonormal, so each row is then a decomposable state), that the stored
     coordinates really are the basis change of the state, and that
-    the flagged coordinate has squared norm below ``-EPS_MEM`` matching the
-    stored value.
+    the flagged coordinate lies outside the positive cone, so ``decompose``
+    calls the transformed state not decomposable, with its squared norm
+    matching the stored value.  Every cone verdict is :func:`_in_cone`'s.
     """
     try:
         if w.violating_index not in (1, 2):
@@ -171,16 +175,16 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
             return False
         a11, a12, a21, a22 = w.basis.entries()
         if not (
-            _in_cone(a11.norm_sq(), EPS_ALG)
-            and _in_cone(a12.norm_sq(), EPS_ALG)
-            and _in_cone(a21.norm_sq(), EPS_ALG)
-            and _in_cone(a22.norm_sq(), EPS_ALG)
+            _in_cone(a11.norm_sq())
+            and _in_cone(a12.norm_sq())
+            and _in_cone(a21.norm_sq())
+            and _in_cone(a22.norm_sq())
         ):
             return False
         alpha = change_basis(w.beta, w.basis)
         if alpha.dist(w.alpha) > EPS_ALG:
             return False
         ns = alpha.coords()[w.violating_index - 1].norm_sq()
-        return not _in_cone(ns, EPS_MEM) and abs(ns - w.norm_sq) <= EPS_ALG
+        return not _in_cone(ns) and abs(ns - w.norm_sq) <= EPS_ALG
     except (PreconditionError, ValueError):
         return False

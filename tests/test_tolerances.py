@@ -42,7 +42,12 @@ from hyperq.interference import (
     classify,
 )
 from hyperq.space import Mat2, Vec2, change_basis, is_orthonormal_rows
-from hyperq.witness import NonTransitivityWitness, verify_witness
+from hyperq.witness import (
+    NonTransitivityWitness,
+    UnitaryParams,
+    make_decomposable_unitary,
+    verify_witness,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperq"
 
@@ -190,7 +195,7 @@ def test_unit_interval_edge(low, high, inside):
             model.validate()
 
 
-# -- positive cone: norm_sq >= -tol, at EPS_ALG and at EPS_MEM -----------------
+# -- positive cone: norm_sq >= -EPS_ALG ---------------------------------------
 
 
 def tilted(y):
@@ -200,45 +205,84 @@ def tilted(y):
     return Mat2(u, v, -v.conj(), u.conj())
 
 
-def witness_of(basis):
-    """The claimed witness of ``basis1`` through ``basis``: coordinate 1, ``-y*y``."""
-    beta = Vec2.basis1()
+def entry_witness(basis):
+    """A claimed witness through ``basis`` that only the entry test can refuse.
+
+    The state ``(1, -1 - j)`` is decomposable (squared norms 1 and 0); through
+    ``tilted(y)`` its coordinate 1 has squared norm about ``-2*y``, far
+    outside the cone.
+    """
+    beta = Vec2(ONE, SplitComplex(-1.0, -1.0))
     alpha = change_basis(beta, basis)
     return NonTransitivityWitness(beta, basis, alpha, 1, alpha.c1.norm_sq())
 
 
-def cone_edge(tol):
-    """``(y0, y1)``: ``-y*y`` is in the cone at ``tol`` for ``y0``, not for ``y1``."""
-    return edge(lambda y: -(y * y) >= -tol, 0.0, 2.0 * math.sqrt(tol))
+def band_witness(t):
+    """A claimed witness that only the flagged coordinate can refuse.
+
+    The state ``(amplitude(1, 0.3, t), amplitude(1, 0.7, 0))`` through
+    ``make_decomposable_unitary(UnitaryParams(0.6, 0, 0, 0))``: the squared
+    norm of coordinate 2 is ``0.54 - 2*sqrt(0.0504)*cosh(t)``.
+    """
+    beta = Vec2(amplitude(1, 0.3, t), amplitude(1, 0.7, 0.0))
+    basis = make_decomposable_unitary(UnitaryParams(0.6, 0.0, 0.0, 0.0))
+    alpha = change_basis(beta, basis)
+    return NonTransitivityWitness(beta, basis, alpha, 2, alpha.c2.norm_sq())
+
+
+def band_edge(norm_sq):
+    """``(t0, t1)``: the band witness's squared norm is >= ``norm_sq`` at ``t0``
+    and not at the next float ``t1``."""
+    return edge(lambda t: band_witness(t).norm_sq >= norm_sq, 0.0, 1.0)
+
+
+#: ``-y*y`` is in the cone for ``y0`` and not for the next float ``y1``
+CONE_EDGE = edge(lambda y: -(y * y) >= -EPS_ALG, 0.0, 2.0 * math.sqrt(EPS_ALG))
 
 
 @pytest.mark.parametrize(
-    "y,inside", zip(cone_edge(EPS_ALG), (True, False)), **AT_AND_BEYOND
+    "y,t,inside", zip(CONE_EDGE, band_edge(-EPS_ALG), (True, False)), **AT_AND_BEYOND
 )
-def test_cone_edge_at_eps_alg(y, inside, tmp_path, capsys):
+def test_cone_edge(y, t, inside, tmp_path, capsys):
     basis = tilted(y)
     assert is_orthonormal_rows(basis)
-    assert basis.a11.in_positive_cone(EPS_ALG) is inside
+    assert basis.a11.in_positive_cone() is inside
     # squared norms 1 + 2**-30 (about) and -y*y still sum to 1 within EPS_ALG
     state = Vec2(SplitComplex(1.0 + 2.0**-31, 0.0), SplitComplex(0.0, y))
     assert decompose(state).decomposable is inside
     assert pipeline_probabilities(Vec2.basis1(), basis).decomposable is inside
     code = transform_code(tmp_path, capsys, Vec2.basis1(), basis)
     assert code == (0 if inside else 3)
-    # the matrix entries must lie in the cone at EPS_ALG; -y*y is a witness
-    assert verify_witness(witness_of(basis)) is inside
-
-
-@pytest.mark.parametrize(
-    "y,inside", zip(cone_edge(EPS_MEM), (True, False)), **AT_AND_BEYOND
-)
-def test_cone_edge_at_eps_mem(y, inside, tmp_path, capsys):
-    basis = tilted(y)
-    assert basis.a11.in_positive_cone() is inside
-    _, report = verify_report(tmp_path, capsys, basis)
+    # the matrix entries: hyperq verify and verify_witness's entry test agree
+    code, report = verify_report(tmp_path, capsys, basis)
     assert report["entries_in_g_plus"] is inside
-    # the witness threshold: a squared norm outside the cone at EPS_MEM
-    assert verify_witness(witness_of(basis)) is not inside
+    assert code == (0 if inside else 3)
+    assert verify_witness(entry_witness(basis)) is inside
+    # a witness is exactly a transformed state that decompose refuses
+    w = band_witness(t)
+    assert pipeline_probabilities(w.beta, w.basis).decomposable is inside
+    assert verify_witness(w) is not inside
+
+
+# a squared norm in (-EPS_ALG, -EPS_MEM) is in the cone for every entry point:
+# as a coordinate it makes no witness, as a matrix entry it passes both checks
+
+
+def test_band_coordinate_is_no_witness(tmp_path, capsys):
+    w = band_witness(band_edge(-5e-10)[0])
+    assert -EPS_ALG < w.norm_sq < -EPS_MEM
+    assert pipeline_probabilities(w.beta, w.basis).decomposable is True
+    assert transform_code(tmp_path, capsys, w.beta, w.basis) == 0
+    assert verify_witness(w) is False
+
+
+def test_band_entry_is_in_the_cone(tmp_path, capsys):
+    basis = tilted(math.sqrt(5e-10))
+    assert -EPS_ALG < basis.a11.norm_sq() < -EPS_MEM
+    code, report = verify_report(tmp_path, capsys, basis)
+    assert report["entries_in_g_plus"] is True
+    assert code == 0
+    assert verify_witness(entry_witness(basis)) is True
 
 
 # -- common phase and opposite signs: |theta1 - theta2| <= EPS_ALG ------------
@@ -317,18 +361,20 @@ def test_regime_band_edges(bound, at, beyond, regimes):
 
 # -- the AST lock ---------------------------------------------------------------
 
-#: Every comparison in ``src/hyperq`` that names ``EPS_ALG``, ``EPS_MEM`` or
-#: the cone rule's ``tol``, by function.  A rule is decided where it appears
-#: here; a new comparison means a new rule or a copy of an old one.
+#: Every comparison in ``src/hyperq`` that names a tolerance constant, a
+#: regime band bound or ``in_positive_cone``'s ``tol``, by function.  A rule
+#: is decided where it appears here; a new comparison means a new rule or a
+#: copy of an old one.
 ALLOWED = {
-    "algebra.SplitComplex.in_positive_cone": ["tol >= 0"],
-    "algebra._in_cone": ["ns >= -tol"],
+    "algebra.SplitComplex.in_positive_cone": ["tol >= 0", "self.norm_sq() >= -tol"],
+    "algebra._in_cone": ["ns >= -EPS_ALG"],
     "born._phase_of": ["ns <= EPS_MEM"],
     "born.ProbabilityModel.validate": ["abs(gap) > EPS_ALG"],
     "born._in_unit_interval": ["-EPS_ALG <= p <= 1.0 + EPS_ALG"],
     "born._polar_or_absent": ["abs(q) <= EPS_MEM"],
     "born._sign_phase": ["abs(theta_diff) <= EPS_ALG"],
     "born.check_sign_phase_constraints": ["abs(residual) <= EPS_ALG"],
+    "interference.classify": ["mag > _LAMBDA_MAX", "mag < _TRIG_MAX", "mag > _HYP_MIN"],
     "space.is_orthonormal_rows": ["orthonormality_residual(m) <= EPS_ALG"],
     "space._is_unit_sum": ["abs(total - 1.0) <= EPS_ALG"],
     "witness.verify_witness": [
@@ -337,7 +383,15 @@ ALLOWED = {
     ],
 }
 
-TOLERANCE_NAMES = {"EPS_ALG", "EPS_MEM", "tol"}
+TOLERANCE_NAMES = {
+    "EPS_ALG",
+    "EPS_MEM",
+    "EPS_CLS",
+    "_TRIG_MAX",
+    "_HYP_MIN",
+    "_LAMBDA_MAX",
+    "tol",
+}
 
 
 def tolerance_comparisons():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hyperq.algebra import EPS_MEM, ONE, ZERO, SplitComplex
+from hyperq.algebra import EPS_ALG, ONE, ZERO, SplitComplex
 from hyperq.born import amplitude, decompose
 from hyperq.space import (
     Mat2,
@@ -84,7 +84,7 @@ class TestGenerator:
                 )
             )
             assert is_orthonormal_rows(m)
-            assert all(e.in_positive_cone(EPS_MEM) for e in m.entries())
+            assert all(e.in_positive_cone() for e in m.entries())
             assert doubly_stochastic_residual(prob_matrix(m)) <= 1e-9
 
 
@@ -156,7 +156,7 @@ def linear_algebra_search(seed: int, max_iter: int):
             assert (p2 < 0) == (alpha.c2.norm_sq() < 0), (seed, p2)
         for index, coord in enumerate(alpha.coords(), start=1):
             ns = coord.norm_sq()
-            if ns < -EPS_MEM:
+            if ns < -EPS_ALG:
                 return NonTransitivityWitness(beta, basis, alpha, index, ns)
     return None
 
@@ -177,6 +177,8 @@ def test_witnesses_are_pinned(max_iter):
     docs = []
     for seed in range(1000):
         w = search_non_transitivity(seed, max_iter)
+        # a witness leaves the cone that decompose reads
+        assert w is None or decompose(w.alpha).decomposable is False, seed
         docs.append(None if w is None else w.to_json_dict())
     digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
     assert digest == WITNESS_DIGESTS[max_iter]
