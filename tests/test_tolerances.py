@@ -236,14 +236,17 @@ def band_edge(norm_sq):
     return edge(lambda t: band_witness(t).norm_sq >= norm_sq, 0.0, 1.0)
 
 
-#: ``-y*y`` is in the cone for ``y0`` and not for the next float ``y1``
-CONE_EDGE = edge(lambda y: -(y * y) >= -EPS_ALG, 0.0, 2.0 * math.sqrt(EPS_ALG))
+def cone_edge(tol):
+    """``(y0, y1)``: ``-y*y`` is in the cone at ``tol`` for ``y0``, not for ``y1``."""
+    return edge(lambda y: -(y * y) >= -tol, 0.0, 2.0 * math.sqrt(tol))
 
 
 @pytest.mark.parametrize(
-    "y,t,inside", zip(CONE_EDGE, band_edge(-EPS_ALG), (True, False)), **AT_AND_BEYOND
+    "y,t,inside",
+    zip(cone_edge(EPS_ALG), band_edge(-EPS_ALG), (True, False)),
+    **AT_AND_BEYOND,
 )
-def test_cone_edge(y, t, inside, tmp_path, capsys):
+def test_cone_edge_at_eps_alg(y, t, inside, tmp_path, capsys):
     basis = tilted(y)
     assert is_orthonormal_rows(basis)
     assert basis.a11.in_positive_cone() is inside
@@ -264,25 +267,30 @@ def test_cone_edge(y, t, inside, tmp_path, capsys):
     assert verify_witness(w) is not inside
 
 
-# a squared norm in (-EPS_ALG, -EPS_MEM) is in the cone for every entry point:
-# as a coordinate it makes no witness, as a matrix entry it passes both checks
+@pytest.mark.parametrize(
+    "y,t,inside",
+    zip(cone_edge(EPS_MEM), band_edge(-EPS_MEM), (True, False)),
+    **AT_AND_BEYOND,
+)
+def test_cone_edge_at_eps_mem(y, t, inside, tmp_path, capsys):
+    """EPS_MEM is no cone edge: on both sides every entry point says inside.
 
-
-def test_band_coordinate_is_no_witness(tmp_path, capsys):
-    w = band_witness(band_edge(-5e-10)[0])
-    assert -EPS_ALG < w.norm_sq < -EPS_MEM
-    assert pipeline_probabilities(w.beta, w.basis).decomposable is True
-    assert transform_code(tmp_path, capsys, w.beta, w.basis) == 0
-    assert verify_witness(w) is False
-
-
-def test_band_entry_is_in_the_cone(tmp_path, capsys):
-    basis = tilted(math.sqrt(5e-10))
-    assert -EPS_ALG < basis.a11.norm_sq() < -EPS_MEM
+    One float beyond, the squared norms lie in ``(-EPS_ALG, -EPS_MEM)``: as a
+    matrix entry that passes ``hyperq verify`` and ``verify_witness``, as a
+    coordinate it makes no witness.  Only an explicit ``tol`` moves the edge.
+    """
+    basis = tilted(y)
+    assert basis.a11.in_positive_cone(EPS_MEM) is inside
+    assert basis.a11.in_positive_cone() is True
     code, report = verify_report(tmp_path, capsys, basis)
     assert report["entries_in_g_plus"] is True
     assert code == 0
     assert verify_witness(entry_witness(basis)) is True
+    w = band_witness(t)
+    assert (w.norm_sq >= -EPS_MEM) is inside and w.norm_sq > -EPS_ALG
+    assert pipeline_probabilities(w.beta, w.basis).decomposable is True
+    assert transform_code(tmp_path, capsys, w.beta, w.basis) == 0
+    assert verify_witness(w) is False
 
 
 # -- common phase and opposite signs: |theta1 - theta2| <= EPS_ALG ------------
