@@ -124,9 +124,9 @@ class SplitComplex(_Value):
     """Immutable split-complex number ``x + j*y`` with finite components.
 
     A non-finite component given to the constructor, or an ``int`` too
-    large for a double, raises ``ValueError``; an arithmetic result that is
-    not finite (an overflow), or such an ``int`` operand, raises
-    :class:`PreconditionError`.
+    large for a double, raises the finiteness rule's ``ValueError``, and so
+    does such an ``int`` operand of ``+ - * /``; an arithmetic result that
+    is not finite (an overflow) raises :class:`PreconditionError`.
     """
 
     __slots__ = ("x", "y")
@@ -173,8 +173,10 @@ class SplitComplex(_Value):
         if isinstance(other, _SCALARS):
             try:
                 return _result(self.x * other, self.y * other)
-            except OverflowError:
-                raise _int_overflow() from None
+            except (OverflowError, PreconditionError):
+                # an operand that is not finite, or else an overflow
+                _check_finite(("operand",), (other,))
+                raise
         return NotImplemented
 
     __rmul__ = __mul__
@@ -185,8 +187,10 @@ class SplitComplex(_Value):
         if isinstance(other, _SCALARS):
             try:
                 return _result(self.x / other, self.y / other)
-            except OverflowError:
-                raise _int_overflow() from None
+            except (OverflowError, PreconditionError):
+                # an operand that is not finite, or else an overflow
+                _check_finite(("operand",), (other,))
+                raise
         return NotImplemented
 
     def __neg__(self) -> SplitComplex:
@@ -311,20 +315,19 @@ def expj(theta: float) -> SplitComplex:
 def check_phase(theta: float) -> None:
     """Reject a phase that is not finite or exceeds ``THETA_MAX``.
 
-    A non-finite phase raises ``ValueError``, an out-of-range one (an ``int``
-    too large for a double included) :class:`PhaseRangeError`.  ``hyp_law``
-    and ``born.amplitude``, hot entry points, test the same predicate,
-    ``abs(theta) <= THETA_MAX``, inline and call this guard only to raise.
+    A phase that is not finite (an ``int`` too large for a double included)
+    gets the finiteness rule's ``ValueError``, a finite one beyond the range
+    :class:`PhaseRangeError`.  ``hyp_law`` and ``born.amplitude``, hot entry
+    points, test the same predicate, ``abs(theta) <= THETA_MAX``, inline and
+    call this guard only to raise.
     """
     # one comparison on the valid path; NaN and inf fail it too
     if abs(theta) <= THETA_MAX:
         return
-    if isinstance(theta, int) and not _is_finite(theta):
-        raise PhaseRangeError(
-            f"an int phase too large for a double exceeds THETA_MAX = {THETA_MAX}"
-        )
     _check_finite(("phase",), (theta,))
-    raise PhaseRangeError(f"|theta| = {abs(theta)} exceeds THETA_MAX = {THETA_MAX}")
+    raise PhaseRangeError(
+        f"|theta| = {_echo(abs(theta))} exceeds THETA_MAX = {THETA_MAX}"
+    )
 
 
 def check_sign(sign: int, name: str = "sign") -> None:
@@ -338,13 +341,18 @@ def check_sign(sign: int, name: str = "sign") -> None:
 
 
 def check_probability(p: float) -> None:
-    """Reject a negative probability with ``ValueError``; NaN fails too.
+    """Reject a probability that fails ``p >= 0``.
 
+    A failing one that is not finite (NaN, ``-inf``, an ``int`` too large for
+    a double) gets the finiteness rule's ``ValueError``; a negative finite
+    one :class:`PreconditionError`.  ``+inf`` and a huge positive ``int``
+    pass: the law kernel, :func:`_law`, refuses them as not finite.
     ``trig_law``, ``hyp_law`` and ``born.amplitude``, the hot entry points,
     test the same predicate inline and call this guard only to raise.
     """
     if not p >= 0:
-        raise ValueError(f"probability must be nonnegative, got {_echo(p)}")
+        _check_finite(("probability",), (p,))
+        raise PreconditionError(f"probability must be nonnegative, got {_echo(p)}")
 
 
 def _in_cone(ns: float) -> bool:
@@ -395,24 +403,33 @@ def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
     rewritten into terms of one sign, with ``d = (a - b) / (sqrt(a) +
     sqrt(b))``: ``d**2 - 4*sqrt(a)*sqrt(b)*sinh(theta/2)**2`` for the
     hyperbolic minus sign, ``d**2 + 4*sqrt(a)*sqrt(b)*cos(theta/2)**2`` for
-    ``cos(theta) < 0``.  Raises :class:`PreconditionError` when the value is
-    not finite, as it is once ``4*sqrt(a)*sqrt(b)`` overflows.
+    ``cos(theta) < 0``.  When the value is not finite, an input that is not
+    (``+inf``, NaN, an ``int`` too large for a double) gets the finiteness
+    rule's ``ValueError``; finite inputs whose value overflows, as it does
+    once ``4*sqrt(a)*sqrt(b)`` does, raise :class:`PreconditionError`.
     """
-    ra, rb = math.sqrt(a), math.sqrt(b)
-    if trig:
-        c = math.cos(theta)
-        plus = c >= 0.0
-    else:
-        plus = sign > 0
-    if plus:
-        value = a + b + 2.0 * (ra * rb) * (c if trig else math.cosh(theta))
-    else:
-        # a - b is exact when a and b are close, where ra - rb would cancel
-        d = (a - b) / (ra + rb) if a != b else 0.0
-        h = math.cos(0.5 * theta) if trig else math.sinh(0.5 * theta)
-        t = 4.0 * (ra * rb) * h * h
-        value = d * d + t if trig else d * d - t
+    try:
+        ra, rb = math.sqrt(a), math.sqrt(b)
+        if trig:
+            c = math.cos(theta)
+            plus = c >= 0.0
+        else:
+            plus = sign > 0
+        if plus:
+            value = a + b + 2.0 * (ra * rb) * (c if trig else math.cosh(theta))
+        else:
+            # a - b is exact when a and b are close, where ra - rb would cancel
+            d = (a - b) / (ra + rb) if a != b else 0.0
+            h = math.cos(0.5 * theta) if trig else math.sinh(0.5 * theta)
+            t = 4.0 * (ra * rb) * h * h
+            value = d * d + t if trig else d * d - t
+    except (OverflowError, ValueError):  # a huge int; cos of an infinite phase
+        value = math.nan
     if not math.isfinite(value):
+        # named as the guards name them: the phase first, which trig_law
+        # leaves to this kernel, then a probability that check_probability
+        # lets pass (+inf, a huge positive int)
+        _check_finite(("phase", "probability", "probability"), (theta, a, b))
         raise PreconditionError(
             f"law value at theta = {theta!r} is not finite: {value!r}"
         )
@@ -428,9 +445,10 @@ def _result(x: float, y: float) -> SplitComplex:
 
     The one constructor of the operators.  A ``SplitComplex`` operand is
     finite, so a component that is not comes from an overflow (or
-    ``inf - inf``), or from a non-finite scalar given to ``*`` or ``/``;
-    it raises :class:`PreconditionError`, not the ``ValueError`` of
-    malformed input at construction.
+    ``inf - inf``); it raises :class:`PreconditionError`, not the
+    ``ValueError`` of malformed input at construction.  When a scalar
+    operand of ``*`` or ``/`` that is not finite caused the failure, they
+    raise the finiteness rule's ``ValueError`` in its place.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise PreconditionError(f"arithmetic result is not finite: ({x}, {y})")
@@ -459,14 +477,9 @@ def _coerce(value: object) -> SplitComplex | None:
     if isinstance(value, _SCALARS):
         try:
             return SplitComplex(float(value), 0.0)
-        except OverflowError:
-            raise _int_overflow() from None
+        except (OverflowError, ValueError):  # an operand that is not finite
+            _check_finite(("operand",), (value,))
     return None
-
-
-def _int_overflow() -> PreconditionError:
-    """The error of an ``int`` operand that no double can hold."""
-    return PreconditionError("int operand overflows a double")
 
 
 def _is_finite(value: float) -> bool:
@@ -498,9 +511,12 @@ def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
 
     The first that is not (an ``int`` too large for a double included)
     raises ``ValueError("<name> must be finite, got <value>")``, with the
-    value shown by :func:`_echo`.  The one check behind every value type's
-    fields and ``check_phase``; ``SplitComplex``, built per arithmetic
-    result, tests the same predicate inline and calls this only to raise.
+    value shown by :func:`_echo`.  The one decision of finiteness: every
+    value type's fields, the operands of ``SplitComplex``'s operators, the
+    guards ``check_probability`` and ``check_phase``, the law kernel
+    :func:`_law`, ``classify`` and ``sweep_rows``' phase range all call it.
+    ``SplitComplex``, built per arithmetic result, and the hot entry points
+    test their own predicate inline and call this only to raise.
     """
     try:
         if all(map(math.isfinite, values)):

@@ -36,7 +36,6 @@ from .algebra import (
     _check_finite,
     _floats,
     _in_cone,
-    _int_overflow,
     _kind,
     _law,
     _malformed,
@@ -133,7 +132,7 @@ def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
     try:
         r = sign * math.sqrt(q)
     except OverflowError:  # an int too large for a double
-        raise _int_overflow() from None
+        _check_finite(("probability",), (q,))
     # the components of expj(xi) * r, without building expj(xi)
     return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
 

@@ -14,10 +14,15 @@ as ``[x, y]``, vectors as ``[[x1,y1],[x2,y2]]``, matrices as row-major
 nested arrays of the same pairs.  Data goes to standard output, diagnostics
 to standard error.
 
-Exit codes: 0 success, 1 usage, parse or I/O failure (a failed write to
-standard output included), 2 precondition violation, 3 negative semantic
-verdict (not decomposable, verification failed), 4 search exhausted.  JSON
-is still emitted on exit 3.
+Exit codes: 0 success; 1 usage, parse or I/O failure (a failed write to
+standard output included), a value that is not finite (NaN, an infinity, an
+integer too large for a double: ``ValueError`` from the one finiteness rule,
+``hyperq.algebra._check_finite``) or a command-line parameter out of its
+range; 2 a finite value outside the operation's domain, or a finite
+computation that overflows (``PreconditionError``); 3 negative semantic
+verdict (not decomposable, verification failed); 4 search exhausted.  JSON
+is still emitted on exit 3.  A negative number, in exponent form too, is
+read as an option's value, not as an option.
 
 Each runner imports the modules it needs, so ``classify`` and ``interfere``
 never load ``born``, ``space`` or ``witness``.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -36,6 +42,12 @@ __all__ = ["build_parser", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        # "-1.5e-05" is a value, not an option; argparse's own pattern, which
+        # differs between Python versions, may miss the exponent form
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)

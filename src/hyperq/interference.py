@@ -25,11 +25,19 @@ reported as the boundary where both laws coincide at theta = 0.
 The hot entry points, :func:`trig_law`, :func:`hyp_law` and
 :func:`classify`, run once per point of a sweep.  Each tests the same
 predicate as its guards (``check_probability``, ``check_sign``,
-``check_phase``, classify's finite-then-positive tests) inline, as one
-comparison chain, and calls the guards only when that chain fails, in their
-usual order, so the first failing guard raises its usual error.  On float
+``check_phase``, classify's positive references) inline, as one comparison
+chain, and calls the guards only when that chain fails, in their usual
+order, so the first failing guard raises its usual error.  On float
 arguments the chain accepts exactly what the guards accept, so the outputs
 and the errors are those of calling the guards every time.
+
+Every bad value gets the error of its class.  One that is not finite (NaN,
+an infinity, an ``int`` too large for a double) gets the finiteness rule's
+``ValueError``, from ``hyperq.algebra._check_finite``: the guards and
+classify call it before their own refusal, and the law kernel before its
+overflow refusal, so ``+inf``, which passes ``p >= 0``, is told apart from
+an overflow there.  A finite value outside the domain, or a finite
+computation that overflows, gets a :class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -40,15 +48,16 @@ from typing import NamedTuple
 
 from .algebra import (
     THETA_MAX,
+    _check_finite,
     _echo,
-    _int_overflow,
+    _is_finite,
     _law,
     check_phase,
     check_probability,
     check_sign,
     expj,
 )
-from .errors import DegenerateInputsError
+from .errors import DegenerateInputsError, PreconditionError
 
 __all__ = [
     "EPS_CLS",
@@ -77,6 +86,12 @@ _LAMBDA_MAX = math.cosh(THETA_MAX)
 _TRIG_MAX, _HYP_MIN = 1.0 - EPS_CLS, 1.0 + EPS_CLS
 
 _INF = math.inf
+
+#: Most grid points a sweep computes; it holds about 120 bytes per point.
+_STEPS_MAX = 10**6
+
+#: classify's inputs, as the finiteness rule names them.
+_CLASSIFY_INPUTS = "pprime", "p1", "p2"
 
 TRIG = "trig"
 HYP = "hyp"
@@ -107,30 +122,28 @@ _verdict = tuple.__new__
 def trig_law(p1: float, p2: float, theta: float) -> float:
     """Trigonometric interference of two probabilities at phase theta.
 
-    Any finite phase is accepted; a NaN phase raises ``ValueError``, as
-    ``math.cos`` already does for an infinite one.  A value that overflows,
-    or an ``int`` argument too large for a double, raises
+    Any finite phase is accepted.  An argument that is not finite (an
+    ``int`` too large for a double included) raises ``ValueError``, a
+    negative probability or a value that overflows
     :class:`PreconditionError`.
     """
-    # the guards' predicate in one chain; they run only to raise
-    if not (p1 >= 0.0 and p2 >= 0.0 and theta == theta):
+    # the guards' predicate in one chain; they run only to raise, and the
+    # kernel refuses a phase or a probability that is not finite
+    if not (p1 >= 0.0 and p2 >= 0.0):
         check_probability(p1)
         check_probability(p2)
-        if math.isnan(theta):
-            raise ValueError("phase must not be NaN")
-    try:
-        return _law(p1, p2, theta, 1, True)
-    except OverflowError:  # an int too large for a double
-        raise _int_overflow() from None
+    return _law(p1, p2, theta, 1, True)
 
 
 def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
     """Hyperbolic interference; with sign +1 never below (sqrt(P1)+sqrt(P2))**2.
 
     The output may leave [0, 1] even for probability inputs; that is the
-    signature feature of the hyperbolic regime, not an error.  A value that
-    overflows, or an ``int`` argument too large for a double, raises
-    :class:`PreconditionError` (:class:`PhaseRangeError` for the phase).
+    signature feature of the hyperbolic regime, not an error.  An argument
+    that is not finite (an ``int`` too large for a double included) raises
+    ``ValueError``, as does a sign other than +1 or -1; a negative
+    probability or a value that overflows raises :class:`PreconditionError`,
+    and a phase beyond ``THETA_MAX`` :class:`PhaseRangeError`.
     """
     # the guards' predicate in one chain; they run only to raise
     if not (p1 >= 0.0 and p2 >= 0.0 and sign in (1, -1) and abs(theta) <= THETA_MAX):
@@ -138,10 +151,7 @@ def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
         check_probability(p2)
         check_sign(sign)
         check_phase(theta)
-    try:
-        return _law(p1, p2, theta, sign, False)
-    except OverflowError:  # an int too large for a double
-        raise _int_overflow() from None
+    return _law(p1, p2, theta, sign, False)
 
 
 def trig_linearization_residual(a: float, b: float, theta: float) -> float:
@@ -169,22 +179,21 @@ def hyp_linearization_residual(a: float, b: float, theta: float, sign: int) -> f
 def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     """Regime, phase, and sign explaining an observed probability triple.
 
-    Both reference probabilities must be strictly positive, otherwise the
+    An argument that is not finite (an ``int`` too large for a double
+    included) raises the finiteness rule's ``ValueError``, naming it.  Both
+    reference probabilities must be strictly positive, otherwise the
     interference coefficient is undefined and
     :class:`DegenerateInputsError` is raised; the same happens when the
-    coefficient is too large for any representable phase, or an ``int``
-    argument too large for a double.  Any real ``pprime`` is accepted;
-    physical admissibility is the caller's concern.
+    coefficient is too large for any representable phase.  Any finite
+    ``pprime`` is accepted; physical admissibility is the caller's concern.
     """
     try:
         # the guards' predicate in one chain; they run only to raise
         if not (0.0 < p1 < _INF and 0.0 < p2 < _INF and -_INF < pprime < _INF):
-            if not (math.isfinite(pprime) and math.isfinite(p1) and math.isfinite(p2)):
-                raise DegenerateInputsError("inputs must be finite")
-            if p1 <= 0 or p2 <= 0:
-                raise DegenerateInputsError(
-                    f"reference probabilities must be positive, got {p1!r}, {p2!r}"
-                )
+            _check_finite(_CLASSIFY_INPUTS, (pprime, p1, p2))
+            raise DegenerateInputsError(
+                f"reference probabilities must be positive, got {p1!r}, {p2!r}"
+            )
         product = p1 * p2
         if _NORMAL_MIN <= product <= _NORMAL_MAX:
             root = math.sqrt(product)
@@ -193,8 +202,8 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
             root = math.sqrt(p1) * math.sqrt(p2)
         # 2*root can overflow; halving the quotient gives the same normal floats
         lam = (pprime - p1 - p2) / root / 2.0
-    except OverflowError:  # an int too large for a double, never printed
-        raise DegenerateInputsError("inputs must fit a double") from None
+    except OverflowError:  # an int too large for a double, which it refuses
+        _check_finite(_CLASSIFY_INPUTS, (pprime, p1, p2))
     mag = abs(lam)
     if mag > _LAMBDA_MAX:
         raise DegenerateInputsError(f"coefficient {lam} exceeds any admissible phase")
@@ -219,31 +228,34 @@ def sweep_rows(
     """``(theta, p_prime)`` of one law on a uniform ``steps``-point phase grid.
 
     The inputs are checked once for the whole grid, then the interference
-    kernel runs at each point.  ``law`` must be ``"trig"`` or ``"hyp"``
-    (``ValueError`` otherwise).  Raises :class:`PreconditionError` when a
-    law value is not finite, as it can be for probabilities near the top of
-    the float range, or when an ``int`` argument is too large for a double.
+    kernel runs at each point.  ``law`` must be ``"trig"`` or ``"hyp"``,
+    ``steps`` from 2 to 10**6, the phase range finite and increasing, and
+    the probabilities finite (``ValueError`` otherwise).  A negative
+    probability, a phase range too wide for its grid to fit a double, or a
+    law value that overflows, as it can for probabilities near the top of
+    the float range, raises :class:`PreconditionError`.
     """
     if law not in (TRIG, HYP):
         raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {_echo(steps)}")
+    if not 2 <= steps <= _STEPS_MAX:
+        raise ValueError(f"steps must be from 2 to {_STEPS_MAX}, got {_echo(steps)}")
+    _check_finite(("theta-min", "theta-max"), (theta_min, theta_max))
     if not theta_min < theta_max:
         raise ValueError("theta-min must be strictly below theta-max")
-    try:
-        span = theta_max - theta_min
-        # an infinite span would put a NaN phase (0 * inf) at the first point
-        if not math.isfinite(span):
-            raise ValueError(f"phase range [{theta_min}, {theta_max}] must be finite")
-        check_probability(p1)
-        check_probability(p2)
-        check_sign(sign)
-        thetas = [theta_min + span * i / (steps - 1) for i in range(steps)]
-        trig = law == TRIG
-        if not trig:
-            # the grid is monotone, so its end points bound every phase
-            check_phase(thetas[0])
-            check_phase(thetas[-1])
-        return [(theta, _law(p1, p2, theta, sign, trig)) for theta in thetas]
-    except OverflowError:  # an int too large for a double
-        raise _int_overflow() from None
+    span = theta_max - theta_min
+    # finite end points can lie too far apart for the grid's largest
+    # product, span * (steps - 1), to fit a double
+    if not _is_finite(span * (steps - 1)):
+        raise PreconditionError(
+            f"phase range [{_echo(theta_min)}, {_echo(theta_max)}] overflows its grid"
+        )
+    check_probability(p1)
+    check_probability(p2)
+    check_sign(sign)
+    thetas = [theta_min + span * i / (steps - 1) for i in range(steps)]
+    trig = law == TRIG
+    if not trig:
+        # the grid is monotone, so its end points bound every phase
+        check_phase(thetas[0])
+        check_phase(thetas[-1])
+    return [(theta, _law(p1, p2, theta, sign, trig)) for theta in thetas]

@@ -271,59 +271,70 @@ class TestOverflow:
         assert issubclass(PreconditionError, ValueError)
 
     @pytest.mark.parametrize(
-        "operation",
+        "operation,error",
         [
-            lambda: BIG * 10.0,
-            lambda: 10 * BIG,
-            lambda: BIG + BIG,
-            lambda: BIG + 1e308,
-            lambda: -BIG - BIG,
-            lambda: 1e308 - (-BIG),
-            lambda: BIG * BIG,
-            lambda: SplitComplex(1e308, 1e308) * SplitComplex(2.0, 0.0),
-            lambda: BIG / 1e-10,
-            lambda: BIG / SplitComplex(1e-10, 0.0),
-            lambda: SplitComplex(1e300, 0.0).inverse(),
-            lambda: SplitComplex(1e308, 1e308).inverse(),
-            lambda: PolarForm(1, 1e308, 2.0).to_number(),
-            lambda: SplitComplex(1e200, 0.0).polar(),
-            lambda: SplitComplex(1e308, -1e308).polar(),
-            lambda: SplitComplex(1.0, 0.0) * HUGE,
-            lambda: HUGE * SplitComplex(1.0, 0.0),
-            lambda: SplitComplex(1.0, 0.0) / HUGE,
-            lambda: SplitComplex(1.0, 0.0) + HUGE,
-            lambda: HUGE + SplitComplex(1.0, 0.0),
-            lambda: SplitComplex(1.0, 0.0) - HUGE,
-            lambda: HUGE - SplitComplex(1.0, 0.0),
-        ],
-        ids=[
-            "scalar-mul",
-            "scalar-rmul",
-            "add",
-            "add-scalar",
-            "sub",
-            "rsub",
-            "mul",
-            "mul-cross-terms",
-            "scalar-div",
-            "div",
-            "inverse-norm-overflow",
-            "inverse-nan-norm",
-            "polar-to-number",
-            "polar-norm-overflow",
-            "polar-nan-norm",
-            "huge-int-mul",
-            "huge-int-rmul",
-            "huge-int-div",
-            "huge-int-add",
-            "huge-int-radd",
-            "huge-int-sub",
-            "huge-int-rsub",
+            pytest.param(lambda: BIG * 10.0, PreconditionError, id="scalar-mul"),
+            pytest.param(lambda: 10 * BIG, PreconditionError, id="scalar-rmul"),
+            pytest.param(lambda: BIG + BIG, PreconditionError, id="add"),
+            pytest.param(lambda: BIG + 1e308, PreconditionError, id="add-scalar"),
+            pytest.param(lambda: -BIG - BIG, PreconditionError, id="sub"),
+            pytest.param(lambda: 1e308 - (-BIG), PreconditionError, id="rsub"),
+            pytest.param(lambda: BIG * BIG, PreconditionError, id="mul"),
+            pytest.param(
+                lambda: SplitComplex(1e308, 1e308) * SplitComplex(2.0, 0.0),
+                PreconditionError,
+                id="mul-cross-terms",
+            ),
+            pytest.param(lambda: BIG / 1e-10, PreconditionError, id="scalar-div"),
+            pytest.param(
+                lambda: BIG / SplitComplex(1e-10, 0.0), PreconditionError, id="div"
+            ),
+            pytest.param(
+                lambda: SplitComplex(1e300, 0.0).inverse(),
+                PreconditionError,
+                id="inverse-norm-overflow",
+            ),
+            pytest.param(
+                lambda: SplitComplex(1e308, 1e308).inverse(),
+                PreconditionError,
+                id="inverse-nan-norm",
+            ),
+            pytest.param(
+                lambda: PolarForm(1, 1e308, 2.0).to_number(),
+                PreconditionError,
+                id="polar-to-number",
+            ),
+            pytest.param(
+                lambda: SplitComplex(1e200, 0.0).polar(),
+                PreconditionError,
+                id="polar-norm-overflow",
+            ),
+            pytest.param(
+                lambda: SplitComplex(1e308, -1e308).polar(),
+                PreconditionError,
+                id="polar-nan-norm",
+            ),
+            # an int operand that no double holds is no overflow of a finite
+            # computation: the finiteness rule refuses it, with a ValueError
+            pytest.param(lambda: ONE * HUGE, ValueError, id="huge-int-mul"),
+            pytest.param(lambda: HUGE * ONE, ValueError, id="huge-int-rmul"),
+            pytest.param(lambda: ONE / HUGE, ValueError, id="huge-int-div"),
+            pytest.param(lambda: ONE + HUGE, ValueError, id="huge-int-add"),
+            pytest.param(lambda: HUGE + ONE, ValueError, id="huge-int-radd"),
+            pytest.param(lambda: ONE - HUGE, ValueError, id="huge-int-sub"),
+            pytest.param(lambda: HUGE - ONE, ValueError, id="huge-int-rsub"),
         ],
     )
-    def test_overflow_raises_precondition_error(self, operation):
-        with pytest.raises(PreconditionError, match="overflows|not finite"):
+    def test_overflow_raises_precondition_error(self, operation, error):
+        with pytest.raises(ValueError) as info:
             operation()
+        if error is PreconditionError:
+            assert isinstance(info.value, PreconditionError)
+            assert "not finite" in str(info.value)
+        else:
+            assert not isinstance(info.value, PreconditionError)
+            message = "operand must be finite, got an int too large for a double"
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("method", ["polar", "inverse"])
     @pytest.mark.parametrize(
@@ -349,6 +360,10 @@ class TestOverflow:
             lambda: SplitComplex(0.0, -HUGE),
             lambda: SplitComplex(math.nan, HUGE),
             lambda: SplitComplex(math.inf, -(10**5000)),
+            lambda: BIG * math.inf,
+            lambda: math.nan * ONE,
+            lambda: ONE / math.nan,
+            lambda: math.nan - ONE,
         ],
         ids=[
             "inf",
@@ -359,6 +374,10 @@ class TestOverflow:
             "huge-int-y",
             "nan-and-huge-int",
             "inf-and-huger-int",
+            "inf-scalar-mul",
+            "nan-scalar-rmul",
+            "nan-scalar-div",
+            "nan-operand-rsub",
         ],
     )
     def test_non_finite_input_stays_a_value_error(self, build):

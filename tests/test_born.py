@@ -14,7 +14,7 @@ from hyperq.algebra import (
     THETA_MAX,
     ZERO,
     SplitComplex,
-    _int_overflow,
+    _check_finite,
     check_phase,
     check_probability,
     check_sign,
@@ -161,7 +161,7 @@ def guarded_amplitude(sign, q, xi):
     try:
         r = sign * math.sqrt(q)
     except OverflowError:
-        raise _int_overflow() from None
+        _check_finite(("probability",), (q,))
     return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
 
 

@@ -9,6 +9,7 @@ import pytest
 from cli_cases import DATA, GOLDEN, GOLDEN_CASES, EXIT_CASES
 
 from hyperq.cli import _CHUNK_ROWS, main
+from hyperq.errors import PreconditionError
 from hyperq.interference import sweep_rows
 
 
@@ -104,6 +105,14 @@ def test_sweep_grid_hits_both_endpoints():
     assert thetas == sorted(thetas)
 
 
+@pytest.mark.parametrize("steps", [10**6 + 1, 10**26], ids=["1e6+1", "1e26"])
+def test_sweep_refuses_more_steps_than_it_computes(steps):
+    # 10**26 points would be allocated until the process is killed
+    with pytest.raises(ValueError, match="steps must be from 2 to 1000000") as info:
+        sweep_rows("trig", 0.5, 0.5, 0.0, 1.0, steps)
+    assert not isinstance(info.value, PreconditionError)
+
+
 @pytest.mark.parametrize("law", ["trig ", "foo", "HYP", ""])
 def test_sweep_rejects_an_unknown_law(law):
     with pytest.raises(ValueError, match="law must be"):
@@ -151,6 +160,151 @@ def test_huge_argument_gets_one_short_error_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert len(captured.err) < 200
+
+
+def triple(p1="0.5", p2="0.5", pprime="0.5"):
+    """``classify`` argv over the given values."""
+    return ["classify", "--p1", p1, "--p2", p2, "--pprime", pprime]
+
+
+def sweep(law="trig", p1="0.5", p2="0.5", theta_min="0", theta_max="1", steps="3"):
+    """``interfere`` argv over the given values."""
+    return [
+        "interfere", "--law", law, "--p1", p1, "--p2", p2,
+        "--theta-min", theta_min, "--theta-max", theta_max, "--steps", steps,
+    ]
+
+
+def state_with(x1):
+    """A state document whose first coordinate is ``[x1, 0]``."""
+    return f"[[{x1}, 0], [0, 0]]"
+
+
+def matrix_with(x11):
+    """A matrix document whose first entry is ``[x11, 0]``."""
+    return f"[[[{x11}, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+
+def transform(state=state_with(1), matrix=matrix_with(1)):
+    return ["transform", "--state", state, "--matrix", matrix]
+
+
+def verify(matrix):
+    return ["verify", "--matrix", matrix]
+
+
+def witness(max_iter):
+    return ["witness", "--seed", "1", "--max-iter", max_iter]
+
+
+#: A 400-digit integer, too large for a double.
+DIGITS = "9" * 400
+
+
+def bad_value(cls, name, code, argv):
+    return pytest.param(argv, code, id=f"{cls}-{name}")
+
+
+# One row per bad-value class and per subcommand option or file that reads
+# such a value: (argv, exit code).  A value that is not finite (NaN, an
+# infinity, an integer too large for a double) or a JSON document of the
+# wrong shape exits 1, as does a command-line parameter out of its range;
+# a finite value outside the operation's domain, or a finite computation
+# that overflows, exits 2.  An argument that starts with "[" is a JSON
+# document, written to a file whose path takes its place.
+BAD_VALUE_CASES = [
+    bad_value("negative", "classify-p1", 2, triple(p1="-1")),
+    bad_value("negative", "classify-p2", 2, triple(p2="-1.5e-05")),
+    bad_value("negative", "interfere-p1", 2, sweep(p1="-1")),
+    bad_value("negative", "interfere-p2", 2, sweep(law="hyp", p2="-1.5e-05")),
+    bad_value("negative", "interfere-steps", 1, sweep(steps="-2")),
+    bad_value("negative", "witness", 1, witness("-1")),
+    bad_value("zero", "classify-p1", 2, triple(p1="0")),
+    bad_value("zero", "classify-p2", 2, triple(p2="0")),
+    bad_value("zero", "interfere-steps", 1, sweep(steps="0")),
+    bad_value("zero", "witness", 1, witness("0")),
+    bad_value("nan", "classify-p1", 1, triple(p1="nan")),
+    bad_value("nan", "classify-p2", 1, triple(p2="nan")),
+    bad_value("nan", "classify-pprime", 1, triple(pprime="nan")),
+    bad_value("nan", "interfere-p1", 1, sweep(p1="nan")),
+    bad_value("nan", "interfere-p2", 1, sweep(law="hyp", p2="nan")),
+    bad_value("nan", "interfere-theta-min", 1, sweep(theta_min="nan")),
+    bad_value("nan", "interfere-theta-max", 1, sweep(law="hyp", theta_max="nan")),
+    bad_value("nan", "transform-state", 1, transform(state=state_with("NaN"))),
+    bad_value("nan", "verify", 1, verify(matrix_with("NaN"))),
+    bad_value("inf", "classify-p1", 1, triple(p1="inf")),
+    # "-inf" reads as an option unless joined to its flag
+    bad_value(
+        "inf", "classify-p2", 1, ["classify", "--p1", "1", "--p2=-inf", "--pprime", "1"]
+    ),
+    bad_value("inf", "classify-pprime", 1, triple(pprime="inf")),
+    bad_value("inf", "interfere-p1", 1, sweep(p1="inf")),
+    bad_value("inf", "interfere-p2", 1, sweep(law="hyp", p2="inf")),
+    bad_value("inf", "interfere-theta-max", 1, sweep(theta_max="inf")),
+    bad_value("inf", "transform-matrix", 1, transform(matrix=matrix_with("Infinity"))),
+    bad_value("inf", "verify", 1, verify(matrix_with("-Infinity"))),
+    bad_value("huge-int", "classify-p1", 1, triple(p1=DIGITS)),
+    bad_value("huge-int", "interfere-p1", 1, sweep(p1=DIGITS)),
+    bad_value("huge-int", "interfere-steps", 1, sweep(steps=DIGITS)),
+    bad_value("huge-int", "interfere-negative-steps", 1, sweep(steps="-" + DIGITS)),
+    bad_value("huge-int", "witness", 1, witness("-" + DIGITS)),
+    bad_value("huge-int", "transform-state", 1, transform(state=state_with(DIGITS))),
+    bad_value("huge-int", "verify", 1, verify(matrix_with(DIGITS))),
+    bad_value("shape", "transform-state", 1, transform(state=matrix_with(1))),
+    bad_value("shape", "transform-matrix", 1, transform(matrix=state_with(1))),
+    bad_value("shape", "verify", 1, verify("[[[1, 0], [0, 0]], [[0, 0], [1]]]")),
+    # finite values: a phase grid that overflows, more steps than a sweep
+    # computes, a hyperbolic phase beyond THETA_MAX
+    bad_value(
+        "overflow", "interfere-span", 2, sweep(theta_min="-1e308", theta_max="1e308")
+    ),
+    bad_value(
+        "overflow", "interfere-grid", 2, sweep(theta_min="-1", theta_max="1e308")
+    ),
+    bad_value("too-many", "interfere-steps", 1, sweep(steps="1000001")),
+    bad_value("phase", "interfere-theta-max", 2, sweep(law="hyp", theta_max="301")),
+]
+
+
+@pytest.mark.parametrize("argv,code", BAD_VALUE_CASES)
+def test_bad_value_gets_its_class_exit_code(argv, code, tmp_path, capsys):
+    argv = list(argv)
+    for index, arg in enumerate(argv):
+        if arg.startswith("["):
+            path = tmp_path / f"{index}.json"
+            path.write_text(arg)
+            argv[index] = str(path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        triple(pprime="-1.5e-05"),
+        triple(pprime="-2"),
+        sweep(theta_min="-1e-05"),
+        sweep(law="hyp", theta_min="-1e2", theta_max="-.5"),
+    ],
+    ids=["exponent", "integer", "interfere-exponent", "interfere-two"],
+)
+def test_negative_number_is_read_as_a_value(argv, capsys):
+    # "--flag -1.5e-05" reads the same as "--flag=-1.5e-05" on every Python
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert len(joined) < len(argv)
+    assert main(argv) == 0
+    spaced = capsys.readouterr()
+    assert main(joined) == 0
+    assert capsys.readouterr() == spaced
+    assert spaced.err == ""
 
 
 @pytest.mark.parametrize("steps", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])

@@ -70,23 +70,44 @@ HUGE_IDS = ["1e400", "-1e400", "1e5000", "-1e5000"]
 
 # every entry point outside test_interference.FIRST_ERROR_CASES that echoes a
 # scalar argument in its message, with the error of a negative and of a
-# positive huge int; None where the positive one is a valid argument
+# positive huge int, and of a negative int that a double holds; None where
+# the positive one is a valid argument.  A probability that no double holds
+# is not finite (ValueError), a negative finite one out of the domain
+# (PreconditionError)
 SCALAR_ENTRY_POINTS = {
     "trig_linearization_residual": (
         lambda n: trig_linearization_residual(n, 0.5, 0.0),
+        ValueError,
         ValueError,
         PreconditionError,
     ),
     "hyp_linearization_residual": (
         lambda n: hyp_linearization_residual(0.5, n, 0.0, 1),
         ValueError,
+        ValueError,
         PreconditionError,
     ),
-    "amplitude": (lambda n: amplitude(1, n, 0.0), ValueError, PreconditionError),
-    "in_positive_cone": (lambda n: ONE.in_positive_cone(n), ValueError, None),
-    "PolarForm.modulus": (lambda n: PolarForm(1, n, 0.0), ValueError, ValueError),
+    "amplitude": (
+        lambda n: amplitude(1, n, 0.0),
+        ValueError,
+        ValueError,
+        PreconditionError,
+    ),
+    "in_positive_cone": (
+        lambda n: ONE.in_positive_cone(n),
+        ValueError,
+        None,
+        ValueError,
+    ),
+    "PolarForm.modulus": (
+        lambda n: PolarForm(1, n, 0.0),
+        ValueError,
+        ValueError,
+        ValueError,
+    ),
     "UnitaryParams.p": (
         lambda n: UnitaryParams(n, 0.0, 0.0, 0.0),
+        ValueError,
         ValueError,
         ValueError,
     ),
@@ -94,6 +115,7 @@ SCALAR_ENTRY_POINTS = {
         lambda n: search_non_transitivity(1, n),
         ValueError,
         None,
+        ValueError,
     ),
 }
 
@@ -127,7 +149,7 @@ def test_sign_guard(entry, sign):
 @pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
 def test_huge_int_gets_a_short_message(entry, n):
     # never OverflowError, never the digits, never the digit-limit error
-    call, negative, positive = SCALAR_ENTRY_POINTS[entry]
+    call, negative, positive, _ = SCALAR_ENTRY_POINTS[entry]
     error = negative if n < 0 else positive
     if error is None:
         call(n)
@@ -143,7 +165,7 @@ def test_huge_int_gets_a_short_message(entry, n):
 def test_long_int_gets_a_short_message(entry, n):
     # a double holds it: every entry point refuses the negative one, and only
     # UnitaryParams.p the positive one; a refusal shows the double, not 301 digits
-    call, negative, _ = SCALAR_ENTRY_POINTS[entry]
+    call, _, _, negative = SCALAR_ENTRY_POINTS[entry]
     if n > 0 and entry != "UnitaryParams.p":
         call(n)
         return

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyperq.algebra import _law, check_phase, check_probability, check_sign
+from hyperq.algebra import (
+    _check_finite,
+    _law,
+    check_phase,
+    check_probability,
+    check_sign,
+)
 from hyperq.errors import DegenerateInputsError, PhaseRangeError, PreconditionError
 from hyperq.interference import (
     BOUNDARY,
@@ -233,8 +239,11 @@ class TestClassify:
             classify(0.5, 0.0, 0.5)
         with pytest.raises(DegenerateInputsError):
             classify(0.5, 0.5, -0.1)
-        with pytest.raises(DegenerateInputsError):
+        # a value that is not finite is not degenerate: the finiteness rule
+        # refuses it, and names it
+        with pytest.raises(ValueError, match="pprime must be finite, got nan") as info:
             classify(math.nan, 0.5, 0.5)
+        assert not isinstance(info.value, PreconditionError)
 
     def test_overflowing_product_keeps_the_coefficient(self):
         # an infinite p1*p2, or 2*sqrt(p1*p2), used to give lambda = 0 (trig)
@@ -293,20 +302,24 @@ NAN, INF = math.nan, math.inf
 # ints that no double can hold; GIANT is past the interpreter's 4300-digit
 # limit on int-to-str conversion
 HUGE, GIANT = 10**400, 10**5000
-INT_OVERFLOW = "int operand overflows a double"
 TOO_LARGE = "an int too large for a double"
-NEGATIVE_HUGE = f"probability must be nonnegative, got {TOO_LARGE}"
+NEGATIVE = "probability must be nonnegative, got"
+NOT_FINITE_HUGE = f"probability must be finite, got {TOO_LARGE}"
 SIGN_HUGE = f"sign must be +1 or -1, got {TOO_LARGE}"
+STEPS_HUGE = f"steps must be from 2 to 1000000, got {TOO_LARGE}"
 
 # (entry point, arguments with two or more of them bad, error, its message):
 # the guards run in their order, so the first failing one names the fault.
-# The HUGE and GIANT rows have one bad argument: the error is the documented
-# one, and its message, under 80 characters, never prints the int
+# A value that is not finite (NaN, an infinity, an int no double holds) gets
+# the finiteness rule's ValueError, a finite one outside the domain a
+# PreconditionError.  The HUGE and GIANT rows have one bad argument: the
+# error is the documented one, and its message, under 80 characters, never
+# prints the int
 FIRST_ERROR_CASES = [
-    (hyp_law, (-1, 0.5, NAN, 0), ValueError, "probability must be nonnegative, got -1"),
+    (hyp_law, (-1, 0.5, NAN, 0), PreconditionError, f"{NEGATIVE} -1"),
     (hyp_law, (0.5, 0.5, NAN, 0), ValueError, "sign must be +1 or -1, got 0"),
-    (hyp_law, (NAN, -1.0, 400.0, 2), ValueError, "probability must be nonnegative, got nan"),
-    (hyp_law, (0.5, -INF, 400.0, 2), ValueError, "probability must be nonnegative, got -inf"),
+    (hyp_law, (NAN, -1.0, 400.0, 2), ValueError, "probability must be finite, got nan"),
+    (hyp_law, (0.5, -INF, 400.0, 2), ValueError, "probability must be finite, got -inf"),
     (hyp_law, (0.5, 0.5, INF, 2), ValueError, "sign must be +1 or -1, got 2"),
     (hyp_law, (0.5, 0.5, -301.0, 1.5), ValueError, "sign must be +1 or -1, got 1.5"),
     (
@@ -315,14 +328,17 @@ FIRST_ERROR_CASES = [
         PhaseRangeError,
         "|theta| = 301.0 exceeds THETA_MAX = 300.0",
     ),
-    (trig_law, (NAN, 0.5, NAN), ValueError, "probability must be nonnegative, got nan"),
-    (trig_law, (0.5, -INF, NAN), ValueError, "probability must be nonnegative, got -inf"),
-    (trig_law, (-0.5, -0.25, 0.0), ValueError, "probability must be nonnegative, got -0.5"),
-    (trig_law, (1e308, 1e308, NAN), ValueError, "phase must not be NaN"),
-    (classify, (INF, -1.0, 0.5), DegenerateInputsError, "inputs must be finite"),
-    (classify, (0.5, 0.0, NAN), DegenerateInputsError, "inputs must be finite"),
-    (classify, (NAN, 0.0, 0.0), DegenerateInputsError, "inputs must be finite"),
-    (classify, (-INF, INF, 0.5), DegenerateInputsError, "inputs must be finite"),
+    (trig_law, (NAN, 0.5, NAN), ValueError, "probability must be finite, got nan"),
+    (trig_law, (0.5, -INF, NAN), ValueError, "probability must be finite, got -inf"),
+    (trig_law, (-0.5, -0.25, 0.0), PreconditionError, f"{NEGATIVE} -0.5"),
+    (trig_law, (1e308, 1e308, NAN), ValueError, "phase must be finite, got nan"),
+    # +inf passes p >= 0; the kernel tells it apart from an overflow
+    (trig_law, (INF, 0.5, 0.0), ValueError, "probability must be finite, got inf"),
+    (hyp_law, (0.5, INF, 1.0, -1), ValueError, "probability must be finite, got inf"),
+    (classify, (INF, -1.0, 0.5), ValueError, "pprime must be finite, got inf"),
+    (classify, (0.5, 0.0, NAN), ValueError, "p2 must be finite, got nan"),
+    (classify, (NAN, 0.0, 0.0), ValueError, "pprime must be finite, got nan"),
+    (classify, (-INF, INF, 0.5), ValueError, "pprime must be finite, got -inf"),
     (
         classify,
         (0.5, -0.0, 0.5),
@@ -341,55 +357,44 @@ FIRST_ERROR_CASES = [
         DegenerateInputsError,
         "reference probabilities must be positive, got 0.25, -0.25",
     ),
-    (hyp_law, (HUGE, 0.5, 0.0, 1), PreconditionError, INT_OVERFLOW),
-    (hyp_law, (0.5, HUGE, 1.0, -1), PreconditionError, INT_OVERFLOW),
+    (hyp_law, (HUGE, 0.5, 0.0, 1), ValueError, NOT_FINITE_HUGE),
+    (hyp_law, (0.5, HUGE, 1.0, -1), ValueError, NOT_FINITE_HUGE),
+    (hyp_law, (0.5, 0.5, HUGE, 1), ValueError, f"phase must be finite, got {TOO_LARGE}"),
+    (trig_law, (HUGE, 0.5, 0.0), ValueError, NOT_FINITE_HUGE),
+    (trig_law, (0.5, 0.5, HUGE), ValueError, f"phase must be finite, got {TOO_LARGE}"),
+    (classify, (0.5, HUGE, 0.5), ValueError, f"p1 must be finite, got {TOO_LARGE}"),
+    (classify, (HUGE, 0.5, 0.5), ValueError, f"pprime must be finite, got {TOO_LARGE}"),
+    (classify, (0.5, HUGE, HUGE), ValueError, f"p1 must be finite, got {TOO_LARGE}"),
+    (sweep_rows, ("trig", HUGE, 0.5, 0.0, 1.0, 3), ValueError, NOT_FINITE_HUGE),
+    (sweep_rows, ("hyp", 0.5, HUGE, 0.0, 1.0, 3), ValueError, NOT_FINITE_HUGE),
     (
-        hyp_law,
-        (0.5, 0.5, HUGE, 1),
-        PhaseRangeError,
-        "an int phase too large for a double exceeds THETA_MAX = 300.0",
+        sweep_rows,
+        ("trig", 0.5, 0.5, 0, HUGE, 3),
+        ValueError,
+        f"theta-max must be finite, got {TOO_LARGE}",
     ),
-    (trig_law, (HUGE, 0.5, 0.0), PreconditionError, INT_OVERFLOW),
-    (trig_law, (0.5, 0.5, HUGE), PreconditionError, INT_OVERFLOW),
-    (classify, (0.5, HUGE, 0.5), DegenerateInputsError, "inputs must fit a double"),
-    (classify, (HUGE, 0.5, 0.5), DegenerateInputsError, "inputs must fit a double"),
-    (classify, (0.5, HUGE, HUGE), DegenerateInputsError, "inputs must fit a double"),
-    (sweep_rows, ("trig", HUGE, 0.5, 0.0, 1.0, 3), PreconditionError, INT_OVERFLOW),
-    (sweep_rows, ("hyp", 0.5, HUGE, 0.0, 1.0, 3), PreconditionError, INT_OVERFLOW),
-    (sweep_rows, ("trig", 0.5, 0.5, 0, HUGE, 3), PreconditionError, INT_OVERFLOW),
     (
         sweep_rows,
         ("trig", 0.5, 0.5, HUGE, HUGE + 1, 3),
-        PreconditionError,
-        INT_OVERFLOW,
+        ValueError,
+        f"theta-min must be finite, got {TOO_LARGE}",
     ),
     # a guard that refuses a huge int names it and prints no digit
-    (hyp_law, (-HUGE, 0.5, 0.0, 1), ValueError, NEGATIVE_HUGE),
-    (hyp_law, (0.5, -GIANT, NAN, 0), ValueError, NEGATIVE_HUGE),
+    (hyp_law, (-HUGE, 0.5, 0.0, 1), ValueError, NOT_FINITE_HUGE),
+    (hyp_law, (0.5, -GIANT, NAN, 0), ValueError, NOT_FINITE_HUGE),
     (hyp_law, (0.5, 0.5, NAN, HUGE), ValueError, SIGN_HUGE),
     (hyp_law, (0.5, 0.5, 0.0, -GIANT), ValueError, SIGN_HUGE),
-    (hyp_law, (GIANT, 0.5, 0.0, 1), PreconditionError, INT_OVERFLOW),
-    (trig_law, (0.5, -HUGE, NAN), ValueError, NEGATIVE_HUGE),
-    (trig_law, (-GIANT, 0.5, 0.0), ValueError, NEGATIVE_HUGE),
-    (trig_law, (0.5, GIANT, 0.0), PreconditionError, INT_OVERFLOW),
-    (classify, (0.5, -GIANT, 0.5), DegenerateInputsError, "inputs must fit a double"),
-    (sweep_rows, ("hyp", -HUGE, 0.5, 0.0, 1.0, 3), ValueError, NEGATIVE_HUGE),
+    (hyp_law, (GIANT, 0.5, 0.0, 1), ValueError, NOT_FINITE_HUGE),
+    (trig_law, (0.5, -HUGE, NAN), ValueError, NOT_FINITE_HUGE),
+    (trig_law, (-GIANT, 0.5, 0.0), ValueError, NOT_FINITE_HUGE),
+    (trig_law, (0.5, GIANT, 0.0), ValueError, NOT_FINITE_HUGE),
+    (classify, (0.5, -GIANT, 0.5), ValueError, f"p1 must be finite, got {TOO_LARGE}"),
+    (sweep_rows, ("hyp", -HUGE, 0.5, 0.0, 1.0, 3), ValueError, NOT_FINITE_HUGE),
     (sweep_rows, ("hyp", 0.5, 0.5, 0.0, 1.0, 3, -GIANT), ValueError, SIGN_HUGE),
-    (
-        sweep_rows,
-        ("trig", 0.5, 0.5, 0.0, 1.0, -HUGE),
-        ValueError,
-        f"steps must be at least 2, got {TOO_LARGE}",
-    ),
-    (
-        sweep_rows,
-        ("trig", 0.5, 0.5, 0.0, 1.0, -GIANT),
-        ValueError,
-        f"steps must be at least 2, got {TOO_LARGE}",
-    ),
-    (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, GIANT), PreconditionError, INT_OVERFLOW),
+    (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, -HUGE), ValueError, STEPS_HUGE),
+    (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, -GIANT), ValueError, STEPS_HUGE),
+    (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, GIANT), ValueError, STEPS_HUGE),
 ]
-
 
 def case_id(entry, args):
     """The call as a test id, with HUGE and GIANT by name."""
@@ -455,8 +460,7 @@ def outcome(call, *args):
 def guarded_trig_law(p1, p2, theta):
     check_probability(p1)
     check_probability(p2)
-    if math.isnan(theta):
-        raise ValueError("phase must not be NaN")
+    _check_finite(("phase",), (theta,))
     return _law(p1, p2, theta, 1, True)
 
 
@@ -492,7 +496,12 @@ class TestInlineGuards:
     def test_classify(self, pprime, p1, p2):
         got = outcome(classify, pprime, p1, p2)
         if not all(map(math.isfinite, (pprime, p1, p2))):
-            assert got == (DegenerateInputsError, "inputs must be finite")
+            name, value = next(
+                pair
+                for pair in zip(("pprime", "p1", "p2"), (pprime, p1, p2))
+                if not math.isfinite(pair[1])
+            )
+            assert got == (ValueError, f"{name} must be finite, got {value!r}")
         elif p1 <= 0 or p2 <= 0:
             message = f"reference probabilities must be positive, got {p1!r}, {p2!r}"
             assert got == (DegenerateInputsError, message)
