@@ -59,15 +59,17 @@ class _Value:
     """Base of the immutable value types: slots, init, equality, hash and repr.
 
     A subclass lists its fields in ``__slots__`` and, if its arguments need
-    checking, a static ``_check`` taking the fields in order; real fields go
-    through the one finiteness rule, :func:`_check_finite`.  The class gets
-    a generated ``__init__(self, <fields>)`` that calls ``_check`` (its own or
-    an inherited one) and stores each field through its slot descriptor
-    (assignment is blocked here).  Equality holds only between instances of
-    the same class with equal field tuples, the hash is that of the field
-    tuple, and the repr reads ``Name(field=value, ...)``.  ``__reduce__``
-    rebuilds through ``__init__``, so ``copy`` and ``pickle`` work and
-    re-validate.
+    checking, a static ``_check`` that takes the fields in order and returns
+    them, in order, as they are to be stored: each real field a ``float``
+    (through :func:`_reals`, the one finiteness rule :func:`_check_finite`
+    followed by ``float``), each sign an ``int``.  The class gets a
+    generated ``__init__(self, <fields>)`` that rebinds the fields to what
+    ``_check`` (its own or an inherited one) returns and stores each through
+    its slot descriptor (assignment is blocked here).  Equality holds only
+    between instances of the same class with equal field tuples, the hash
+    is that of the field tuple, and the repr reads ``Name(field=value,
+    ...)``.  ``__reduce__`` rebuilds through ``__init__``, so ``copy`` and
+    ``pickle`` work and re-validate.
     """
 
     __slots__ = ()
@@ -81,14 +83,15 @@ class _Value:
         # every value type has at least two fields, so it returns a tuple
         cls._field_tuple = operator.attrgetter(*fields)
         # __init__ compiled from the slot names, as namedtuple compiles its
-        # __new__: _check if the class has one, then each descriptor's __set__
+        # __new__: the fields as _check returns them, if the class has one,
+        # then each descriptor's __set__
         args = ", ".join(fields)
         namespace = {f"_set{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
         source = [f"def __init__(self, {args}):"]
         check = getattr(cls, "_check", None)
         if check is not None:
             namespace["_check"] = check
-            source.append(f" _check({args})")
+            source.append(f" {args} = _check({args})")
         source += [f" _set{i}(self, {f})" for i, f in enumerate(fields)]
         exec("\n".join(source), namespace)
         init = cls.__init__ = namespace["__init__"]
@@ -123,29 +126,31 @@ class _Value:
 class SplitComplex(_Value):
     """Immutable split-complex number ``x + j*y`` with finite components.
 
-    A non-finite component given to the constructor, or an ``int`` too
-    large for a double, raises the finiteness rule's ``ValueError``, and so
-    does such an ``int`` operand of ``+ - * /``; an arithmetic result that
-    is not finite (an overflow) raises :class:`PreconditionError`.
+    Both components are stored as ``float``.  A non-finite component given
+    to the constructor, or an ``int`` too large for a double, raises the
+    finiteness rule's ``ValueError``, and so does such a scalar operand of
+    ``+ - * /``; dividing by a zero scalar raises what dividing by ``ZERO``
+    raises, :class:`DegenerateNormError`.  An arithmetic result that is not
+    finite (an overflow) raises :class:`PreconditionError`.
     """
 
     __slots__ = ("x", "y")
 
     @staticmethod
-    def _check(x: float, y: float) -> None:
-        # the finiteness rule inline on the valid path; _check_finite raises
-        try:
-            if math.isfinite(x) and math.isfinite(y):
-                return
-        except OverflowError:  # an int too large for a double
-            pass
-        _check_finite(("x", "y"), (x, y))
+    def _check(x: float, y: float) -> tuple[float, float]:
+        # two finite floats are stored as given, tested without a call
+        # (x - x is 0.0 for a finite float, NaN otherwise); the rule and the
+        # conversion run for any other input
+        if x.__class__ is y.__class__ is float and x - x == y - y:
+            return x, y
+        return _reals(("x", "y"), (x, y))
 
     # -- ring structure ----------------------------------------------------
 
     # Each operator takes a SplitComplex or an int/float scalar and returns
     # NotImplemented for anything else, so a Vec2 operand reaches Vec2's
-    # reflected method and an unrelated type raises TypeError.
+    # reflected method and an unrelated type raises TypeError.  A scalar is
+    # converted once, by _scalar, before the arithmetic.
 
     def __add__(self, other: SplitComplex | float | int) -> SplitComplex:
         other = _coerce(other)
@@ -171,12 +176,8 @@ class SplitComplex(_Value):
                 self.x * other.y + other.x * self.y,
             )
         if isinstance(other, _SCALARS):
-            try:
-                return _result(self.x * other, self.y * other)
-            except (OverflowError, PreconditionError):
-                # an operand that is not finite, or else an overflow
-                _check_finite(("operand",), (other,))
-                raise
+            other = _scalar(other)
+            return _result(self.x * other, self.y * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -185,12 +186,10 @@ class SplitComplex(_Value):
         if isinstance(other, SplitComplex):
             return self * other.inverse()
         if isinstance(other, _SCALARS):
-            try:
-                return _result(self.x / other, self.y / other)
-            except (OverflowError, PreconditionError):
-                # an operand that is not finite, or else an overflow
-                _check_finite(("operand",), (other,))
-                raise
+            other = _scalar(other)
+            if other == 0.0:  # the zero divisor, refused as ZERO is
+                return self / ZERO
+            return _result(self.x / other, self.y / other)
         return NotImplemented
 
     def __neg__(self) -> SplitComplex:
@@ -276,25 +275,27 @@ class SplitComplex(_Value):
         """Read the JSON form ``[x, y]``; anything else raises ``ValueError``."""
         match data:
             case [x, y]:
-                return cls(*_floats(_NUMBER, x, y))
+                return cls(*_numbers(_NUMBER, x, y))
         raise _malformed(_NUMBER, data)
 
 
 class PolarForm(_Value):
     """Polar data ``(sign, modulus, theta)`` of a split-complex number.
 
-    The sign is +1 or -1, the modulus finite and positive, the phase finite;
-    anything else raises ``ValueError``.
+    The sign is +1 or -1, stored as an ``int``; the modulus is finite and
+    positive, the phase finite, both stored as ``float``.  Anything else
+    raises ``ValueError``.
     """
 
     __slots__ = ("sign", "modulus", "theta")
 
     @staticmethod
-    def _check(sign: int, modulus: float, theta: float) -> None:
+    def _check(sign: int, modulus: float, theta: float) -> tuple[int, float, float]:
         check_sign(sign)
-        _check_finite(("modulus", "theta"), (modulus, theta))
+        modulus, theta = _reals(("modulus", "theta"), (modulus, theta))
         if not modulus > 0.0:
-            raise ValueError(f"modulus must be strictly positive, got {_echo(modulus)}")
+            raise ValueError(f"modulus must be strictly positive, got {modulus!r}")
+        return int(sign), modulus, theta
 
     def to_number(self) -> SplitComplex:
         """Reconstruct the source number ``sign * modulus * expj(theta)``."""
@@ -443,12 +444,11 @@ _sc_x, _sc_y = SplitComplex.x.__set__, SplitComplex.y.__set__
 def _result(x: float, y: float) -> SplitComplex:
     """``SplitComplex(x, y)`` for the result of an arithmetic operation.
 
-    The one constructor of the operators.  A ``SplitComplex`` operand is
-    finite, so a component that is not comes from an overflow (or
-    ``inf - inf``); it raises :class:`PreconditionError`, not the
-    ``ValueError`` of malformed input at construction.  When a scalar
-    operand of ``*`` or ``/`` that is not finite caused the failure, they
-    raise the finiteness rule's ``ValueError`` in its place.
+    The one constructor of the operators.  Every operand is finite (a
+    scalar one passed :func:`_scalar`), so a component that is not comes
+    from an overflow (or ``inf - inf``); it raises
+    :class:`PreconditionError`, not the ``ValueError`` of malformed input at
+    construction.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise PreconditionError(f"arithmetic result is not finite: ({x}, {y})")
@@ -475,11 +475,29 @@ def _coerce(value: object) -> SplitComplex | None:
     if isinstance(value, SplitComplex):
         return value
     if isinstance(value, _SCALARS):
-        try:
-            return SplitComplex(float(value), 0.0)
-        except (OverflowError, ValueError):  # an operand that is not finite
-            _check_finite(("operand",), (value,))
+        return SplitComplex(_scalar(value), 0.0)
     return None
+
+
+def _scalar(value: float) -> float:
+    """A scalar operand of the operators as a ``float``; converted once.
+
+    The finiteness rule runs first, so NaN, an infinity or an ``int`` too
+    large for a double raises ``ValueError("operand must be finite, ...")``
+    before any arithmetic.
+    """
+    _check_finite(("operand",), (value,))
+    return float(value)
+
+
+def _reals(names: tuple[str, ...], values: tuple[float, ...]) -> tuple[float, ...]:
+    """Real fields of a value type as stored: the finiteness rule, then ``float``.
+
+    An ``int`` (a ``bool`` included) that passes the rule is stored as its
+    double, so every kernel computes in floats.
+    """
+    _check_finite(names, values)
+    return tuple(map(float, values))
 
 
 def _is_finite(value: float) -> bool:
@@ -512,11 +530,12 @@ def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
     The first that is not (an ``int`` too large for a double included)
     raises ``ValueError("<name> must be finite, got <value>")``, with the
     value shown by :func:`_echo`.  The one decision of finiteness: every
-    value type's fields, the operands of ``SplitComplex``'s operators, the
-    guards ``check_probability`` and ``check_phase``, the law kernel
-    :func:`_law`, ``classify`` and ``sweep_rows``' phase range all call it.
-    ``SplitComplex``, built per arithmetic result, and the hot entry points
-    test their own predicate inline and call this only to raise.
+    value type's real fields (:func:`_reals`), the scalar operands of
+    ``SplitComplex``'s operators (:func:`_scalar`), the guards
+    ``check_probability`` and ``check_phase``, ``born.amplitude``, the law
+    kernel :func:`_law`, ``classify`` and ``sweep_rows``' phase range all
+    call it.  ``SplitComplex``, on two floats, and the hot entry points test
+    their own predicate inline and call this only to raise.
     """
     try:
         if all(map(math.isfinite, values)):
@@ -531,14 +550,15 @@ def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
 _NUMBER = "split-complex number", "[x, y]"
 
 
-def _floats(form: tuple[str, str], *leaves: object) -> list[float]:
-    """The leaves of a JSON document, each a JSON number, as floats.
+def _numbers(form: tuple[str, str], *leaves: object) -> tuple[object, ...]:
+    """The leaves of a JSON document, each a JSON number, as given.
 
     The first leaf that is no number (:func:`_is_number`) is refused
-    through :func:`_malformed`.
+    through :func:`_malformed`.  The value type built from them converts
+    each to ``float`` (:func:`_reals`).
     """
     if all(map(_is_number, leaves)):
-        return list(map(float, leaves))
+        return leaves
     bad = next(leaf for leaf in leaves if not _is_number(leaf))
     raise _malformed(form, bad, " with numeric entries")
 

@@ -26,6 +26,7 @@ state stopped being decomposable, so they are flagged rather than clamped.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .algebra import (
@@ -34,12 +35,14 @@ from .algebra import (
     THETA_MAX,
     SplitComplex,
     _check_finite,
-    _floats,
     _in_cone,
     _kind,
     _law,
     _malformed,
+    _numbers,
     _polar,
+    _reals,
+    _result,
     _Value,
     check_phase,
     check_probability,
@@ -122,19 +125,27 @@ def decompose(phi: Vec2) -> StateDecomposition:
     return StateDecomposition(phi, inside, (q1, q2) if inside else None)
 
 
+#: The largest double; ``amplitude`` refuses a probability above it.
+_DOUBLE_MAX = sys.float_info.max
+
+
 def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
-    """Coefficient ``sign * sqrt(q) * expj(xi)`` with squared norm ``q``."""
-    # the guards' predicate in one chain; they run only to raise
-    if not (sign in (1, -1) and q >= 0 and abs(xi) <= THETA_MAX):
+    """Coefficient ``sign * sqrt(q) * expj(xi)`` with squared norm ``q``.
+
+    A probability that is not finite (``+inf``, an ``int`` too large for a
+    double) gets the finiteness rule's ``ValueError``, naming it.
+    """
+    # the guards' predicate in one chain; they run only to raise, the
+    # finiteness rule last, for what passes check_probability
+    if not (sign in (1, -1) and q >= 0 and q <= _DOUBLE_MAX and abs(xi) <= THETA_MAX):
         check_sign(sign)
         check_probability(q)
         check_phase(xi)
-    try:
-        r = sign * math.sqrt(q)
-    except OverflowError:  # an int too large for a double
         _check_finite(("probability",), (q,))
-    # the components of expj(xi) * r, without building expj(xi)
-    return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
+    r = sign * math.sqrt(q)
+    # the components of expj(xi) * r, without building expj(xi); finite,
+    # since sqrt(_DOUBLE_MAX) * cosh(THETA_MAX) is
+    return _result(math.cosh(xi) * r, math.sinh(xi) * r)
 
 
 def _check_unit_sums(kind: str, *totals: float) -> None:
@@ -157,16 +168,18 @@ class ProbabilityModel(_Value):
     ``p11..p22`` the squared norms of the basis-matrix entries, ``theta``
     the common interference phase, and ``eps1`` the sign on the first
     interference term.  The second sign is always ``-eps1``; independent
-    signs cannot preserve total probability.
+    signs cannot preserve total probability.  The seven reals are stored as
+    ``float``, ``eps1`` as an ``int``.
     """
 
     __slots__ = ("q1", "q2", "p11", "p12", "p21", "p22", "theta", "eps1")
 
     @staticmethod
-    def _check(q1, q2, p11, p12, p21, p22, theta, eps1) -> None:
+    def _check(q1, q2, p11, p12, p21, p22, theta, eps1) -> tuple:
         # zip in _check_finite pairs the seven real fields with their names
-        _check_finite(ProbabilityModel.__slots__, (q1, q2, p11, p12, p21, p22, theta))
+        reals = _reals(ProbabilityModel.__slots__, (q1, q2, p11, p12, p21, p22, theta))
         check_sign(eps1, "eps1")
+        return reals + (int(eps1),)
 
     @property
     def eps2(self) -> int:
@@ -218,7 +231,7 @@ class ProbabilityModel(_Value):
                 "theta": theta,
                 "eps1": int(eps1),
             } if not isinstance(eps1, bool):
-                return cls(*_floats(_MODEL, q1, q2, p11, p12, p21, p22, theta), eps1)
+                return cls(*_numbers(_MODEL, q1, q2, p11, p12, p21, p22, theta), eps1)
             case {}:
                 raise _malformed(_MODEL, data, detail=_misfit(data))
         raise _malformed(_MODEL, data)

@@ -21,8 +21,8 @@ integer too large for a double: ``ValueError`` from the one finiteness rule,
 range; 2 a finite value outside the operation's domain, or a finite
 computation that overflows (``PreconditionError``); 3 negative semantic
 verdict (not decomposable, verification failed); 4 search exhausted.  JSON
-is still emitted on exit 3.  A negative number, in exponent form too, is
-read as an option's value, not as an option.
+is still emitted on exit 3.  A negative number, in exponent form too, and
+``-inf`` or ``-nan`` are read as an option's value, not as an option.
 
 Each runner imports the modules it needs, so ``classify`` and ``interfere``
 never load ``born``, ``space`` or ``witness``.
@@ -44,9 +44,9 @@ __all__ = ["build_parser", "main"]
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
-        # "-1.5e-05" is a value, not an option; argparse's own pattern, which
-        # differs between Python versions, may miss the exponent form
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # "-1.5e-05" and "-inf" are values, not options; argparse's own
+        # pattern, which differs between Python versions, misses them
+        self._negative_number_matcher = re.compile(r"(?i)^-(\.?\d|(inf|infinity|nan)$)")
 
     # usage errors must exit 1, not argparse's default 2
     def error(self, message: str) -> None:
@@ -126,7 +126,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     (a, b), (c, d) = p = prob_matrix(basis)
     # each verdict comes from the one function that decides its rule
     unitary = is_orthonormal_rows(basis)
-    in_cone = all(_in_cone(entry.norm_sq()) for entry in basis.entries())
+    in_cone = all(map(_in_cone, (a, b, c, d)))
     stochastic = all(map(_is_unit_sum, (a + b, c + d, a + c, b + d)))
     _emit(
         {

@@ -19,7 +19,7 @@ import math
 from typing import Sequence
 
 from .algebra import (
-    EPS_ALG, ONE, ZERO, _SCALARS, SplitComplex, _floats, _malformed, _result, _Value
+    EPS_ALG, ONE, ZERO, _SCALARS, SplitComplex, _malformed, _numbers, _result, _Value
 )
 from .errors import NotUnitaryError, PreconditionError
 
@@ -92,7 +92,7 @@ class Vec2(_Value):
         """Read the JSON form ``[[x1, y1], [x2, y2]]``; else ``ValueError``."""
         match data:
             case [[x1, y1], [x2, y2]]:
-                x1, y1, x2, y2 = _floats(_VECTOR, x1, y1, x2, y2)
+                _numbers(_VECTOR, x1, y1, x2, y2)
                 return cls(SplitComplex(x1, y1), SplitComplex(x2, y2))
         raise _malformed(_VECTOR, data)
 
@@ -133,9 +133,7 @@ class Mat2(_Value):
         """Read the JSON form of :meth:`to_list`; anything else raises ``ValueError``."""
         match data:
             case [[[x11, y11], [x12, y12]], [[x21, y21], [x22, y22]]]:
-                x11, y11, x12, y12, x21, y21, x22, y22 = _floats(
-                    _MATRIX, x11, y11, x12, y12, x21, y21, x22, y22
-                )
+                _numbers(_MATRIX, x11, y11, x12, y12, x21, y21, x22, y22)
                 return cls(
                     SplitComplex(x11, y11),
                     SplitComplex(x12, y12),

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import EPS_ALG, _check_finite, _echo, _in_cone, _law, _Value
+from .algebra import EPS_ALG, _echo, _in_cone, _law, _reals, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -61,15 +61,16 @@ PHASE_RANGE = 3.0
 
 
 class UnitaryParams(_Value):
-    """Parameters of one decomposable row-orthonormal matrix."""
+    """Parameters of one decomposable row-orthonormal matrix, stored as floats."""
 
     __slots__ = ("p", "gamma1", "gamma2", "delta")
 
     @staticmethod
-    def _check(p: float, gamma1: float, gamma2: float, delta: float) -> None:
+    def _check(p: float, gamma1: float, gamma2: float, delta: float) -> tuple:
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must lie strictly inside (0, 1), got {_echo(p)}")
-        _check_finite(("gamma1", "gamma2", "delta"), (gamma1, gamma2, delta))
+        # p, finite now, passes the rule
+        return _reals(UnitaryParams.__slots__, (p, gamma1, gamma2, delta))
 
 
 def make_decomposable_unitary(params: UnitaryParams) -> Mat2:

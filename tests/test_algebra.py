@@ -17,8 +17,14 @@ from hyperq.algebra import (
     SplitComplex,
     expj,
 )
-from hyperq.errors import DegenerateNormError, PhaseRangeError, PreconditionError
-from hyperq.space import Vec2
+from hyperq.born import ProbabilityModel, decompose
+from hyperq.errors import (
+    DegenerateNormError,
+    NotNormalizedError,
+    PhaseRangeError,
+    PreconditionError,
+)
+from hyperq.space import Mat2, Vec2, inner, orthonormality_residual
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 numbers = st.builds(SplitComplex, coords, coords)
@@ -391,3 +397,82 @@ class TestOverflow:
         assert BIG * 1.0 == BIG
         assert (BIG - BIG) == ZERO
         assert SplitComplex(1e154, 0.0).inverse() == SplitComplex(1e-154, -0.0)
+
+
+class TestBigIntFields:
+    """An ``int`` field is stored as its double, so no kernel computes in ints.
+
+    Each overflow is a short ``PreconditionError``, never a bare
+    ``OverflowError`` or a message with hundreds of digits.
+    """
+
+    Z = SplitComplex(10**300, 0)
+
+    @pytest.mark.parametrize(
+        "operation,error",
+        [
+            pytest.param(lambda z: z * z, PreconditionError, id="mul"),
+            pytest.param(lambda z: z.polar(), PreconditionError, id="polar"),
+            pytest.param(
+                lambda z: decompose(Vec2(z, ZERO)), NotNormalizedError, id="decompose"
+            ),
+            pytest.param(
+                lambda z: orthonormality_residual(Mat2(z, ZERO, ZERO, ONE)),
+                PreconditionError,
+                id="orthonormality-residual",
+            ),
+            pytest.param(
+                lambda z: inner(Vec2(z, ZERO), Vec2(z, ZERO)),
+                PreconditionError,
+                id="inner",
+            ),
+            pytest.param(
+                lambda z: SplitComplex(2**1023, 0) * 2,
+                PreconditionError,
+                id="largest-power-times-two",
+            ),
+            pytest.param(
+                lambda z: SplitComplex(10**300, 10**300).inverse(),
+                DegenerateNormError,
+                id="inverse",
+            ),
+            pytest.param(
+                lambda z: ProbabilityModel(10**300, 0, 1, 0, 0, 1, 0, 1).validate(),
+                PreconditionError,
+                id="model",
+            ),
+        ],
+    )
+    def test_is_a_short_precondition_error(self, operation, error):
+        with pytest.raises(error) as info:
+            operation(self.Z)
+        assert isinstance(info.value, PreconditionError)
+        assert len(str(info.value).encode()) < 200
+
+    def test_components_are_floats(self):
+        assert self.Z == SplitComplex(1e300, 0.0)
+        assert type(self.Z.x) is float and type(self.Z.y) is float
+
+
+class TestScalarDivisor:
+    @pytest.mark.parametrize("divisor", [0, 0.0, -0.0, False])
+    def test_zero_is_refused_as_zero_is(self, divisor):
+        with pytest.raises(DegenerateNormError) as refused:
+            ONE / ZERO
+        with pytest.raises(DegenerateNormError, match="zero or negative") as info:
+            ONE / divisor
+        assert str(info.value) == str(refused.value)
+
+    @pytest.mark.parametrize(
+        "divisor", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"]
+    )
+    def test_non_finite_gets_the_rule(self, divisor):
+        with pytest.raises(ValueError) as info:
+            ONE / divisor
+        assert not isinstance(info.value, PreconditionError)
+        assert str(info.value) == f"operand must be finite, got {divisor!r}"
+
+    @pytest.mark.parametrize("divisor", [2, 2.0, True, 10**300])
+    def test_finite_divides_each_component(self, divisor):
+        z = SplitComplex(3.0, -1.5)
+        assert z / divisor == SplitComplex(3.0 / float(divisor), -1.5 / float(divisor))

@@ -154,14 +154,13 @@ def outcome(call, *args):
 
 
 def guarded_amplitude(sign, q, xi):
-    """``amplitude`` calling its three guards, in order, before computing."""
+    """``amplitude`` calling its three guards, in order, then the finiteness
+    rule on the probability, before computing."""
     check_sign(sign)
     check_probability(q)
     check_phase(xi)
-    try:
-        r = sign * math.sqrt(q)
-    except OverflowError:
-        _check_finite(("probability",), (q,))
+    _check_finite(("probability",), (q,))
+    r = sign * math.sqrt(q)
     return SplitComplex(math.cosh(xi) * r, math.sinh(xi) * r)
 
 
@@ -187,6 +186,14 @@ class TestAmplitude:
         with pytest.raises(ValueError):
             amplitude(1, 0.5, math.nan)
 
+    @pytest.mark.parametrize("q", [math.inf, 10**400], ids=["inf", "huge-int"])
+    def test_probability_that_is_not_finite_is_named(self, q):
+        # +inf passes check_probability; the finiteness rule names it, not
+        # the component it would have made infinite
+        with pytest.raises(ValueError, match="^probability must be finite") as info:
+            amplitude(1, q, 0.0)
+        assert not isinstance(info.value, PreconditionError)
+
     def test_matches_expj_product(self):
         rng = random.Random(3)
         for _ in range(1000):
@@ -195,6 +202,7 @@ class TestAmplitude:
 
     @given(amplitude_signs, amplitude_args, amplitude_args)
     @example(1, 10**400, 0.0)
+    @example(1, math.inf, 0.0)
     @example(-1, 0.5, -(10**400))
     @example(1, math.nan, 0.0)
     @example(1, 0.5, math.nextafter(THETA_MAX, math.inf))

@@ -233,10 +233,12 @@ BAD_VALUE_CASES = [
     bad_value("nan", "transform-state", 1, transform(state=state_with("NaN"))),
     bad_value("nan", "verify", 1, verify(matrix_with("NaN"))),
     bad_value("inf", "classify-p1", 1, triple(p1="inf")),
-    # "-inf" reads as an option unless joined to its flag
+    # "-inf" is a value, joined to its flag or not
     bad_value(
         "inf", "classify-p2", 1, ["classify", "--p1", "1", "--p2=-inf", "--pprime", "1"]
     ),
+    bad_value("inf", "classify-p2-spaced", 1, triple(p2="-inf")),
+    bad_value("inf", "interfere-theta-min", 1, sweep(theta_min="-inf")),
     bad_value("inf", "classify-pprime", 1, triple(pprime="inf")),
     bad_value("inf", "interfere-p1", 1, sweep(p1="inf")),
     bad_value("inf", "interfere-p2", 1, sweep(law="hyp", p2="inf")),
@@ -282,16 +284,28 @@ def test_bad_value_gets_its_class_exit_code(argv, code, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,code",
     [
-        triple(pprime="-1.5e-05"),
-        triple(pprime="-2"),
-        sweep(theta_min="-1e-05"),
-        sweep(law="hyp", theta_min="-1e2", theta_max="-.5"),
+        (triple(pprime="-1.5e-05"), 0),
+        (triple(pprime="-2"), 0),
+        (sweep(theta_min="-1e-05"), 0),
+        (sweep(law="hyp", theta_min="-1e2", theta_max="-.5"), 0),
+        # not finite: the value reaches the finiteness rule, exit 1
+        (triple(pprime="-inf"), 1),
+        (triple(p1="-NaN"), 1),
+        (sweep(theta_min="-Infinity"), 1),
     ],
-    ids=["exponent", "integer", "interfere-exponent", "interfere-two"],
+    ids=[
+        "exponent",
+        "integer",
+        "interfere-exponent",
+        "interfere-two",
+        "inf",
+        "nan",
+        "interfere-infinity",
+    ],
 )
-def test_negative_number_is_read_as_a_value(argv, capsys):
+def test_negative_number_is_read_as_a_value(argv, code, capsys):
     # "--flag -1.5e-05" reads the same as "--flag=-1.5e-05" on every Python
     joined = []
     for arg in argv:
@@ -300,11 +314,15 @@ def test_negative_number_is_read_as_a_value(argv, capsys):
         else:
             joined.append(arg)
     assert len(joined) < len(argv)
-    assert main(argv) == 0
+    assert main(argv) == code
     spaced = capsys.readouterr()
-    assert main(joined) == 0
+    assert main(joined) == code
     assert capsys.readouterr() == spaced
-    assert spaced.err == ""
+    if code:
+        # the error names the value, not a missing argument
+        assert "must be finite, got" in spaced.err
+    else:
+        assert spaced.err == ""
 
 
 @pytest.mark.parametrize("steps", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])

@@ -207,3 +207,49 @@ def test_rows_cover_every_value_type():
     assert defined == {cls for cls, _, _ in ROWS}
     checked = {cls for cls in defined if hasattr(cls, "_check")}
     assert checked == {cls for cls, _, _ in BAD_FIELDS}
+
+
+# (class, arguments in field order, names of the sign fields): each checked
+# class built from int, bool and float input; every other field is a real
+STORED_INPUTS = [
+    (SplitComplex, (3, -2), ()),
+    (SplitComplex, (True, False), ()),
+    (SplitComplex, (0.5, -1.5), ()),
+    (PolarForm, (-1, 2, 0), ("sign",)),
+    (PolarForm, (True, True, False), ("sign",)),
+    (PolarForm, (-1.0, 2.0, 0.5), ("sign",)),
+    (ProbabilityModel, (1, 0, 1, 0, 0, 1, 0, -1), ("eps1",)),
+    (ProbabilityModel, (True, False, True, False, False, True, False, True), ("eps1",)),
+    (ProbabilityModel, (1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5, -1.0), ("eps1",)),
+    (UnitaryParams, (0.5, 1, -2, 0), ()),
+    (UnitaryParams, (0.5, True, False, True), ()),
+    (UnitaryParams, (0.5, 0.25, -0.5, 3.0), ()),
+]
+STORED_IDS = [
+    f"{cls.__name__}-{type(args[-1]).__name__}" for cls, args, _ in STORED_INPUTS
+]
+
+
+@pytest.mark.parametrize("cls,args,signs", STORED_INPUTS, ids=STORED_IDS)
+def test_reals_are_stored_as_float_and_signs_as_int(cls, args, signs):
+    value = cls(*args)
+    for name, given in zip(cls.__match_args__, args):
+        stored = getattr(value, name)
+        assert type(stored) is (int if name in signs else float)
+        assert stored == given
+    # one numeric type inside: the value equals its float-and-int twin
+    names = cls.__match_args__
+    twin = [int(a) if n in signs else float(a) for n, a in zip(names, args)]
+    assert value == cls(*twin)
+
+
+def test_stored_types_cover_every_checked_class():
+    checked = {cls for cls, _, _ in BAD_FIELDS}
+    assert {cls for cls, _, _ in STORED_INPUTS} == checked
+
+
+def test_bool_sign_reads_back_from_json():
+    model = ProbabilityModel(0.25, 0.75, 0.5, 0.5, 0.5, 0.5, 0.125, eps1=True)
+    document = model.to_json_dict()
+    assert type(document["eps1"]) is int
+    assert ProbabilityModel.from_json_dict(document) == model

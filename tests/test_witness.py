@@ -39,6 +39,11 @@ class TestUnitaryParams:
         with pytest.raises(ValueError):
             UnitaryParams(0.5, math.inf, 0.0, 0.0)
 
+    def test_int_phases_give_the_float_matrix(self):
+        assert make_decomposable_unitary(
+            UnitaryParams(0.5, 1, True, 0)
+        ) == make_decomposable_unitary(UnitaryParams(0.5, 1.0, 1.0, 0.0))
+
 
 class TestGenerator:
     def test_near_identity_limit(self):
@@ -255,6 +260,17 @@ class TestVerifyWitness:
         ns = alpha.c1.norm_sq()
         assert ns == pytest.approx(-math.sinh(t) ** 2, abs=1e-15)
         assert not verify_witness(NonTransitivityWitness(beta, basis, alpha, 1, ns))
+
+    @pytest.mark.parametrize("field", ["beta", "basis"])
+    def test_big_int_entry_fails(self, field):
+        # 10**300 is stored as 1e300, so its squared norm overflows to inf
+        # and fails the check as a PreconditionError, not an OverflowError
+        w = analytic_witness()
+        big = SplitComplex(10**300, 0)
+        beta = Vec2(big, ZERO) if field == "beta" else w.beta
+        basis = Mat2(big, ZERO, ZERO, ONE) if field == "basis" else w.basis
+        broken = NonTransitivityWitness(beta, basis, w.alpha, 2, w.norm_sq)
+        assert verify_witness(broken) is False
 
     def test_json_shape(self):
         d = analytic_witness().to_json_dict()
