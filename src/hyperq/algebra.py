@@ -62,7 +62,7 @@ class _Value:
     checking, a static ``_check`` that takes the fields in order and returns
     them, in order, as they are to be stored: each real field a ``float``
     (through :func:`_reals`, the one finiteness rule :func:`_check_finite`
-    followed by ``float``), each sign an ``int``.  The class gets a
+    followed by ``float``), each sign or index an ``int``.  The class gets a
     generated ``__init__(self, <fields>)`` that rebinds the fields to what
     ``_check`` (its own or an inherited one) returns and stores each through
     its slot descriptor (assignment is blocked here).  Equality holds only

@@ -166,28 +166,35 @@ def orthonormality_residual(m: Mat2) -> float:
 
     Measures ``inner(r1, r1)`` and ``inner(r2, r2)`` against 1 and
     ``inner(r1, r2)`` against 0, componentwise, and returns the worst case.
-    Raises :class:`PreconditionError` when a row product overflows.
+
+    Computed in the light-cone coordinates ``u = x + y``, ``v = x - y``, in
+    which a product is componentwise and ``conj`` swaps u and v: a row's
+    self-product is ``u1*v1 + u2*v2`` (a real number), and ``inner(r1, r2)``
+    is ``((U + V)/2, (U - V)/2)`` with ``U = u11*v21 + u12*v22`` and
+    ``V = v11*u21 + v12*u22``, whose larger component is ``(|U| + |V|)/2``.
+    Eight products, and an error within ``5u*S`` of the exact residual
+    (``u = 2**-53``, ``S`` one plus the largest sum of product magnitudes),
+    where the squares of the (x, y) form grow with cosh-sized components.
+    Raises :class:`PreconditionError` when a coordinate or a row product
+    overflows.
     """
-    # inner() written out on the components, in its operation order, so the
-    # result is bit-identical; x * (-y) == -(x * y) in IEEE arithmetic.  The
-    # j parts of the self-products, x*y - x*y, are left out: they are exactly
-    # 0 while finite, and an x*y that overflows overflows x*x or y*y as well,
-    # so the real part of the same self-product is not finite either
-    x11, y11 = m.a11.x, m.a11.y
-    x12, y12 = m.a12.x, m.a12.y
-    x21, y21 = m.a21.x, m.a21.y
-    x22, y22 = m.a22.x, m.a22.y
+    u11, v11 = m.a11.x + m.a11.y, m.a11.x - m.a11.y
+    u12, v12 = m.a12.x + m.a12.y, m.a12.x - m.a12.y
+    u21, v21 = m.a21.x + m.a21.y, m.a21.x - m.a21.y
+    u22, v22 = m.a22.x + m.a22.y, m.a22.x - m.a22.y
     sums = (
-        (x11 * x11 - y11 * y11) + (x12 * x12 - y12 * y12),
-        (x21 * x21 - y21 * y21) + (x22 * x22 - y22 * y22),
-        (x11 * x21 - y11 * y21) + (x12 * x22 - y12 * y22),
-        (x21 * y11 - x11 * y21) + (x22 * y12 - x12 * y22),
+        u11 * v11 + u12 * v12,
+        u21 * v21 + u22 * v22,
+        u11 * v21 + u12 * v22,
+        v11 * u21 + v12 * u22,
     )
-    # each sum on its own: the builtin max would drop a NaN
+    # each sum on its own: the builtin max would drop a NaN; an infinite
+    # coordinate makes every sum it enters inf or NaN
     if not all(map(math.isfinite, sums)):
         raise PreconditionError(f"row products overflow: {sums}")
-    r11x, r22x, r12x, r12y = sums
-    return max(abs(r11x - 1.0), abs(r22x - 1.0), abs(r12x), abs(r12y))
+    n1, n2, U, V = sums
+    # halved before the sum, which cannot then overflow
+    return max(abs(n1 - 1.0), abs(n2 - 1.0), 0.5 * abs(U) + 0.5 * abs(V))
 
 
 def is_orthonormal_rows(m: Mat2) -> bool:

@@ -93,10 +93,27 @@ class NonTransitivityWitness(_Value):
 
     ``beta`` is decomposable, every row of ``basis`` is decomposable, yet
     coordinate ``violating_index`` of ``alpha = change_basis(beta, basis)``
-    has squared norm ``norm_sq`` below zero.
+    has squared norm ``norm_sq`` below zero.  ``violating_index`` must be
+    the ``int`` 1 or 2 (a ``bool`` is refused) and is stored as an ``int``;
+    ``norm_sq`` is a real field, stored as a ``float``.
     """
 
     __slots__ = ("beta", "basis", "alpha", "violating_index", "norm_sq")
+
+    @staticmethod
+    def _check(
+        beta: Vec2, basis: Mat2, alpha: Vec2, violating_index: int, norm_sq: float
+    ) -> tuple:
+        if not (
+            isinstance(violating_index, int)
+            and not isinstance(violating_index, bool)
+            and violating_index in (1, 2)
+        ):
+            raise ValueError(
+                f"violating_index must be the int 1 or 2, got {_echo(violating_index)}"
+            )
+        (norm_sq,) = _reals(("norm_sq",), (norm_sq,))
+        return beta, basis, alpha, int(violating_index), norm_sq
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -159,7 +176,7 @@ def search_non_transitivity(
 
 
 def verify_witness(w: NonTransitivityWitness) -> bool:
-    """Re-check a claimed witness from its raw fields; False on any failure.
+    """Re-check a claimed witness from its fields; False when a check fails.
 
     Confirms that the state is decomposable, that every matrix entry lies in
     the positive cone (``change_basis`` checks that the rows are
@@ -168,10 +185,11 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
     the flagged coordinate lies outside the positive cone, so ``decompose``
     calls the transformed state not decomposable, with its squared norm
     matching the stored value.  Every cone verdict is :func:`_in_cone`'s.
+    The constructor has already refused an index other than 1 or 2 and a
+    ``norm_sq`` that is not finite; an overflow or a refusal met while
+    re-checking (a ``PreconditionError`` or ``ValueError``) gives False.
     """
     try:
-        if w.violating_index not in (1, 2):
-            return False
         if not decompose(w.beta).decomposable:
             return False
         a11, a12, a21, a22 = w.basis.entries()

@@ -194,7 +194,7 @@ EXIT_CASES = [
     (1, ["witness", "--seed", "1", "--max-iter", "0"]),
     # p1*p2 underflows to 0; the coefficient is then too large for any phase
     (2, ["classify", "--p1", "1e-320", "--p2", "1e-320", "--pprime", "1"]),
-    # finite entries whose row products overflow
+    # finite entries whose light-cone coordinate x - y overflows
     (2, ["verify", "--matrix", _data("matrix_overflow.json")]),
     # finite coordinates whose squared norms sum to NaN (inf * 0)
     (

@@ -1,5 +1,6 @@
 """Command-line contract: golden outputs, exit codes, entry points."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -260,6 +261,10 @@ BAD_VALUE_CASES = [
     bad_value(
         "overflow", "interfere-span", 2, sweep(theta_min="-1e308", theta_max="1e308")
     ),
+    # 1e308 - (-1e308), a light-cone coordinate of the entry, is not a double
+    bad_value(
+        "overflow", "verify", 2, verify("[[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]]")
+    ),
     bad_value(
         "overflow", "interfere-grid", 2, sweep(theta_min="-1", theta_max="1e308")
     ),
@@ -281,6 +286,17 @@ def test_bad_value_gets_its_class_exit_code(argv, code, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert len(captured.err.encode()) < 200
+
+
+def test_verify_answers_a_light_cone_entry(capsys):
+    # x*x - y*y of [1e200, 1e200] is inf - inf; in (u, v) it is 2e200 * 0
+    code = main(["verify", "--matrix", str(DATA / "matrix_light_cone.json")])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert code == 3
+    assert report["orthonormality_residual"] == 1.0
+    assert report["unitary"] is False
+    assert "Infinity" not in out and "NaN" not in out
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import operator
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -39,8 +40,14 @@ wide_numbers = st.builds(SplitComplex, wide_coords, wide_coords)
 wide_vectors = st.builds(Vec2, wide_numbers, wide_numbers)
 wide_matrices = st.builds(Mat2, wide_numbers, wide_numbers, wide_numbers, wide_numbers)
 
-#: Finite entries whose row products overflow to inf - inf.
+#: Finite entries whose light-cone coordinate x - y is not a double.
 OVERFLOW = [[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]]
+
+#: A finite entry on the light cone whose squares are not doubles.
+LIGHT_CONE = [[[1e200, 1e200], [0, 0]], [[0, 0], [1, 0]]]
+
+#: The unit roundoff of a double.
+ULP = Fraction(1, 2**53)
 
 unit_interval = st.floats(min_value=0.05, max_value=0.95)
 small_phases = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -51,6 +58,32 @@ unitaries = st.builds(
     small_phases,
     small_phases,
 )
+
+
+def exact_residual(m: Mat2) -> tuple[Fraction, Fraction]:
+    """The orthonormality residual of ``m`` in exact arithmetic, and its scale.
+
+    The residual follows the definition: ``inner`` of the rows, with each
+    entry's components read as exact rationals.  The scale is 1 plus the
+    largest sum of product magnitudes among the (u, v) kernel's four sums.
+    """
+    (x11, y11), (x12, y12), (x21, y21), (x22, y22) = (
+        (Fraction(z.x), Fraction(z.y)) for z in m.entries()
+    )
+    n1 = x11 * x11 - y11 * y11 + x12 * x12 - y12 * y12
+    n2 = x21 * x21 - y21 * y21 + x22 * x22 - y22 * y22
+    cross_x = x11 * x21 - y11 * y21 + x12 * x22 - y12 * y22
+    cross_y = x21 * y11 - x11 * y21 + x22 * y12 - x12 * y22
+    residual = max(abs(n1 - 1), abs(n2 - 1), abs(cross_x), abs(cross_y))
+    u11, v11, u12, v12 = x11 + y11, x11 - y11, x12 + y12, x12 - y12
+    u21, v21, u22, v22 = x21 + y21, x21 - y21, x22 + y22, x22 - y22
+    magnitudes = (
+        abs(u11 * v11) + abs(u12 * v12),
+        abs(u21 * v21) + abs(u22 * v22),
+        abs(u11 * v21) + abs(u12 * v22),
+        abs(v11 * u21) + abs(v12 * u22),
+    )
+    return residual, 1 + max(magnitudes)
 
 
 def hyperbolic_rotation(t: float) -> Mat2:
@@ -259,12 +292,25 @@ class TestOrthonormality:
     def test_generated_unitaries_pass(self, m):
         assert is_orthonormal_rows(m)
 
-    @given(wide_matrices)
-    def test_residual_equals_the_inner_products(self, m):
-        r1, r2 = m.rows()
-        assert orthonormality_residual(m) == max(
-            inner(r1, r1).dist(ONE), inner(r2, r2).dist(ONE), inner(r1, r2).dist(ZERO)
-        )
+    @given(st.one_of(wide_matrices, unitaries))
+    def test_residual_is_within_rounding_of_exact_arithmetic(self, m):
+        # to first order each of the kernel's four sums is off by at most
+        # 4u times its scale (u and v rounded, then the product, then the
+        # sum), and n - 1 or |U|/2 + |V|/2 rounds once more; random draws
+        # reach about 2.2u*S
+        exact, scale = exact_residual(m)
+        assert abs(Fraction(orthonormality_residual(m)) - exact) <= 5 * ULP * scale
+
+    def test_light_cone_entry_gets_the_exact_residual(self):
+        # x*x - y*y would overflow to inf - inf; u*v is 2e200 * 0
+        m = Mat2.from_list(LIGHT_CONE)
+        assert orthonormality_residual(m) == 1.0 == exact_residual(m)[0]
+
+    def test_huge_cross_product_gives_a_finite_residual(self):
+        # U = V = (2h)**2, each finite, while |U| + |V| is not a double
+        h = 0.6e154
+        m = Mat2.from_list([[[h, h], [h, -h]], [[h, -h], [h, h]]])
+        assert orthonormality_residual(m) == float(exact_residual(m)[0])
 
     def test_overflowing_row_product_is_a_precondition(self):
         with pytest.raises(PreconditionError):

@@ -116,6 +116,21 @@ BAD_FIELDS += [
     (PolarForm, "theta", math.nan),
 ]
 BAD_FIELD_IDS += ["PolarForm-inf-modulus", "PolarForm-huge-modulus", "PolarForm-nan-theta"]
+# the witness's index is the int 1 or 2; its squared norm follows the rule
+BAD_FIELDS += [
+    (NonTransitivityWitness, "violating_index", 2.0),
+    (NonTransitivityWitness, "violating_index", True),
+    (NonTransitivityWitness, "violating_index", 3),
+    (NonTransitivityWitness, "norm_sq", 10**400),
+    (NonTransitivityWitness, "norm_sq", math.nan),
+]
+BAD_FIELD_IDS += [
+    "NonTransitivityWitness-float-index",
+    "NonTransitivityWitness-bool-index",
+    "NonTransitivityWitness-index-3",
+    "NonTransitivityWitness-huge-norm_sq",
+    "NonTransitivityWitness-nan-norm_sq",
+]
 
 
 @each_row
@@ -209,8 +224,9 @@ def test_rows_cover_every_value_type():
     assert checked == {cls for cls, _, _ in BAD_FIELDS}
 
 
-# (class, arguments in field order, names of the sign fields): each checked
-# class built from int, bool and float input; every other field is a real
+# (class, arguments in field order, names of the int fields): each checked
+# class built from int, bool and float input; every other number is a real,
+# and a field that is no number is stored as given
 STORED_INPUTS = [
     (SplitComplex, (3, -2), ()),
     (SplitComplex, (True, False), ()),
@@ -224,6 +240,9 @@ STORED_INPUTS = [
     (UnitaryParams, (0.5, 1, -2, 0), ()),
     (UnitaryParams, (0.5, True, False, True), ()),
     (UnitaryParams, (0.5, 0.25, -0.5, 3.0), ()),
+    (NonTransitivityWitness, (V, M, V, 2, -1), ("violating_index",)),
+    (NonTransitivityWitness, (V, M, V, 1, False), ("violating_index",)),
+    (NonTransitivityWitness, (V, M, V, 2, -0.5), ("violating_index",)),
 ]
 STORED_IDS = [
     f"{cls.__name__}-{type(args[-1]).__name__}" for cls, args, _ in STORED_INPUTS
@@ -233,14 +252,19 @@ STORED_IDS = [
 @pytest.mark.parametrize("cls,args,signs", STORED_INPUTS, ids=STORED_IDS)
 def test_reals_are_stored_as_float_and_signs_as_int(cls, args, signs):
     value = cls(*args)
-    for name, given in zip(cls.__match_args__, args):
+    numbers = [
+        (name, given)
+        for name, given in zip(cls.__match_args__, args)
+        if isinstance(given, (int, float))
+    ]
+    for name, given in numbers:
         stored = getattr(value, name)
         assert type(stored) is (int if name in signs else float)
         assert stored == given
     # one numeric type inside: the value equals its float-and-int twin
-    names = cls.__match_args__
-    twin = [int(a) if n in signs else float(a) for n, a in zip(names, args)]
-    assert value == cls(*twin)
+    twin = dict(zip(cls.__match_args__, args))
+    twin.update((n, int(a) if n in signs else float(a)) for n, a in numbers)
+    assert value == cls(**twin)
 
 
 def test_stored_types_cover_every_checked_class():

@@ -223,10 +223,10 @@ class TestVerifyWitness:
         assert not verify_witness(wrong)
 
     def test_index_out_of_range_fails(self):
+        # refused by the constructor, so verify_witness never sees it
         w = analytic_witness()
-        assert not verify_witness(
+        with pytest.raises(ValueError, match="violating_index must be the int 1 or 2"):
             NonTransitivityWitness(w.beta, w.basis, w.alpha, 3, w.norm_sq)
-        )
 
     def test_non_decomposable_state_fails(self):
         # squared norms -1 and 2: normalized, but c1 is outside the cone
