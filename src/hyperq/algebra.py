@@ -55,6 +55,9 @@ EPS_MEM = 1e-12
 THETA_MAX = 300.0
 
 
+_new = object.__new__
+
+
 class _Value:
     """Base of the immutable value types: slots, init, equality, hash and repr.
 
@@ -65,7 +68,11 @@ class _Value:
     followed by ``float``), each sign or index an ``int``.  The class gets a
     generated ``__init__(self, <fields>)`` that rebinds the fields to what
     ``_check`` (its own or an inherited one) returns and stores each through
-    its slot descriptor (assignment is blocked here).  Equality holds only
+    its slot descriptor (assignment is blocked here).  A class with a
+    ``_check`` also gets its unchecked twin, the static
+    ``_unchecked(<fields>)``, which stores the fields as given: for kernels
+    that build a value from parts already stored as ``_check`` would store
+    them, as :func:`_result` does.  Equality holds only
     between instances of the same class with equal field tuples, the hash
     is that of the field tuple, and the repr reads ``Name(field=value,
     ...)``.  ``__reduce__`` rebuilds through ``__init__``, so ``copy`` and
@@ -84,19 +91,28 @@ class _Value:
         cls._field_tuple = operator.attrgetter(*fields)
         # __init__ compiled from the slot names, as namedtuple compiles its
         # __new__: the fields as _check returns them, if the class has one,
-        # then each descriptor's __set__
+        # then each descriptor's __set__; with a _check, _unchecked makes
+        # the same stores on a new instance
         args = ", ".join(fields)
         namespace = {f"_set{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
-        source = [f"def __init__(self, {args}):"]
+        stores = [f" _set{i}(self, {f})" for i, f in enumerate(fields)]
+        source = [f"def __init__(self, {args}):", *stores]
+        names = ["__init__"]
         check = getattr(cls, "_check", None)
         if check is not None:
-            namespace["_check"] = check
-            source.append(f" {args} = _check({args})")
-        source += [f" _set{i}(self, {f})" for i, f in enumerate(fields)]
+            namespace.update(_check=check, _new=_new, cls=cls)
+            source.insert(1, f" {args} = _check({args})")
+            source += [f"def _unchecked({args}):", " self = _new(cls)", *stores]
+            source.append(" return self")
+            names.append("_unchecked")
         exec("\n".join(source), namespace)
-        init = cls.__init__ = namespace["__init__"]
-        init.__module__ = cls.__module__
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        for name in names:
+            function = namespace[name]
+            function.__module__ = cls.__module__
+            function.__qualname__ = f"{cls.__qualname__}.{name}"
+        cls.__init__ = namespace["__init__"]
+        if check is not None:
+            cls._unchecked = staticmethod(namespace["_unchecked"])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -224,11 +240,12 @@ class SplitComplex(_Value):
         cone even though its elements admit no polar form.  At the default
         ``tol = EPS_ALG`` this is the library's cone rule, :func:`_in_cone`;
         ``tol = 0.0`` gives the exact cone.  A negative or NaN ``tol``
-        raises ``ValueError``.
+        raises ``ValueError``.  The squared modulus is read as
+        :meth:`norm_sq` reads it.
         """
         if not tol >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {_echo(tol)}")
-        return self.norm_sq() >= -tol
+        return (self.x - self.y) * (self.x + self.y) >= -tol
 
     def mag(self) -> float:
         """Largest absolute component; a cheap magnitude for tolerance scaling."""
@@ -371,7 +388,8 @@ def _check_norm_sq(x: float, y: float, ns: float) -> None:
     The one guard of the polar form and the inverse: ``ns <= 0`` (on or
     inside the light cone) raises :class:`DegenerateNormError`, and an
     ``ns`` that overflowed to inf, or to NaN as ``inf * 0``, raises
-    :class:`PreconditionError`.
+    :class:`PreconditionError`.  :func:`_polar`, the hot caller, tests
+    the same predicate inline and calls this only to raise.
     """
     # one comparison on the valid path; NaN fails it too
     if 0.0 < ns < math.inf:
@@ -387,9 +405,11 @@ def _check_norm_sq(x: float, y: float, ns: float) -> None:
 def _polar(x: float, y: float, ns: float) -> tuple[int, float, float]:
     """``(sign, modulus, theta)`` of ``x + j*y`` from its squared modulus ``ns``.
 
-    The one plain-float polar kernel, behind :func:`_check_norm_sq`.
+    The one plain-float polar kernel, behind :func:`_check_norm_sq`, whose
+    predicate it tests inline, calling the guard only to raise.
     """
-    _check_norm_sq(x, y, ns)
+    if not 0.0 < ns < math.inf:
+        _check_norm_sq(x, y, ns)
     sign = 1 if x > 0.0 else -1
     modulus = math.sqrt(ns)
     return sign, modulus, math.asinh(sign * y / modulus)
@@ -437,7 +457,6 @@ def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
     return value
 
 
-_new = object.__new__
 _sc_x, _sc_y = SplitComplex.x.__set__, SplitComplex.y.__set__
 
 
@@ -554,13 +573,13 @@ def _numbers(form: tuple[str, str], *leaves: object) -> tuple[object, ...]:
     """The leaves of a JSON document, each a JSON number, as given.
 
     The first leaf that is no number (:func:`_is_number`) is refused
-    through :func:`_malformed`.  The value type built from them converts
-    each to ``float`` (:func:`_reals`).
+    through :func:`_malformed`; a ``float`` is one without the call.  The
+    value type built from them converts each to ``float`` (:func:`_reals`).
     """
-    if all(map(_is_number, leaves)):
-        return leaves
-    bad = next(leaf for leaf in leaves if not _is_number(leaf))
-    raise _malformed(form, bad, " with numeric entries")
+    for leaf in leaves:
+        if leaf.__class__ is not float and not _is_number(leaf):
+            raise _malformed(form, leaf, " with numeric entries")
+    return leaves
 
 
 def _malformed(

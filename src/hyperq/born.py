@@ -118,7 +118,9 @@ def decompose(phi: Vec2) -> StateDecomposition:
     decomposable iff both coefficients lie in the positive cone; only then
     are the squared norms meaningful as probabilities.
     """
-    q1, q2 = phi.norms_sq()
+    c1, c2 = phi.c1, phi.c2
+    q1 = (c1.x - c1.y) * (c1.x + c1.y)
+    q2 = (c2.x - c2.y) * (c2.x + c2.y)
     if not _is_unit_sum(q1 + q2):
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
     inside = _in_cone(q1) and _in_cone(q2)
@@ -150,6 +152,8 @@ def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
 
 def _check_unit_sums(kind: str, *totals: float) -> None:
     """Raise :class:`PreconditionError` at the first total off 1 by over ``EPS_ALG``."""
+    if _is_unit_sum(*totals):
+        return
     for index, total in enumerate(totals, start=1):
         if not _is_unit_sum(total):
             raise PreconditionError(f"{kind} {index} sums to {total}, expected 1")
@@ -195,19 +199,20 @@ class ProbabilityModel(_Value):
         p1 + p2 would drift from 1, so its violation raises
         :class:`ConstraintViolatedError`.  Each holds within ``EPS_ALG``.
         """
-        if not _is_unit_sum(self.q1 + self.q2):
-            raise PreconditionError(f"q1 + q2 = {self.q1 + self.q2}, expected 1")
-        entries = (self.q1, self.q2, self.p11, self.p12, self.p21, self.p22)
-        if not _in_unit_interval(entries):
+        q1, q2 = self.q1, self.q2
+        p11, p12, p21, p22 = self.p11, self.p12, self.p21, self.p22
+        if not _is_unit_sum(q1 + q2):
+            raise PreconditionError(f"q1 + q2 = {q1 + q2}, expected 1")
+        if not _in_unit_interval((q1, q2, p11, p12, p21, p22)):
             raise PreconditionError("probabilities must lie in [0, 1]")
-        _check_unit_sums("row", self.p11 + self.p12, self.p21 + self.p22)
+        _check_unit_sums("row", p11 + p12, p21 + p22)
         check_phase(self.theta)
-        gap = self.p11 * self.p21 - self.p12 * self.p22
+        gap = p11 * p21 - p12 * p22
         if abs(gap) > EPS_ALG:
             raise ConstraintViolatedError(
                 f"p11*p21 - p12*p22 = {gap}; the interference terms cannot cancel"
             )
-        _check_unit_sums("column", self.p11 + self.p21, self.p12 + self.p22)
+        _check_unit_sums("column", p11 + p21, p12 + p22)
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -258,7 +263,10 @@ def _in_unit_interval(values: tuple[float, ...]) -> bool:
 
     The one test of a probability model's entries and of ``in_range``.
     """
-    return all(-EPS_ALG <= p <= 1.0 + EPS_ALG for p in values)
+    for p in values:
+        if not -EPS_ALG <= p <= 1.0 + EPS_ALG:
+            return False
+    return True
 
 
 class TransformedProbabilities(NamedTuple):
@@ -316,20 +324,23 @@ class SignPhaseReport(_Value):
     )
 
 
-def _polar_or_absent(z: SplitComplex) -> tuple[int, float, float, float] | None:
-    """``(sign, modulus, theta, norm_sq)``, or None for negligible squared norm.
+def _polar_or_absent(*amplitudes: SplitComplex) -> list:
+    """Per amplitude, ``(sign, modulus, theta, norm_sq)``, or None for a
+    negligible squared norm, in the order given.
 
     Entries with norm_sq ~ 0 contribute zero probability weight, so their
     undefined phase is never needed.  A clearly negative squared norm means
     the amplitude cannot carry a probability at all, and ``_polar`` raises
     :class:`DegenerateNormError` for it (:class:`PreconditionError` for one
-    that overflows).
+    that overflows): the first such amplitude raises.
     """
-    q = z.norm_sq()
-    if abs(q) <= EPS_MEM:
-        return None
-    sign, modulus, theta = _polar(z.x, z.y, q)
-    return sign, modulus, theta, q
+    forms = []
+    for z in amplitudes:
+        x, y = z.x, z.y
+        # SplitComplex.norm_sq's expression
+        q = (x - y) * (x + y)
+        forms.append(None if abs(q) <= EPS_MEM else (*_polar(x, y, q), q))
+    return forms
 
 
 def _column_terms(basis: Mat2, beta: Vec2) -> tuple | None:
@@ -347,16 +358,14 @@ def _column_terms(basis: Mat2, beta: Vec2) -> tuple | None:
     and the first with negative squared norm raises
     :class:`DegenerateNormError`.
     """
-    s1 = _polar_or_absent(beta.c1)
-    s2 = _polar_or_absent(beta.c2)
+    s1, s2 = _polar_or_absent(beta.c1, beta.c2)
     if s1 is None or s2 is None:
         return None
     eta = s1[2] - s2[2]
     state_sign = s1[0] * s2[0]
+    t1, b1, t2, b2 = _polar_or_absent(basis.a11, basis.a21, basis.a12, basis.a22)
     terms = []
-    for top, bottom in ((basis.a11, basis.a21), (basis.a12, basis.a22)):
-        pt = _polar_or_absent(top)
-        pb = _polar_or_absent(bottom)
+    for pt, pb in ((t1, b1), (t2, b2)):
         if pt is None or pb is None:
             terms.append(None)
         else:
@@ -428,7 +437,9 @@ def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
     :class:`PreconditionError`.  No report is built and no residual is
     computed: the fit reads only the phase and the sign of column 1.  The
     squared norms are those the polar forms were taken from, so each
-    amplitude's is computed once.
+    amplitude's is computed once.  The model is built unchecked: its reals
+    are finite polar output and ``eps1`` a product of signs, and
+    :func:`transform_probabilities` validates it.
     """
     _, q1, q2, term1, term2 = _column_terms(basis, beta) or (None,) * 5
     if term1 is None or term2 is None:
@@ -441,7 +452,7 @@ def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
         )
     if not opposite:
         raise PreconditionError("term signs are equal; no valid model exists")
-    return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta1, eps1)
+    return ProbabilityModel._unchecked(q1, q2, p11, p12, p21, p22, theta1, eps1)
 
 
 def pipeline_probabilities(beta: Vec2, basis: Mat2) -> StateDecomposition:

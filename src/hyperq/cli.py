@@ -127,7 +127,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     # each verdict comes from the one function that decides its rule
     unitary = is_orthonormal_rows(basis)
     in_cone = all(map(_in_cone, (a, b, c, d)))
-    stochastic = all(map(_is_unit_sum, (a + b, c + d, a + c, b + d)))
+    stochastic = _is_unit_sum(a + b, c + d, a + c, b + d)
     _emit(
         {
             "unitary": unitary,

@@ -244,21 +244,27 @@ def prob_matrix(m: Mat2) -> tuple[tuple[float, float], tuple[float, float]]:
     """Entrywise squared moduli ``((p11, p12), (p21, p22))``.
 
     For a unitary matrix with all entries in the positive cone the result is
-    doubly stochastic; no such condition is checked here.
+    doubly stochastic; no such condition is checked here.  Each entry is
+    read as ``SplitComplex.norm_sq`` reads it, ``(x - y) * (x + y)``.
     """
+    a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
     return (
-        (m.a11.norm_sq(), m.a12.norm_sq()),
-        (m.a21.norm_sq(), m.a22.norm_sq()),
+        ((a11.x - a11.y) * (a11.x + a11.y), (a12.x - a12.y) * (a12.x + a12.y)),
+        ((a21.x - a21.y) * (a21.x + a21.y), (a22.x - a22.y) * (a22.x + a22.y)),
     )
 
 
-def _is_unit_sum(total: float) -> bool:
-    """The unit-sum rule: ``total`` is 1 within ``EPS_ALG``; NaN fails.
+def _is_unit_sum(*totals: float) -> bool:
+    """The unit-sum rule: each of ``totals`` is 1 within ``EPS_ALG``; NaN fails.
 
     The one test of a state's normalization, of a probability model's
-    weight, row and column sums, and of ``hyperq verify``'s stochasticity.
+    weight, row and column sums, and of ``hyperq verify``'s stochasticity;
+    each passes its whole table of totals in one call.
     """
-    return abs(total - 1.0) <= EPS_ALG
+    for total in totals:
+        if not abs(total - 1.0) <= EPS_ALG:
+            return False
+    return True
 
 
 def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:
@@ -267,7 +273,9 @@ def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:
     NaN when any sum is NaN: the builtin ``max`` would drop it silently.
     """
     (a, b), (c, d) = p
-    gaps = [abs(total - 1.0) for total in (a + b, c + d, a + c, b + d)]
-    if any(math.isnan(gap) for gap in gaps):
+    g1, g2 = abs(a + b - 1.0), abs(c + d - 1.0)
+    g3, g4 = abs(a + c - 1.0), abs(b + d - 1.0)
+    # the gaps are nonnegative, so their sum is NaN exactly when one is
+    if math.isnan(g1 + g2 + g3 + g4):
         return math.nan
-    return float(max(gaps))
+    return max(g1, g2, g3, g4)

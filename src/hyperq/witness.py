@@ -93,9 +93,11 @@ class NonTransitivityWitness(_Value):
 
     ``beta`` is decomposable, every row of ``basis`` is decomposable, yet
     coordinate ``violating_index`` of ``alpha = change_basis(beta, basis)``
-    has squared norm ``norm_sq`` below zero.  ``violating_index`` must be
-    the ``int`` 1 or 2 (a ``bool`` is refused) and is stored as an ``int``;
-    ``norm_sq`` is a real field, stored as a ``float``.
+    has squared norm ``norm_sq`` below zero.  ``beta`` and ``alpha`` must
+    be a ``Vec2`` and ``basis`` a ``Mat2``, exactly (a subclass is refused);
+    ``violating_index`` must be the ``int`` 1 or 2 (a ``bool`` is refused)
+    and is stored as an ``int``; ``norm_sq`` is a real field, stored as a
+    ``float``.
     """
 
     __slots__ = ("beta", "basis", "alpha", "violating_index", "norm_sq")
@@ -104,6 +106,11 @@ class NonTransitivityWitness(_Value):
     def _check(
         beta: Vec2, basis: Mat2, alpha: Vec2, violating_index: int, norm_sq: float
     ) -> tuple:
+        fields = ("beta", beta, Vec2), ("basis", basis, Mat2), ("alpha", alpha, Vec2)
+        for name, value, cls in fields:
+            if value.__class__ is not cls:
+                kind = type(value).__name__
+                raise ValueError(f"{name} must be a {cls.__name__}, got {kind}")
         if not (
             isinstance(violating_index, int)
             and not isinstance(violating_index, bool)
@@ -171,7 +178,10 @@ def search_non_transitivity(
         for index, coord in enumerate(alpha.coords(), start=1):
             ns = coord.norm_sq()
             if not _in_cone(ns):
-                return NonTransitivityWitness(beta, basis, alpha, index, ns)
+                # fields as _check stores them: the int index, and a finite
+                # float squared norm of coordinates that q, p < 1 and phases
+                # within 2*PHASE_RANGE keep far from overflow
+                return NonTransitivityWitness._unchecked(beta, basis, alpha, index, ns)
     return None
 
 

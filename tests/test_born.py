@@ -1,6 +1,7 @@
 """Decomposability, the closed-form probability transformation, and the
 sign/phase constraint system."""
 
+import hashlib
 import math
 import random
 
@@ -39,7 +40,14 @@ from hyperq.errors import (
     PhaseRangeError,
     PreconditionError,
 )
-from hyperq.space import Mat2, Vec2, change_basis, prob_matrix
+from hyperq.space import (
+    Mat2,
+    Vec2,
+    change_basis,
+    doubly_stochastic_residual,
+    orthonormality_residual,
+    prob_matrix,
+)
 from hyperq.witness import UnitaryParams, make_decomposable_unitary
 
 # the refusals of ProbabilityModel.from_json_dict: the shape, never the content
@@ -450,6 +458,10 @@ class TestExtractAndPipeline:
     @given(states, unitaries)
     def test_extracted_norms_are_the_public_norms(self, beta, basis):
         fitted = extract_model(beta, basis)
+        # built unchecked, it stores what the checked constructor stores
+        *reals, eps1 = fitted._field_tuple(fitted)
+        assert all(type(x) is float for x in reals) and type(eps1) is int
+        assert fitted == ProbabilityModel(*reals, eps1)
         assert fitted == ProbabilityModel(
             beta.c1.norm_sq(),
             beta.c2.norm_sq(),
@@ -544,3 +556,89 @@ class TestExtractAndPipeline:
     def test_pipeline_flags_the_witness_instance(self):
         d = pipeline_probabilities(witness_state(), hadamard_like())
         assert not d.decomposable
+
+
+# -- pinned outputs ---------------------------------------------------------------
+
+
+def born_pair(rng, kind):
+    """A (state, matrix) pair of one kind, from plain-float amplitudes.
+
+    valid         a decomposable state and a decomposable unitary, both
+                  drawn as the witness search draws them;
+    nonunitary    the same with row 2 scaled off the unit hyperbola;
+    unnormalised  the same with the state scaled;
+    jdominant     a unitary whose column-1 entries have squared norm -t.
+    """
+
+    def amp(sign, q, xi):
+        r = sign * math.sqrt(q)
+        return SplitComplex(r * math.cosh(xi), r * math.sinh(xi))
+
+    q1, p = rng.random(), rng.random()
+    xi1, xi2, g1, g2, d = (rng.uniform(-3.0, 3.0) for _ in range(5))
+    beta = Vec2(amp(1, q1, xi1), amp(1, 1.0 - q1, xi2))
+    if kind == "jdominant":
+        t = rng.uniform(0.05, 0.5)
+        r = math.sqrt(t)
+        a = SplitComplex(r * math.sinh(g1 / 3.0), r * math.cosh(g1 / 3.0))
+        b = amp(1, 1.0 + t, g2 / 3.0)
+        u = amp(1, 1.0, d / 3.0)
+        return beta, Mat2(a, b, b.conj() * u, -(a.conj() * u))
+    row1 = amp(1, p, g1), amp(1, 1.0 - p, g2)
+    row2 = amp(1, 1.0 - p, g1 - d), amp(-1, p, g2 - d)
+    if kind == "nonunitary":
+        f = rng.uniform(1.05, 1.5)
+        row2 = row2[0] * f, row2[1] * f
+    elif kind == "unnormalised":
+        beta = beta * rng.uniform(1.05, 1.5)
+    return beta, Mat2(*row1, *row2)
+
+
+#: Pairs that reach the early exits and the read order of the polar forms:
+#: a negligible state coefficient ahead of degenerate entries, a negligible
+#: entry ahead of a degenerate one, and two degenerate entries.
+EDGE_PAIRS = [
+    (Vec2(ONE, ZERO), Mat2.identity()),
+    (Vec2(ONE, ZERO), Mat2(ONE, SplitComplex(0.0, 1.0), ONE, ONE)),
+    (Vec2(SplitComplex(0.5, 1.0), SplitComplex(0.0, 1.0)), hadamard_like()),
+    (witness_state(), Mat2(ZERO, ONE, SplitComplex(0.0, 1.0), ONE)),
+    (witness_state(), Mat2(ONE, SplitComplex(0.0, 2.0), SplitComplex(0.0, 1.0), ONE)),
+    (witness_state(), Mat2.identity()),
+    (Vec2(SplitComplex(1e200, 0.0), ONE), hadamard_like()),
+]
+
+
+def born_outputs(beta, basis):
+    """Every output of the born pipeline on one pair, as ``outcome`` gives it."""
+
+    def decomposition():
+        d = decompose(change_basis(beta, basis))
+        return d, d.phases
+
+    def transformed():
+        t = transform_probabilities(extract_model(beta, basis))
+        return t, t.in_range
+
+    p = prob_matrix(basis)
+    return (
+        outcome(orthonormality_residual, basis),
+        repr(p),
+        outcome(doubly_stochastic_residual, p),
+        outcome(decomposition),
+        outcome(check_sign_phase_constraints, basis, beta),
+        outcome(extract_model, beta, basis),
+        outcome(transformed),
+    )
+
+
+#: sha256 of the outputs below, computed before the born kernels were batched.
+BORN_DIGEST = "211b9723be079c74e058582c0594f131c06d771081f558c01de2c07575e89f61"
+
+
+def test_born_outputs_are_pinned():
+    rng = random.Random(2001)
+    kinds = ["valid"] * 17 + ["nonunitary", "unnormalised", "jdominant"]
+    pairs = [born_pair(rng, kinds[i % 20]) for i in range(2000)] + EDGE_PAIRS
+    docs = [born_outputs(beta, basis) for beta, basis in pairs]
+    assert hashlib.sha256(repr(docs).encode()).hexdigest() == BORN_DIGEST

@@ -14,11 +14,15 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperq.algebra import EPS_ALG, EPS_MEM, ONE, ZERO, SplitComplex
 from hyperq.born import (
     ProbabilityModel,
     TransformedProbabilities,
+    _check_unit_sums,
+    _in_unit_interval,
     amplitude,
     check_sign_phase_constraints,
     decompose,
@@ -41,7 +45,7 @@ from hyperq.interference import (
     TRIG,
     classify,
 )
-from hyperq.space import Mat2, Vec2, change_basis, is_orthonormal_rows
+from hyperq.space import Mat2, Vec2, _is_unit_sum, change_basis, is_orthonormal_rows
 from hyperq.witness import (
     NonTransitivityWitness,
     UnitaryParams,
@@ -193,6 +197,71 @@ def test_unit_interval_edge(low, high, inside):
     else:
         with pytest.raises(PreconditionError, match=r"must lie in \[0, 1\]"):
             model.validate()
+
+
+# -- table forms: one call per table, the verdict of one call per value -------
+
+
+def around(x):
+    """``x`` and the floats one ulp below and above it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+#: Totals and probabilities at and one ulp around each tolerance edge, the
+#: edges the rules compute, and the values no finite comparison accepts.
+EDGE_VALUES = [
+    *around(1.0 + EPS_ALG),
+    *around(1.0 - EPS_ALG),
+    *around(-EPS_ALG),
+    *unit_sum_edge(),
+    LOW,
+    HIGH,
+    0.0,
+    -0.0,
+    1.0,
+    math.nan,
+    math.inf,
+    -math.inf,
+]
+tables = st.lists(st.sampled_from(EDGE_VALUES) | st.floats(), max_size=6)
+
+
+def check_unit_sums_per_value(kind, *totals):
+    """``_check_unit_sums`` as one rule call per total: None, or the refusal."""
+    for index, total in enumerate(totals, start=1):
+        if not _is_unit_sum(total):
+            return f"{kind} {index} sums to {total}, expected 1"
+    return None
+
+
+@given(tables)
+def test_unit_sum_table_is_the_per_value_verdict(totals):
+    verdict = _is_unit_sum(*totals)
+    assert verdict is all(_is_unit_sum(total) for total in totals)
+    assert verdict is all(abs(total - 1.0) <= EPS_ALG for total in totals)
+    expected = check_unit_sums_per_value("row", *totals)
+    try:
+        _check_unit_sums("row", *totals)
+    except PreconditionError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+@given(tables)
+def test_unit_interval_table_is_the_per_value_verdict(values):
+    verdict = _in_unit_interval(tuple(values))
+    assert verdict is all(_in_unit_interval((p,)) for p in values)
+    assert verdict is all(-EPS_ALG <= p <= 1.0 + EPS_ALG for p in values)
+    if len(values) == 2:
+        assert TransformedProbabilities(*values).in_range is verdict
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.5, math.nan), (math.nan,) * 2])
+def test_nan_is_outside_the_unit_interval(pair):
+    assert _in_unit_interval(pair) is False
+    assert TransformedProbabilities(*pair).in_range is False
+    assert _is_unit_sum(*pair) is False
 
 
 # -- positive cone: norm_sq >= -EPS_ALG ---------------------------------------
@@ -374,7 +443,10 @@ def test_regime_band_edges(bound, at, beyond, regimes):
 #: is decided where it appears here; a new comparison means a new rule or a
 #: copy of an old one.
 ALLOWED = {
-    "algebra.SplitComplex.in_positive_cone": ["tol >= 0", "self.norm_sq() >= -tol"],
+    "algebra.SplitComplex.in_positive_cone": [
+        "tol >= 0",
+        "(self.x - self.y) * (self.x + self.y) >= -tol",
+    ],
     "algebra._in_cone": ["ns >= -EPS_ALG"],
     "born._phase_of": ["ns <= EPS_MEM"],
     "born.ProbabilityModel.validate": ["abs(gap) > EPS_ALG"],

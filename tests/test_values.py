@@ -123,6 +123,9 @@ BAD_FIELDS += [
     (NonTransitivityWitness, "violating_index", 3),
     (NonTransitivityWitness, "norm_sq", 10**400),
     (NonTransitivityWitness, "norm_sq", math.nan),
+    (NonTransitivityWitness, "beta", None),
+    (NonTransitivityWitness, "basis", V),
+    (NonTransitivityWitness, "alpha", M),
 ]
 BAD_FIELD_IDS += [
     "NonTransitivityWitness-float-index",
@@ -130,6 +133,9 @@ BAD_FIELD_IDS += [
     "NonTransitivityWitness-index-3",
     "NonTransitivityWitness-huge-norm_sq",
     "NonTransitivityWitness-nan-norm_sq",
+    "NonTransitivityWitness-none-beta",
+    "NonTransitivityWitness-vector-basis",
+    "NonTransitivityWitness-matrix-alpha",
 ]
 
 
@@ -195,6 +201,20 @@ def test_signature_is_the_fields(cls, kwargs, expected_repr):
     assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
     assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
     assert cls.__init__.__module__ == cls.__module__
+
+
+@each_row
+def test_unchecked_twin_stores_the_fields_as_given(cls, kwargs, expected_repr):
+    if not hasattr(cls, "_check"):
+        assert not hasattr(cls, "_unchecked")
+        return
+    value = cls._unchecked(**kwargs)
+    assert type(value) is cls
+    assert value == cls(**kwargs)
+    for name, field in kwargs.items():
+        assert getattr(value, name) is field
+    twin = type("Twin", (cls,), {"__slots__": ()})
+    assert type(twin._unchecked(**kwargs)) is twin
 
 
 @each_row
