@@ -57,62 +57,103 @@ THETA_MAX = 300.0
 
 _new = object.__new__
 
+#: The field kinds of a value type that are not one exact class.  A real is
+#: stored as ``float``, a sign (+1 or -1) and an index (1 or 2) as ``int``.
+_REAL, _SIGN, _INDEX = "real", "sign", "index"
+
+#: The call-free test that ``__init__`` makes of a field named ``{0}``, true
+#: when the field fails its kind (``x - x`` is 0.0 for a finite float, a
+#: true NaN otherwise); an exact class, ``{1}``, is tested by identity.
+_FAILS = {
+    _REAL: "{0}.__class__ is not float or {0} - {0}",
+    _SIGN: "{0}.__class__ is not int or {0} not in (1, -1)",
+    _INDEX: "{0}.__class__ is not int or {0} not in (1, 2)",
+}
+
+
+def _field(name: str, value: object, kind: object) -> object:
+    """A field that failed its kind's test in ``__init__``, as it is stored.
+
+    The one slow path of every value type's fields: a real number passes
+    the finiteness rule and is stored as its ``float`` (:func:`_scalar`),
+    a sign equal to +1 or -1 (``1.0``, ``True``) as its ``int``.
+    Any other value raises ``ValueError`` naming the field.
+    """
+    if kind == _REAL:
+        try:
+            return _scalar(value, name)
+        except TypeError:  # no number at all
+            pass
+    elif kind == _SIGN:
+        check_sign(value, name)
+        return int(value)
+    elif kind == _INDEX:
+        raise ValueError(f"{name} must be the int 1 or 2, got {_echo(value)}")
+    noun = getattr(kind, "__name__", kind)
+    raise ValueError(f"{name} must be a {noun}, got {type(value).__name__}")
+
 
 class _Value:
     """Base of the immutable value types: slots, init, equality, hash and repr.
 
-    A subclass lists its fields in ``__slots__`` and, if its arguments need
-    checking, a static ``_check`` that takes the fields in order and returns
-    them, in order, as they are to be stored: each real field a ``float``
-    (through :func:`_reals`, the one finiteness rule :func:`_check_finite`
-    followed by ``float``), each sign or index an ``int``.  The class gets a
-    generated ``__init__(self, <fields>)`` that rebinds the fields to what
-    ``_check`` (its own or an inherited one) returns and stores each through
-    its slot descriptor (assignment is blocked here).  A class with a
-    ``_check`` also gets its unchecked twin, the static
+    A subclass declares its fields once, as the dict ``__slots__`` from each
+    field's name to its kind: ``_REAL``, ``_SIGN``, ``_INDEX``, an exact
+    class (``bool``, ``tuple``, ``SplitComplex``, ...), or ``(kind, None)``,
+    which also lets None through.  The class gets a generated
+    ``__init__(self, <fields>)`` that makes one call-free test per field,
+    hands a field that fails it to :func:`_field`, which converts it or
+    raises ``ValueError``, and stores each through its slot descriptor
+    (assignment is blocked here).  A class with cross-field domain tests
+    writes them in a ``_check(self)``, which ``__init__`` calls last and a
+    subclass inherits.  Each class also gets its unchecked twin, the static
     ``_unchecked(<fields>)``, which stores the fields as given: for kernels
-    that build a value from parts already stored as ``_check`` would store
-    them, as :func:`_result` does.  Equality holds only
-    between instances of the same class with equal field tuples, the hash
-    is that of the field tuple, and the repr reads ``Name(field=value,
-    ...)``.  ``__reduce__`` rebuilds through ``__init__``, so ``copy`` and
+    that build a value from parts already stored as ``__init__`` would
+    store them, as :func:`_result` does.  Equality holds only between
+    instances of the same class with equal field tuples, the hash is that
+    of the field tuple, and the repr reads ``Name(field=value, ...)``.
+    ``__reduce__`` rebuilds through ``__init__``, so ``copy`` and
     ``pickle`` work and re-validate.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _kinds: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        # the base's fields, then the slots this class adds
-        fields = cls.__match_args__ = cls.__match_args__ + cls.__slots__
+        # the base's fields, then those this class declares
+        kinds = cls._kinds = {**cls._kinds, **dict(cls.__slots__)}
+        fields = cls.__match_args__ = tuple(kinds)
         # a plain callable, not a method: called as self._field_tuple(self);
         # every value type has at least two fields, so it returns a tuple
         cls._field_tuple = operator.attrgetter(*fields)
-        # __init__ compiled from the slot names, as namedtuple compiles its
-        # __new__: the fields as _check returns them, if the class has one,
-        # then each descriptor's __set__; with a _check, _unchecked makes
-        # the same stores on a new instance
-        args = ", ".join(fields)
-        namespace = {f"_set{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
-        stores = [f" _set{i}(self, {f})" for i, f in enumerate(fields)]
-        source = [f"def __init__(self, {args}):", *stores]
-        names = ["__init__"]
+        # __init__ and _unchecked compiled from the kinds, as namedtuple
+        # compiles its __new__: __init__ tests each field, then stores it
+        # through its descriptor's __set__, then calls _check if there is one
         check = getattr(cls, "_check", None)
+        namespace = {"_field": _field, "_check": check, "_new": _new, "cls": cls}
+        tests, stores = [], []
+        for i, (f, kind) in enumerate(kinds.items()):
+            optional = kind.__class__ is tuple
+            namespace[f"_k{i}"] = kind = kind[0] if optional else kind
+            fails = _FAILS.get(kind, "{0}.__class__ is not {1}").format(f, f"_k{i}")
+            if optional:
+                fails = f"{f} is not None and ({fails})"
+            tests.append(f" if {fails}: {f} = _field({f!r}, {f}, _k{i})")
+            namespace[f"_set{i}"] = getattr(cls, f).__set__
+            stores.append(f" _set{i}(self, {f})")
+        args = ", ".join(fields)
+        source = [f"def __init__(self, {args}):", *tests, *stores]
         if check is not None:
-            namespace.update(_check=check, _new=_new, cls=cls)
-            source.insert(1, f" {args} = _check({args})")
-            source += [f"def _unchecked({args}):", " self = _new(cls)", *stores]
-            source.append(" return self")
-            names.append("_unchecked")
-        exec("\n".join(source), namespace)
-        for name in names:
+            source.append(" _check(self)")
+        source += [f"def _unchecked({args}):", " self = _new(cls)", *stores]
+        exec("\n".join([*source, " return self"]), namespace)
+        for name in ("__init__", "_unchecked"):
             function = namespace[name]
             function.__module__ = cls.__module__
             function.__qualname__ = f"{cls.__qualname__}.{name}"
         cls.__init__ = namespace["__init__"]
-        if check is not None:
-            cls._unchecked = staticmethod(namespace["_unchecked"])
+        cls._unchecked = staticmethod(namespace["_unchecked"])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -150,16 +191,7 @@ class SplitComplex(_Value):
     finite (an overflow) raises :class:`PreconditionError`.
     """
 
-    __slots__ = ("x", "y")
-
-    @staticmethod
-    def _check(x: float, y: float) -> tuple[float, float]:
-        # two finite floats are stored as given, tested without a call
-        # (x - x is 0.0 for a finite float, NaN otherwise); the rule and the
-        # conversion run for any other input
-        if x.__class__ is y.__class__ is float and x - x == y - y:
-            return x, y
-        return _reals(("x", "y"), (x, y))
+    __slots__ = {"x": _REAL, "y": _REAL}
 
     # -- ring structure ----------------------------------------------------
 
@@ -304,15 +336,11 @@ class PolarForm(_Value):
     raises ``ValueError``.
     """
 
-    __slots__ = ("sign", "modulus", "theta")
+    __slots__ = {"sign": _SIGN, "modulus": _REAL, "theta": _REAL}
 
-    @staticmethod
-    def _check(sign: int, modulus: float, theta: float) -> tuple[int, float, float]:
-        check_sign(sign)
-        modulus, theta = _reals(("modulus", "theta"), (modulus, theta))
-        if not modulus > 0.0:
-            raise ValueError(f"modulus must be strictly positive, got {modulus!r}")
-        return int(sign), modulus, theta
+    def _check(self) -> None:
+        if not self.modulus > 0.0:
+            raise ValueError(f"modulus must be strictly positive, got {self.modulus!r}")
 
     def to_number(self) -> SplitComplex:
         """Reconstruct the source number ``sign * modulus * expj(theta)``."""
@@ -498,25 +526,15 @@ def _coerce(value: object) -> SplitComplex | None:
     return None
 
 
-def _scalar(value: float) -> float:
-    """A scalar operand of the operators as a ``float``; converted once.
+def _scalar(value: float, name: str = "operand") -> float:
+    """A scalar operand of the operators, or a real field, as a ``float``.
 
     The finiteness rule runs first, so NaN, an infinity or an ``int`` too
     large for a double raises ``ValueError("operand must be finite, ...")``
-    before any arithmetic.
+    (the field's name in place of ``operand``) before any arithmetic.
     """
-    _check_finite(("operand",), (value,))
+    _check_finite((name,), (value,))
     return float(value)
-
-
-def _reals(names: tuple[str, ...], values: tuple[float, ...]) -> tuple[float, ...]:
-    """Real fields of a value type as stored: the finiteness rule, then ``float``.
-
-    An ``int`` (a ``bool`` included) that passes the rule is stored as its
-    double, so every kernel computes in floats.
-    """
-    _check_finite(names, values)
-    return tuple(map(float, values))
 
 
 def _is_finite(value: float) -> bool:
@@ -549,12 +567,13 @@ def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
     The first that is not (an ``int`` too large for a double included)
     raises ``ValueError("<name> must be finite, got <value>")``, with the
     value shown by :func:`_echo`.  The one decision of finiteness: every
-    value type's real fields (:func:`_reals`), the scalar operands of
-    ``SplitComplex``'s operators (:func:`_scalar`), the guards
+    value type's real fields and the scalar operands of ``SplitComplex``'s
+    operators (both through :func:`_scalar`), the guards
     ``check_probability`` and ``check_phase``, ``born.amplitude``, the law
     kernel :func:`_law`, ``classify`` and ``sweep_rows``' phase range all
-    call it.  ``SplitComplex``, on two floats, and the hot entry points test
-    their own predicate inline and call this only to raise.
+    call it.  A value type's ``__init__``, on a finite float, and the hot
+    entry points test their own predicate inline and call this only to
+    raise.
     """
     try:
         if all(map(math.isfinite, values)):
@@ -574,7 +593,7 @@ def _numbers(form: tuple[str, str], *leaves: object) -> tuple[object, ...]:
 
     The first leaf that is no number (:func:`_is_number`) is refused
     through :func:`_malformed`; a ``float`` is one without the call.  The
-    value type built from them converts each to ``float`` (:func:`_reals`).
+    value type built from them converts each to ``float`` (:func:`_field`).
     """
     for leaf in leaves:
         if leaf.__class__ is not float and not _is_number(leaf):

@@ -33,6 +33,8 @@ from .algebra import (
     EPS_ALG,
     EPS_MEM,
     THETA_MAX,
+    _REAL,
+    _SIGN,
     SplitComplex,
     _check_finite,
     _in_cone,
@@ -41,7 +43,6 @@ from .algebra import (
     _malformed,
     _numbers,
     _polar,
-    _reals,
     _result,
     _Value,
     check_phase,
@@ -83,7 +84,9 @@ class StateDecomposition(_Value):
     is not a field.
     """
 
-    __slots__ = ("coefficients", "decomposable", "probabilities")
+    __slots__ = {
+        "coefficients": Vec2, "decomposable": bool, "probabilities": (tuple, None)
+    }
 
     @property
     def phases(self) -> tuple[Phase | None, Phase | None] | None:
@@ -176,14 +179,10 @@ class ProbabilityModel(_Value):
     ``float``, ``eps1`` as an ``int``.
     """
 
-    __slots__ = ("q1", "q2", "p11", "p12", "p21", "p22", "theta", "eps1")
-
-    @staticmethod
-    def _check(q1, q2, p11, p12, p21, p22, theta, eps1) -> tuple:
-        # zip in _check_finite pairs the seven real fields with their names
-        reals = _reals(ProbabilityModel.__slots__, (q1, q2, p11, p12, p21, p22, theta))
-        check_sign(eps1, "eps1")
-        return reals + (int(eps1),)
+    __slots__ = {
+        "q1": _REAL, "q2": _REAL, "p11": _REAL, "p12": _REAL,
+        "p21": _REAL, "p22": _REAL, "theta": _REAL, "eps1": _SIGN,
+    }
 
     @property
     def eps2(self) -> int:
@@ -308,20 +307,12 @@ class SignPhaseReport(_Value):
     ``vacuous``, ``eta`` is None too, and the constraints hold trivially.
     """
 
-    __slots__ = (
-        "eta",
-        "gamma1",
-        "gamma2",
-        "theta1",
-        "theta2",
-        "theta_diff",
-        "eps1",
-        "eps2",
-        "opposite_signs",
-        "residual",
-        "vacuous",
-        "satisfied",
-    )
+    __slots__ = {
+        "eta": (_REAL, None), "gamma1": (_REAL, None), "gamma2": (_REAL, None),
+        "theta1": (_REAL, None), "theta2": (_REAL, None), "theta_diff": (_REAL, None),
+        "eps1": (_SIGN, None), "eps2": (_SIGN, None), "opposite_signs": (bool, None),
+        "residual": _REAL, "vacuous": bool, "satisfied": bool,
+    }
 
 
 def _polar_or_absent(*amplitudes: SplitComplex) -> list:
@@ -398,7 +389,9 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
     report can quantify how a perturbed matrix breaks the constraints.
     Amplitudes of negligible squared norm drop their interference term;
     amplitudes with negative squared norm have no polar form and raise
-    :class:`DegenerateNormError`.  The constraints hold within ``EPS_ALG``.
+    :class:`DegenerateNormError`.  A residual that overflows, as it can for
+    entries near 1e154, raises :class:`PreconditionError`.  The
+    constraints hold within ``EPS_ALG``.
     """
     terms = _column_terms(basis, beta)
     eta, _, _, term1, term2 = terms or (None,) * 5
@@ -410,6 +403,8 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
     if term2 is not None:
         gamma2, theta2, eps2, w2, _, _ = term2
         residual += eps2 * w2 * math.cosh(theta2)
+    if not math.isfinite(residual):
+        raise PreconditionError(f"interference residual overflows: {residual}")
     theta_diff, common, opposite = None, True, None
     if term1 is not None and term2 is not None:
         theta_diff, common, opposite = _sign_phase(theta1, theta2, eps1, eps2)

@@ -186,24 +186,34 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     :class:`DegenerateInputsError` is raised; the same happens when the
     coefficient is too large for any representable phase.  Any finite
     ``pprime`` is accepted; physical admissibility is the caller's concern.
+    Where ``p1*p2`` overflows, ``pprime - p1 - p2`` can too, and the
+    coefficient is formed from the quartered terms, which cannot.
     """
     try:
         # the guards' predicate in one chain; they run only to raise
         if not (0.0 < p1 < _INF and 0.0 < p2 < _INF and -_INF < pprime < _INF):
             _check_finite(_CLASSIFY_INPUTS, (pprime, p1, p2))
             raise DegenerateInputsError(
-                f"reference probabilities must be positive, got {p1!r}, {p2!r}"
+                "reference probabilities must be positive, "
+                f"got {_echo(p1)}, {_echo(p2)}"
             )
         product = p1 * p2
         if _NORMAL_MIN <= product <= _NORMAL_MAX:
-            root = math.sqrt(product)
+            # 2*root can overflow; halving the quotient gives the same normal floats
+            lam = (pprime - p1 - p2) / math.sqrt(product) / 2.0
         else:
             # p1*p2 underflowed or overflowed; the split root does neither
             root = math.sqrt(p1) * math.sqrt(p2)
-        # 2*root can overflow; halving the quotient gives the same normal floats
-        lam = (pprime - p1 - p2) / root / 2.0
-    except OverflowError:  # an int too large for a double, which it refuses
+            if product < _NORMAL_MIN:
+                lam = (pprime - p1 - p2) / root / 2.0
+            else:
+                # pprime - p1 - p2 can overflow too; its quarters cannot
+                lam = (0.25 * pprime - 0.25 * p1 - 0.25 * p2) / root * 2.0
+    except OverflowError:
+        # an int: one too large for a double is refused; ints that fit one,
+        # with a difference that does not, are classified as their doubles
         _check_finite(_CLASSIFY_INPUTS, (pprime, p1, p2))
+        return classify(float(pprime), float(p1), float(p2))
     mag = abs(lam)
     if mag > _LAMBDA_MAX:
         raise DegenerateInputsError(f"coefficient {lam} exceeds any admissible phase")

@@ -42,7 +42,7 @@ _MATRIX = "matrix", "[[[x11, y11], [x12, y12]], [[x21, y21], [x22, y22]]]"
 class Vec2(_Value):
     """Pair of split-complex coordinates in an implicit ordered basis."""
 
-    __slots__ = ("c1", "c2")
+    __slots__ = {"c1": SplitComplex, "c2": SplitComplex}
 
     def __add__(self, other: Vec2) -> Vec2:
         if not isinstance(other, Vec2):
@@ -108,7 +108,7 @@ class Vec2(_Value):
 class Mat2(_Value):
     """2x2 matrix of split-complex entries, row major."""
 
-    __slots__ = ("a11", "a12", "a21", "a22")
+    __slots__ = dict.fromkeys(("a11", "a12", "a21", "a22"), SplitComplex)
 
     @property
     def row1(self) -> Vec2:
@@ -224,11 +224,11 @@ def change_basis(coeffs: Vec2, basis: Mat2) -> Vec2:
         raise NotUnitaryError(f"rows are not orthonormal (residual {residual})")
     # SplitComplex products and sums written out in their operation order;
     # an inf or NaN never turns finite again, so _result checking the
-    # outputs suffices
+    # outputs suffices, and the vector of its results is built unchecked
     x1, y1 = coeffs.c1.x, coeffs.c1.y
     x2, y2 = coeffs.c2.x, coeffs.c2.y
     a11, a12, a21, a22 = basis.a11, basis.a12, basis.a21, basis.a22
-    return Vec2(
+    return Vec2._unchecked(
         _result(
             (x1 * a11.x + y1 * a11.y) + (x2 * a21.x + y2 * a21.y),
             (x1 * a11.y + a11.x * y1) + (x2 * a21.y + a21.x * y2),

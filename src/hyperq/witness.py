@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import EPS_ALG, _echo, _in_cone, _law, _reals, _Value
+from .algebra import EPS_ALG, _INDEX, _REAL, _echo, _in_cone, _law, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis
@@ -63,14 +63,11 @@ PHASE_RANGE = 3.0
 class UnitaryParams(_Value):
     """Parameters of one decomposable row-orthonormal matrix, stored as floats."""
 
-    __slots__ = ("p", "gamma1", "gamma2", "delta")
+    __slots__ = {"p": _REAL, "gamma1": _REAL, "gamma2": _REAL, "delta": _REAL}
 
-    @staticmethod
-    def _check(p: float, gamma1: float, gamma2: float, delta: float) -> tuple:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must lie strictly inside (0, 1), got {_echo(p)}")
-        # p, finite now, passes the rule
-        return _reals(UnitaryParams.__slots__, (p, gamma1, gamma2, delta))
+    def _check(self) -> None:
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"p must lie strictly inside (0, 1), got {self.p!r}")
 
 
 def make_decomposable_unitary(params: UnitaryParams) -> Mat2:
@@ -100,27 +97,10 @@ class NonTransitivityWitness(_Value):
     ``float``.
     """
 
-    __slots__ = ("beta", "basis", "alpha", "violating_index", "norm_sq")
-
-    @staticmethod
-    def _check(
-        beta: Vec2, basis: Mat2, alpha: Vec2, violating_index: int, norm_sq: float
-    ) -> tuple:
-        fields = ("beta", beta, Vec2), ("basis", basis, Mat2), ("alpha", alpha, Vec2)
-        for name, value, cls in fields:
-            if value.__class__ is not cls:
-                kind = type(value).__name__
-                raise ValueError(f"{name} must be a {cls.__name__}, got {kind}")
-        if not (
-            isinstance(violating_index, int)
-            and not isinstance(violating_index, bool)
-            and violating_index in (1, 2)
-        ):
-            raise ValueError(
-                f"violating_index must be the int 1 or 2, got {_echo(violating_index)}"
-            )
-        (norm_sq,) = _reals(("norm_sq",), (norm_sq,))
-        return beta, basis, alpha, int(violating_index), norm_sq
+    __slots__ = {
+        "beta": Vec2, "basis": Mat2, "alpha": Vec2,
+        "violating_index": _INDEX, "norm_sq": _REAL,
+    }
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -178,7 +158,7 @@ def search_non_transitivity(
         for index, coord in enumerate(alpha.coords(), start=1):
             ns = coord.norm_sq()
             if not _in_cone(ns):
-                # fields as _check stores them: the int index, and a finite
+                # fields as __init__ stores them: the int index, and a finite
                 # float squared norm of coordinates that q, p < 1 and phases
                 # within 2*PHASE_RANGE keep far from overflow
                 return NonTransitivityWitness._unchecked(beta, basis, alpha, index, ns)

@@ -282,4 +282,6 @@ EXIT_CASES = [
             "3",
         ],
     ),
+    # pprime - p1 - p2 overflows; lambda is -1 + 2.5e-309, the boundary
+    (0, ["classify", "--p1", "1e308", "--p2", "1e308", "--pprime", "0.5"]),
 ]

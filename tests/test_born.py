@@ -410,6 +410,14 @@ class TestSignPhaseConstraints:
         with pytest.raises(DegenerateNormError):
             check_sign_phase_constraints(bad, witness_state())
 
+    def test_overflowing_residual_is_a_precondition_error(self):
+        # each term's weight is 1e308, times cosh(6): finite entries, an
+        # infinite residual that the report's real field would refuse
+        big = Mat2(*[SplitComplex(1e154, 0.0)] * 4)
+        beta = Vec2(amplitude(1, 0.5, 3.0), amplitude(1, 0.5, -3.0))
+        with pytest.raises(PreconditionError, match="residual overflows: inf"):
+            check_sign_phase_constraints(big, beta)
+
 
 class TestExtractAndPipeline:
     def test_pipeline_identity(self):

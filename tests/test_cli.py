@@ -132,6 +132,12 @@ def test_interfere_answers_across_the_float_range(law, p, first_row, capsys):
     assert capsys.readouterr().out.splitlines()[1] == first_row
 
 
+def test_classify_answers_at_the_top_of_the_double_range(capsys):
+    # pprime - p1 - p2 overflows; lambda is -1 + 2.5e-309, the boundary
+    assert main(triple(p1="1e308", p2="1e308")) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "boundary"
+
+
 CLASSIFY_ARGV = ["classify", "--p1", "0.3", "--p2", "0.4", "--pprime", "0.5"]
 
 
@@ -202,17 +208,18 @@ def witness(max_iter):
 DIGITS = "9" * 400
 
 
-def bad_value(cls, name, code, argv):
-    return pytest.param(argv, code, id=f"{cls}-{name}")
+def bad_value(cls, name, code, argv, named=""):
+    return pytest.param(argv, code, named, id=f"{cls}-{name}")
 
 
 # One row per bad-value class and per subcommand option or file that reads
-# such a value: (argv, exit code).  A value that is not finite (NaN, an
-# infinity, an integer too large for a double) or a JSON document of the
-# wrong shape exits 1, as does a command-line parameter out of its range;
-# a finite value outside the operation's domain, or a finite computation
-# that overflows, exits 2.  An argument that starts with "[" is a JSON
-# document, written to a file whose path takes its place.
+# such a value: (argv, exit code, the input its message must name, if the
+# row says).  A value that is not finite (NaN, an infinity, an integer too
+# large for a double) or a JSON document of the wrong shape exits 1, as
+# does a command-line parameter out of its range; a finite value outside
+# the operation's domain, or a finite computation that overflows, exits 2.
+# An argument that starts with "[" is a JSON document, written to a file
+# whose path takes its place.
 BAD_VALUE_CASES = [
     bad_value("negative", "classify-p1", 2, triple(p1="-1")),
     bad_value("negative", "classify-p2", 2, triple(p2="-1.5e-05")),
@@ -224,7 +231,7 @@ BAD_VALUE_CASES = [
     bad_value("zero", "classify-p2", 2, triple(p2="0")),
     bad_value("zero", "interfere-steps", 1, sweep(steps="0")),
     bad_value("zero", "witness", 1, witness("0")),
-    bad_value("nan", "classify-p1", 1, triple(p1="nan")),
+    bad_value("nan", "classify-p1", 1, triple(p1="nan"), named="p1"),
     bad_value("nan", "classify-p2", 1, triple(p2="nan")),
     bad_value("nan", "classify-pprime", 1, triple(pprime="nan")),
     bad_value("nan", "interfere-p1", 1, sweep(p1="nan")),
@@ -241,6 +248,9 @@ BAD_VALUE_CASES = [
     bad_value("inf", "classify-p2-spaced", 1, triple(p2="-inf")),
     bad_value("inf", "interfere-theta-min", 1, sweep(theta_min="-inf")),
     bad_value("inf", "classify-pprime", 1, triple(pprime="inf")),
+    bad_value(
+        "inf", "classify-pprime-negative", 1, triple(pprime="-inf"), named="pprime"
+    ),
     bad_value("inf", "interfere-p1", 1, sweep(p1="inf")),
     bad_value("inf", "interfere-p2", 1, sweep(law="hyp", p2="inf")),
     bad_value("inf", "interfere-theta-max", 1, sweep(theta_max="inf")),
@@ -273,19 +283,33 @@ BAD_VALUE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv,code", BAD_VALUE_CASES)
-def test_bad_value_gets_its_class_exit_code(argv, code, tmp_path, capsys):
+def with_files(argv, tmp_path):
+    """``argv`` with each JSON document written to a file in its place."""
     argv = list(argv)
     for index, arg in enumerate(argv):
         if arg.startswith("["):
             path = tmp_path / f"{index}.json"
             path.write_text(arg)
             argv[index] = str(path)
-    assert main(argv) == code
+    return argv
+
+
+def check_refusal(code, out, err, expected_code, named):
+    """The contract for a bad value: its exit code, nothing on stdout, and
+    one short error line on stderr, naming the input ``named``, if set."""
+    assert code == expected_code, err
+    assert out == "", err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err.encode()) < 200, err
+    if named:
+        assert err.startswith(f"error: {named} must"), err
+
+
+@pytest.mark.parametrize("argv,code,named", BAD_VALUE_CASES)
+def test_bad_value_gets_its_class_exit_code(argv, code, named, tmp_path, capsys):
+    returned = main(with_files(argv, tmp_path))
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert len(captured.err.encode()) < 200
+    check_refusal(returned, captured.out, captured.err, code, named)
 
 
 def test_verify_answers_a_light_cone_entry(capsys):
@@ -448,6 +472,12 @@ def test_subcommand_loads_only_what_it_needs(argv, needed, unneeded):
 
 
 @pytest.mark.skipif(shutil.which("hyperq") is None, reason="script not on PATH")
-def test_console_script_runs():
+def test_console_script_runs(tmp_path):
     proc = subprocess.run(["hyperq", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
+    # every bad-value row through the installed script, as CI installs it
+    for case in BAD_VALUE_CASES:
+        argv, code, named = case.values
+        command = ["hyperq", *with_files(argv, tmp_path)]
+        proc = subprocess.run(command, capture_output=True, text=True)
+        check_refusal(proc.returncode, proc.stdout, proc.stderr, code, named)

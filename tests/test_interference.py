@@ -254,6 +254,17 @@ class TestClassify:
         assert v.regime == TRIG
         assert v.lambda_ == pytest.approx(-0.5, rel=1e-15)
 
+    def test_overflowing_difference_keeps_the_coefficient(self):
+        # pprime - p1 - p2 overflows; the exact lambda is -1 + 2.5e-309
+        v = classify(0.5, 1e308, 1e308)
+        assert (v.regime, v.sign, v.lambda_) == (BOUNDARY, -1, -1.0)
+        # halved, the difference would still overflow; exactly -1.5
+        v = classify(-1.7e308, 1.7e308, 1.7e308)
+        assert (v.regime, v.sign, v.lambda_) == (HYP, -1, -1.5)
+        assert v.theta == math.acosh(1.5)
+        # ints a double holds, whose exact difference it does not
+        assert classify(-(10**308), 10**308, 10**308) == classify(-1e308, 1e308, 1e308)
+
     def test_rejects_unrepresentable_phase(self):
         with pytest.raises(DegenerateInputsError):
             classify(1e155, 0.25, 0.25)
@@ -394,6 +405,14 @@ FIRST_ERROR_CASES = [
     (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, -HUGE), ValueError, STEPS_HUGE),
     (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, -GIANT), ValueError, STEPS_HUGE),
     (sweep_rows, ("trig", 0.5, 0.5, 0.0, 1.0, GIANT), ValueError, STEPS_HUGE),
+    # an int of more than 53 bits that a double holds shows as that double
+    (
+        classify,
+        (0.5, -(2**60), 0.5),
+        DegenerateInputsError,
+        "reference probabilities must be positive, "
+        "got -1.152921504606847e+18, 0.5",
+    ),
 ]
 
 def case_id(entry, args):

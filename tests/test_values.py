@@ -4,7 +4,8 @@ Each row builds one instance by keyword and checks what the frozen
 dataclasses these classes replaced gave: equality by class and fields, the
 hash of the field tuple, the ``Name(field=value, ...)`` repr, ``copy`` and
 ``pickle`` round trips, and refused assignment and deletion.  The generated
-``__init__`` takes exactly the fields, and a subclass keeps the checks.
+``__init__`` takes exactly the fields and tests each against the kind its
+class declares, and a subclass keeps the checks.
 """
 
 import copy
@@ -15,8 +16,9 @@ import pickle
 import pytest
 
 import hyperq
-from hyperq.algebra import J, ONE, ZERO, PolarForm, SplitComplex, _Value
-from hyperq.born import ProbabilityModel, SignPhaseReport, StateDecomposition
+from hyperq.algebra import _INDEX, _REAL, _SIGN, J, ONE, ZERO, PolarForm, SplitComplex
+from hyperq.algebra import _Value
+from hyperq.born import ProbabilityModel, SignPhaseReport, StateDecomposition, decompose
 from hyperq.space import Mat2, Vec2
 from hyperq.witness import NonTransitivityWitness, UnitaryParams
 
@@ -94,8 +96,9 @@ each_row = pytest.mark.parametrize(
     "cls,kwargs,expected_repr", ROWS, ids=[cls.__name__ for cls, _, _ in ROWS]
 )
 
-# (class, field, a value its _check refuses) for each class that has one,
-# then the classes whose finiteness test also refuses an int past any double
+# (class, field, a value its kind or its _check refuses), at least one row
+# for each kind a class declares; first the classes whose finiteness test
+# also refuses an int past any double
 BAD_FIELDS = [
     (SplitComplex, "x", math.nan),
     (PolarForm, "modulus", 0.0),
@@ -137,6 +140,44 @@ BAD_FIELD_IDS += [
     "NonTransitivityWitness-vector-basis",
     "NonTransitivityWitness-matrix-alpha",
 ]
+# the kinds of the other fields: a sign, a non-number real, an exact class,
+# a bool, and each kind that also lets None through
+BAD_FIELDS += [
+    (PolarForm, "sign", 0),
+    (ProbabilityModel, "eps1", 2),
+    (SplitComplex, "x", "1.0"),
+    (Vec2, "c1", 1.0),
+    (Mat2, "a21", "x"),
+    (StateDecomposition, "coefficients", None),
+    (StateDecomposition, "decomposable", "yes"),
+    (StateDecomposition, "probabilities", 3),
+    (SignPhaseReport, "eta", math.nan),
+    (SignPhaseReport, "eps2", 2),
+    (SignPhaseReport, "opposite_signs", 1),
+    (SignPhaseReport, "residual", None),
+    (SignPhaseReport, "vacuous", None),
+]
+BAD_FIELD_IDS += [
+    "PolarForm-sign-0",
+    "ProbabilityModel-eps1-2",
+    "SplitComplex-str-x",
+    "Vec2-float-c1",
+    "Mat2-str-a21",
+    "StateDecomposition-none-coefficients",
+    "StateDecomposition-str-decomposable",
+    "StateDecomposition-int-probabilities",
+    "SignPhaseReport-nan-eta",
+    "SignPhaseReport-eps2-2",
+    "SignPhaseReport-int-opposite_signs",
+    "SignPhaseReport-none-residual",
+    "SignPhaseReport-none-vacuous",
+]
+
+
+def kind_of(cls, name):
+    """The kind a class declares for a field, without its "or None"."""
+    kind = cls._kinds[name]
+    return kind[0] if isinstance(kind, tuple) else kind
 
 
 @each_row
@@ -205,9 +246,8 @@ def test_signature_is_the_fields(cls, kwargs, expected_repr):
 
 @each_row
 def test_unchecked_twin_stores_the_fields_as_given(cls, kwargs, expected_repr):
-    if not hasattr(cls, "_check"):
-        assert not hasattr(cls, "_unchecked")
-        return
+    # every class declares a kind per field, so every class has the twin
+    assert tuple(cls._kinds) == cls.__match_args__
     value = cls._unchecked(**kwargs)
     assert type(value) is cls
     assert value == cls(**kwargs)
@@ -230,8 +270,27 @@ def test_subclass_keeps_the_check(cls, name, bad):
     kwargs = next(kwargs for row_cls, kwargs, _ in ROWS if row_cls is cls)
     twin = type("Twin", (cls,), {"__slots__": ()})
     for target in (cls, twin):
-        with pytest.raises(ValueError, match="must"):
+        with pytest.raises(ValueError, match=f"^{name} must "):
             target(**{**kwargs, name: bad})
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Vec2(1.0, 2.0), "c1 must be a SplitComplex, got float"),
+        (lambda: Mat2(ONE, ZERO, "x", ZERO), "a21 must be a SplitComplex, got str"),
+        (
+            lambda: StateDecomposition(None, "yes", 3),
+            "coefficients must be a Vec2, got NoneType",
+        ),
+        # refused where it is built, before decompose reads a coordinate
+        (lambda: decompose(Vec2(1.0, 0.0)), "c1 must be a SplitComplex, got float"),
+    ],
+    ids=["vector", "matrix", "decomposition", "decompose"],
+)
+def test_wrong_kind_is_refused_at_construction(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_rows_cover_every_value_type():
@@ -240,56 +299,75 @@ def test_rows_cover_every_value_type():
     subclasses = _Value.__subclasses__()
     defined = {sub for sub in subclasses if sub.__module__.startswith("hyperq.")}
     assert defined == {cls for cls, _, _ in ROWS}
-    checked = {cls for cls in defined if hasattr(cls, "_check")}
-    assert checked == {cls for cls, _, _ in BAD_FIELDS}
+    declared = {(cls, kind) for cls in defined for kind in cls._kinds.values()}
+    assert {(cls, cls._kinds[name]) for cls, name, _ in BAD_FIELDS} == declared
 
 
-# (class, arguments in field order, names of the int fields): each checked
-# class built from int, bool and float input; every other number is a real,
-# and a field that is no number is stored as given
+#: The type each numeric kind is stored as.
+STORED_AS = {_REAL: float, _SIGN: int, _INDEX: int}
+
+# (class, arguments in field order): each class with a numeric kind built
+# from int, bool and float input; a field of any other kind, or None where
+# the kind lets it through, is stored as given
 STORED_INPUTS = [
-    (SplitComplex, (3, -2), ()),
-    (SplitComplex, (True, False), ()),
-    (SplitComplex, (0.5, -1.5), ()),
-    (PolarForm, (-1, 2, 0), ("sign",)),
-    (PolarForm, (True, True, False), ("sign",)),
-    (PolarForm, (-1.0, 2.0, 0.5), ("sign",)),
-    (ProbabilityModel, (1, 0, 1, 0, 0, 1, 0, -1), ("eps1",)),
-    (ProbabilityModel, (True, False, True, False, False, True, False, True), ("eps1",)),
-    (ProbabilityModel, (1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5, -1.0), ("eps1",)),
-    (UnitaryParams, (0.5, 1, -2, 0), ()),
-    (UnitaryParams, (0.5, True, False, True), ()),
-    (UnitaryParams, (0.5, 0.25, -0.5, 3.0), ()),
-    (NonTransitivityWitness, (V, M, V, 2, -1), ("violating_index",)),
-    (NonTransitivityWitness, (V, M, V, 1, False), ("violating_index",)),
-    (NonTransitivityWitness, (V, M, V, 2, -0.5), ("violating_index",)),
+    (SplitComplex, (3, -2)),
+    (SplitComplex, (True, False)),
+    (SplitComplex, (0.5, -1.5)),
+    (PolarForm, (-1, 2, 0)),
+    (PolarForm, (True, True, False)),
+    (PolarForm, (-1.0, 2.0, 0.5)),
+    (ProbabilityModel, (1, 0, 1, 0, 0, 1, 0, -1)),
+    (ProbabilityModel, (True, False, True, False, False, True, False, True)),
+    (ProbabilityModel, (1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5, -1.0)),
+    (UnitaryParams, (0.5, 1, -2, 0)),
+    (UnitaryParams, (0.5, True, False, True)),
+    (UnitaryParams, (0.5, 0.25, -0.5, 3.0)),
+    (NonTransitivityWitness, (V, M, V, 2, -1)),
+    (NonTransitivityWitness, (V, M, V, 1, False)),
+    (NonTransitivityWitness, (V, M, V, 2, -0.5)),
 ]
 STORED_IDS = [
-    f"{cls.__name__}-{type(args[-1]).__name__}" for cls, args, _ in STORED_INPUTS
+    f"{cls.__name__}-{type(args[-1]).__name__}" for cls, args in STORED_INPUTS
 ]
+# the report's last field is a bool; its ids name the type of the first
+STORED_INPUTS += [
+    (SignPhaseReport, (1, 0, None, -2, None, None, 1, None, None, 0, False, True)),
+    (
+        SignPhaseReport,
+        (True, False, None, True, None, None, True, None, None, False, True, False),
+    ),
+    (
+        SignPhaseReport,
+        (0.5, 0.25, -0.25, 0.75, 0.5, 0.25, 1.0, -1.0, True, 0.0, False, True),
+    ),
+]
+STORED_IDS += ["SignPhaseReport-int", "SignPhaseReport-bool", "SignPhaseReport-float"]
 
 
-@pytest.mark.parametrize("cls,args,signs", STORED_INPUTS, ids=STORED_IDS)
-def test_reals_are_stored_as_float_and_signs_as_int(cls, args, signs):
+@pytest.mark.parametrize("cls,args", STORED_INPUTS, ids=STORED_IDS)
+def test_reals_are_stored_as_float_and_signs_as_int(cls, args):
     value = cls(*args)
-    numbers = [
-        (name, given)
-        for name, given in zip(cls.__match_args__, args)
-        if isinstance(given, (int, float))
-    ]
-    for name, given in numbers:
+    twin = {}
+    for name, given in zip(cls.__match_args__, args):
         stored = getattr(value, name)
-        assert type(stored) is (int if name in signs else float)
-        assert stored == given
+        stored_as = None if given is None else STORED_AS.get(kind_of(cls, name))
+        if stored_as is None:
+            assert stored is given
+        else:
+            assert type(stored) is stored_as
+            assert stored == given
+        twin[name] = given if stored_as is None else stored_as(given)
     # one numeric type inside: the value equals its float-and-int twin
-    twin = dict(zip(cls.__match_args__, args))
-    twin.update((n, int(a) if n in signs else float(a)) for n, a in numbers)
     assert value == cls(**twin)
 
 
 def test_stored_types_cover_every_checked_class():
-    checked = {cls for cls, _, _ in BAD_FIELDS}
-    assert {cls for cls, _, _ in STORED_INPUTS} == checked
+    numeric = {
+        cls
+        for cls, _, _ in ROWS
+        if any(kind_of(cls, name) in STORED_AS for name in cls._kinds)
+    }
+    assert {cls for cls, _ in STORED_INPUTS} == numeric
 
 
 def test_bool_sign_reads_back_from_json():
