@@ -72,6 +72,9 @@ def _load_json(path: str) -> object:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        # JSONDecodeError and UnicodeDecodeError, named by the file
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _run_classify(args: argparse.Namespace) -> int:
