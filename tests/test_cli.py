@@ -10,11 +10,13 @@ import pytest
 from cli_cases import (
     BAD_VALUE_CASES,
     DATA,
+    DIGITS,
     EXIT_CASES,
     GOLDEN,
     GOLDEN_CASES,
     sweep,
     triple,
+    witness,
 )
 
 from hyperq.cli import _CHUNK_ROWS, main
@@ -125,6 +127,11 @@ def test_exit_codes(expected_code, argv, capsys):
 @pytest.mark.parametrize("argv,code,named", BAD_VALUE_CASES)
 def test_bad_value_gets_its_class_exit_code(argv, code, named, tmp_path, capsys):
     check_refusal(in_process(capsys), argv, code, named, tmp_path)
+
+
+@pytest.mark.parametrize("argv", [witness("-" + DIGITS)], ids=["witness"])
+def test_huge_argument_gets_one_short_error_line(argv, tmp_path, capsys):
+    check_refusal(in_process(capsys), argv, 1, "", tmp_path)
 
 
 def test_module_entry_point_matches_golden():
