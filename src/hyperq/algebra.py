@@ -55,8 +55,6 @@ EPS_MEM = 1e-12
 THETA_MAX = 300.0
 
 
-_new = object.__new__
-
 #: The field kinds of a value type that are not one exact class.  A real is
 #: stored as ``float``, a sign (+1 or -1) and an index (1 or 2) as ``int``.
 _REAL, _SIGN, _INDEX = "real", "sign", "index"
@@ -105,12 +103,9 @@ class _Value:
     raises ``ValueError``, and stores each through its slot descriptor
     (assignment is blocked here).  A class with cross-field domain tests
     writes them in a ``_check(self)``, which ``__init__`` calls last and a
-    subclass inherits.  Each class also gets its unchecked twin, the static
-    ``_unchecked(<fields>)``, which stores the fields as given: for kernels
-    that build a value from parts already stored as ``__init__`` would
-    store them, as :func:`_result` does.  Equality holds only between
-    instances of the same class with equal field tuples, the hash is that
-    of the field tuple, and the repr reads ``Name(field=value, ...)``.
+    subclass inherits.  Equality holds only between instances of the same
+    class with equal field tuples, the hash is that of the field tuple, and
+    the repr reads ``Name(field=value, ...)``.
     ``__reduce__`` rebuilds through ``__init__``, so ``copy`` and
     ``pickle`` work and re-validate.
     """
@@ -127,11 +122,11 @@ class _Value:
         # a plain callable, not a method: called as self._field_tuple(self);
         # every value type has at least two fields, so it returns a tuple
         cls._field_tuple = operator.attrgetter(*fields)
-        # __init__ and _unchecked compiled from the kinds, as namedtuple
-        # compiles its __new__: __init__ tests each field, then stores it
-        # through its descriptor's __set__, then calls _check if there is one
+        # __init__ compiled from the kinds, as namedtuple compiles its
+        # __new__: it tests each field, then stores it through its
+        # descriptor's __set__, then calls _check if there is one
         check = getattr(cls, "_check", None)
-        namespace = {"_field": _field, "_check": check, "_new": _new, "cls": cls}
+        namespace = {"_field": _field, "_check": check}
         tests, stores = [], []
         for i, (f, kind) in enumerate(kinds.items()):
             optional = kind.__class__ is tuple
@@ -146,14 +141,10 @@ class _Value:
         source = [f"def __init__(self, {args}):", *tests, *stores]
         if check is not None:
             source.append(" _check(self)")
-        source += [f"def _unchecked({args}):", " self = _new(cls)", *stores]
-        exec("\n".join([*source, " return self"]), namespace)
-        for name in ("__init__", "_unchecked"):
-            function = namespace[name]
-            function.__module__ = cls.__module__
-            function.__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.__init__ = namespace["__init__"]
-        cls._unchecked = staticmethod(namespace["_unchecked"])
+        exec("\n".join(source), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__module__ = cls.__module__
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -485,14 +476,16 @@ def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
     return value
 
 
+_new = object.__new__
 _sc_x, _sc_y = SplitComplex.x.__set__, SplitComplex.y.__set__
 
 
 def _result(x: float, y: float) -> SplitComplex:
     """``SplitComplex(x, y)`` for the result of an arithmetic operation.
 
-    The one constructor of the operators.  Every operand is finite (a
-    scalar one passed :func:`_scalar`), so a component that is not comes
+    The one constructor of the operators, and the one place outside a
+    value type's ``__init__`` that stores a field.  Every operand is finite
+    (a scalar one passed :func:`_scalar`), so a component that is not comes
     from an overflow (or ``inf - inf``); it raises
     :class:`PreconditionError`, not the ``ValueError`` of malformed input at
     construction.

@@ -432,9 +432,7 @@ def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
     :class:`PreconditionError`.  No report is built and no residual is
     computed: the fit reads only the phase and the sign of column 1.  The
     squared norms are those the polar forms were taken from, so each
-    amplitude's is computed once.  The model is built unchecked: its reals
-    are finite polar output and ``eps1`` a product of signs, and
-    :func:`transform_probabilities` validates it.
+    amplitude's is computed once.
     """
     _, q1, q2, term1, term2 = _column_terms(basis, beta) or (None,) * 5
     if term1 is None or term2 is None:
@@ -447,7 +445,7 @@ def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
         )
     if not opposite:
         raise PreconditionError("term signs are equal; no valid model exists")
-    return ProbabilityModel._unchecked(q1, q2, p11, p12, p21, p22, theta1, eps1)
+    return ProbabilityModel(q1, q2, p11, p12, p21, p22, theta1, eps1)
 
 
 def pipeline_probabilities(beta: Vec2, basis: Mat2) -> StateDecomposition:

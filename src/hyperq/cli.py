@@ -65,16 +65,27 @@ def _emit(obj: object) -> None:
 
 
 def _load_json(path: str) -> object:
+    """The JSON document in the file ``path``.
+
+    A file that cannot be opened or read as JSON is refused as ``<path>:
+    <reason>``, with a path of more than 80 characters shown as ``...`` and
+    its last 77, so that the refusal fits one short line.
+    """
     import json
 
-    with open(path, encoding="utf-8") as fh:
+    shown = path if len(path) <= 80 else "..." + path[-77:]
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"{shown}: {exc.strerror}") from None
+    with fh:
         try:
             return json.load(fh)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            raise ValueError(f"{shown}: JSON nested too deeply") from None
         # JSONDecodeError and UnicodeDecodeError, named by the file
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{shown}: {exc}") from None
 
 
 def _run_classify(args: argparse.Namespace) -> int:

@@ -224,11 +224,11 @@ def change_basis(coeffs: Vec2, basis: Mat2) -> Vec2:
         raise NotUnitaryError(f"rows are not orthonormal (residual {residual})")
     # SplitComplex products and sums written out in their operation order;
     # an inf or NaN never turns finite again, so _result checking the
-    # outputs suffices, and the vector of its results is built unchecked
+    # outputs suffices
     x1, y1 = coeffs.c1.x, coeffs.c1.y
     x2, y2 = coeffs.c2.x, coeffs.c2.y
     a11, a12, a21, a22 = basis.a11, basis.a12, basis.a21, basis.a22
-    return Vec2._unchecked(
+    return Vec2(
         _result(
             (x1 * a11.x + y1 * a11.y) + (x2 * a21.x + y2 * a21.y),
             (x1 * a11.y + a11.x * y1) + (x2 * a21.y + a21.x * y2),

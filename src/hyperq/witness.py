@@ -158,10 +158,7 @@ def search_non_transitivity(
         for index, coord in enumerate(alpha.coords(), start=1):
             ns = coord.norm_sq()
             if not _in_cone(ns):
-                # fields as __init__ stores them: the int index, and a finite
-                # float squared norm of coordinates that q, p < 1 and phases
-                # within 2*PHASE_RANGE keep far from overflow
-                return NonTransitivityWitness._unchecked(beta, basis, alpha, index, ns)
+                return NonTransitivityWitness(beta, basis, alpha, index, ns)
     return None
 
 

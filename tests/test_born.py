@@ -466,10 +466,6 @@ class TestExtractAndPipeline:
     @given(states, unitaries)
     def test_extracted_norms_are_the_public_norms(self, beta, basis):
         fitted = extract_model(beta, basis)
-        # built unchecked, it stores what the checked constructor stores
-        *reals, eps1 = fitted._field_tuple(fitted)
-        assert all(type(x) is float for x in reals) and type(eps1) is int
-        assert fitted == ProbabilityModel(*reals, eps1)
         assert fitted == ProbabilityModel(
             beta.c1.norm_sq(),
             beta.c2.norm_sq(),

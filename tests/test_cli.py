@@ -16,6 +16,7 @@ from cli_cases import (
     GOLDEN_CASES,
     sweep,
     triple,
+    verify,
     witness,
 )
 
@@ -97,7 +98,8 @@ def with_files(argv, tmp_path):
 
 def check_refusal(run, argv, expected_code, named, tmp_path):
     """A ``BAD_VALUE_CASES`` row: its exit code, nothing on stdout, and one
-    short error line on stderr, naming the input ``named``, if set."""
+    short error line on stderr, naming the input ``named``, if set; returns
+    that line."""
     argv = with_files(argv, tmp_path)
     code, out, err = run(argv)
     assert code == expected_code, err
@@ -108,6 +110,7 @@ def check_refusal(run, argv, expected_code, named, tmp_path):
         assert err.startswith(f"error: {argv[argv.index(named) + 1]}: "), err
     elif named:
         assert err.startswith(f"error: {named} must"), err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -132,6 +135,18 @@ def test_bad_value_gets_its_class_exit_code(argv, code, named, tmp_path, capsys)
 @pytest.mark.parametrize("argv", [witness("-" + DIGITS)], ids=["witness"])
 def test_huge_argument_gets_one_short_error_line(argv, tmp_path, capsys):
     check_refusal(in_process(capsys), argv, 1, "", tmp_path)
+
+
+@pytest.mark.parametrize("content", [None, b"not json"], ids=["missing", "not-json"])
+def test_long_path_is_shortened_in_the_refusal(content, tmp_path, capsys):
+    folder = tmp_path / ("d" * 60) / ("e" * 60) / ("f" * 60)
+    folder.mkdir(parents=True)
+    path = folder / "matrix.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert len(str(path)) > 200
+    err = check_refusal(in_process(capsys), verify(str(path)), 1, "", tmp_path)
+    assert err.startswith(f"error: ...{str(path)[-77:]}: "), err
 
 
 def test_module_entry_point_matches_golden():
