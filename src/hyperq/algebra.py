@@ -249,10 +249,12 @@ class SplitComplex(_Value):
     def norm_sq(self) -> float:
         """Squared modulus ``x**2 - y**2``.  May be negative or zero.
 
-        Evaluated as ``(x - y) * (x + y)``: near the light cone the
-        subtraction of the raw components is exact, so the factored form
-        keeps full relative precision where ``x*x - y*y`` loses it to
-        cancellation.
+        The package's one squared-norm read.  Evaluated as ``(x - y) * (x +
+        y)``: near the light cone the subtraction of the raw components is
+        exact, so the factored form keeps full relative precision where
+        ``x*x - y*y`` loses it to cancellation.  Finite components near
+        1e308 can still give ``inf``, or NaN when one factor is 0 and the
+        other overflows.
         """
         return (self.x - self.y) * (self.x + self.y)
 
@@ -263,12 +265,11 @@ class SplitComplex(_Value):
         cone even though its elements admit no polar form.  At the default
         ``tol = EPS_ALG`` this is the library's cone rule, :func:`_in_cone`;
         ``tol = 0.0`` gives the exact cone.  A negative or NaN ``tol``
-        raises ``ValueError``.  The squared modulus is read as
-        :meth:`norm_sq` reads it.
+        raises ``ValueError``.
         """
         if not tol >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {_echo(tol)}")
-        return (self.x - self.y) * (self.x + self.y) >= -tol
+        return self.norm_sq() >= -tol
 
     def mag(self) -> float:
         """Largest absolute component; a cheap magnitude for tolerance scaling."""

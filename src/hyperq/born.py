@@ -121,9 +121,7 @@ def decompose(phi: Vec2) -> StateDecomposition:
     decomposable iff both coefficients lie in the positive cone; only then
     are the squared norms meaningful as probabilities.
     """
-    c1, c2 = phi.c1, phi.c2
-    q1 = (c1.x - c1.y) * (c1.x + c1.y)
-    q2 = (c2.x - c2.y) * (c2.x + c2.y)
+    q1, q2 = phi.norms_sq()
     if not _is_unit_sum(q1 + q2):
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
     inside = _in_cone(q1) and _in_cone(q2)
@@ -327,10 +325,8 @@ def _polar_or_absent(*amplitudes: SplitComplex) -> list:
     """
     forms = []
     for z in amplitudes:
-        x, y = z.x, z.y
-        # SplitComplex.norm_sq's expression
-        q = (x - y) * (x + y)
-        forms.append(None if abs(q) <= EPS_MEM else (*_polar(x, y, q), q))
+        q = z.norm_sq()
+        forms.append(None if abs(q) <= EPS_MEM else (*_polar(z.x, z.y, q), q))
     return forms
 
 

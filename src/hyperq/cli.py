@@ -64,12 +64,15 @@ def _emit(obj: object) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def _load_json(path: str) -> object:
-    """The JSON document in the file ``path``.
+def _load(cls: type, option: str, path: str) -> object:
+    """``cls.from_list`` of the JSON document in the file ``path``, given to
+    the command-line ``option``.
 
     A file that cannot be opened or read as JSON is refused as ``<path>:
     <reason>``, with a path of more than 80 characters shown as ``...`` and
-    its last 77, so that the refusal fits one short line.
+    its last 77, so that the refusal fits one short line.  A document that
+    ``from_list`` refuses is refused as ``<option>: <reason>``, which tells
+    the two files of ``transform`` apart.
     """
     import json
 
@@ -80,12 +83,16 @@ def _load_json(path: str) -> object:
         raise OSError(f"{shown}: {exc.strerror}") from None
     with fh:
         try:
-            return json.load(fh)
+            document = json.load(fh)
         except RecursionError:
             raise ValueError(f"{shown}: JSON nested too deeply") from None
         # JSONDecodeError and UnicodeDecodeError, named by the file
         except ValueError as exc:
             raise ValueError(f"{shown}: {exc}") from None
+    try:
+        return cls.from_list(document)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
 
 
 def _run_classify(args: argparse.Namespace) -> int:
@@ -118,8 +125,8 @@ def _run_transform(args: argparse.Namespace) -> int:
     from .born import pipeline_probabilities
     from .space import Mat2, Vec2
 
-    beta = Vec2.from_list(_load_json(args.state))
-    basis = Mat2.from_list(_load_json(args.matrix))
+    beta = _load(Vec2, "--state", args.state)
+    basis = _load(Mat2, "--matrix", args.matrix)
     decomposition = pipeline_probabilities(beta, basis)
     _emit(decomposition.to_json_dict())
     return 0 if decomposition.decomposable else 3
@@ -136,7 +143,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         prob_matrix,
     )
 
-    basis = Mat2.from_list(_load_json(args.matrix))
+    basis = _load(Mat2, "--matrix", args.matrix)
     (a, b), (c, d) = p = prob_matrix(basis)
     # each verdict comes from the one function that decides its rule
     unitary = is_orthonormal_rows(basis)

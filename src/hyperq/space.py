@@ -244,14 +244,9 @@ def prob_matrix(m: Mat2) -> tuple[tuple[float, float], tuple[float, float]]:
     """Entrywise squared moduli ``((p11, p12), (p21, p22))``.
 
     For a unitary matrix with all entries in the positive cone the result is
-    doubly stochastic; no such condition is checked here.  Each entry is
-    read as ``SplitComplex.norm_sq`` reads it, ``(x - y) * (x + y)``.
+    doubly stochastic; no such condition is checked here.
     """
-    a11, a12, a21, a22 = m.a11, m.a12, m.a21, m.a22
-    return (
-        ((a11.x - a11.y) * (a11.x + a11.y), (a12.x - a12.y) * (a12.x + a12.y)),
-        ((a21.x - a21.y) * (a21.x + a21.y), (a22.x - a22.y) * (a22.x + a22.y)),
-    )
+    return (m.a11.norm_sq(), m.a12.norm_sq()), (m.a21.norm_sq(), m.a22.norm_sq())
 
 
 def _is_unit_sum(*totals: float) -> bool:

@@ -142,7 +142,9 @@ def bad_value(cls, name, code, argv, named=""):
 # value outside the operation's domain, or a finite computation that
 # overflows, exits 2.  A ``bytes`` argument is a file's content: the runner
 # writes it to a file whose path takes its place.  A row that names an
-# option, such as "--state", must name the file given to it.
+# option, such as "--state", must start its refusal with that option, as a
+# document's content is refused; one that names "<--state>" must start it
+# with the path of the file given to the option, as a file is refused.
 BAD_VALUE_CASES = [
     bad_value("negative", "classify-p1", 2, triple(p1="-1")),
     bad_value("negative", "classify-p2", 2, triple(p2="-1.5e-05")),
@@ -161,8 +163,10 @@ BAD_VALUE_CASES = [
     bad_value("nan", "interfere-p2", 1, sweep(law="hyp", p2="nan")),
     bad_value("nan", "interfere-theta-min", 1, sweep(theta_min="nan")),
     bad_value("nan", "interfere-theta-max", 1, sweep(law="hyp", theta_max="nan")),
-    bad_value("nan", "transform-state", 1, transform(state=state_with("NaN"))),
-    bad_value("nan", "verify", 1, verify(matrix_with("NaN"))),
+    bad_value(
+        "nan", "transform-state", 1, transform(state=state_with("NaN")), named="--state"
+    ),
+    bad_value("nan", "verify", 1, verify(matrix_with("NaN")), named="--matrix"),
     bad_value("inf", "classify-p1", 1, triple(p1="inf")),
     # "-inf" is a value, joined to its flag or not
     bad_value(
@@ -177,14 +181,23 @@ BAD_VALUE_CASES = [
     bad_value("inf", "interfere-p1", 1, sweep(p1="inf")),
     bad_value("inf", "interfere-p2", 1, sweep(law="hyp", p2="inf")),
     bad_value("inf", "interfere-theta-max", 1, sweep(theta_max="inf")),
-    bad_value("inf", "transform-matrix", 1, transform(matrix=matrix_with("Infinity"))),
-    bad_value("inf", "verify", 1, verify(matrix_with("-Infinity"))),
-    bad_value("inf", "verify-positive", 1, verify(matrix_with("Infinity"))),
+    bad_value(
+        "inf",
+        "transform-matrix",
+        1,
+        transform(matrix=matrix_with("Infinity")),
+        named="--matrix",
+    ),
+    bad_value("inf", "verify", 1, verify(matrix_with("-Infinity")), named="--matrix"),
+    bad_value(
+        "inf", "verify-positive", 1, verify(matrix_with("Infinity")), named="--matrix"
+    ),
     bad_value(
         "inf",
         "transform-both",
         1,
         transform(matrix_with("Infinity"), matrix_with("Infinity")),
+        named="--state",
     ),
     bad_value("huge-int", "classify-p1", 1, triple(p1=DIGITS)),
     bad_value("huge-int", "interfere-p1", 1, sweep(p1=DIGITS)),
@@ -197,31 +210,65 @@ BAD_VALUE_CASES = [
         sweep("hyp", "0.3", "0.4", theta_max="2", steps="-" + DIGITS),
     ),
     bad_value("huge-int", "witness", 1, witness("-" + DIGITS)),
-    bad_value("huge-int", "transform-state", 1, transform(state=state_with(DIGITS))),
     bad_value(
-        "huge-int", "transform-both", 1, transform(matrix_with(DIGITS), matrix_with(DIGITS))
+        "huge-int",
+        "transform-state",
+        1,
+        transform(state=state_with(DIGITS)),
+        named="--state",
     ),
-    bad_value("huge-int", "verify", 1, verify(matrix_with(DIGITS))),
-    bad_value("shape", "transform-state", 1, transform(state=matrix_with(1))),
-    bad_value("shape", "transform-matrix", 1, transform(matrix=state_with(1))),
-    bad_value("shape", "verify", 1, verify(b"[[[1, 0], [0, 0]], [[0, 0], [1]]]")),
-    bad_value("wide", "transform", 1, transform(WIDE_ROW_MATRIX, WIDE_ROW_MATRIX)),
-    bad_value("wide", "verify", 1, verify(WIDE_ROW_MATRIX)),
+    bad_value(
+        "huge-int",
+        "transform-both",
+        1,
+        transform(matrix_with(DIGITS), matrix_with(DIGITS)),
+        named="--state",
+    ),
+    bad_value("huge-int", "verify", 1, verify(matrix_with(DIGITS)), named="--matrix"),
+    bad_value(
+        "shape", "transform-state", 1, transform(state=matrix_with(1)), named="--state"
+    ),
+    bad_value(
+        "shape",
+        "transform-matrix",
+        1,
+        transform(matrix=state_with(1)),
+        named="--matrix",
+    ),
+    bad_value(
+        "shape",
+        "verify",
+        1,
+        verify(b"[[[1, 0], [0, 0]], [[0, 0], [1]]]"),
+        named="--matrix",
+    ),
+    bad_value(
+        "wide",
+        "transform",
+        1,
+        transform(WIDE_ROW_MATRIX, WIDE_ROW_MATRIX),
+        named="--state",
+    ),
+    bad_value("wide", "verify", 1, verify(WIDE_ROW_MATRIX), named="--matrix"),
     # documents the JSON reader refuses; the message names the file
     bad_value(
         "not-json",
         "transform",
         1,
         transform(b"this is not json", b"this is not json"),
-        named="--state",
+        named="<--state>",
     ),
-    bad_value("not-json", "verify", 1, verify(b"this is not json"), named="--matrix"),
+    bad_value("not-json", "verify", 1, verify(b"this is not json"), named="<--matrix>"),
     bad_value(
-        "undecodable", "transform", 1, transform(UNDECODABLE, UNDECODABLE), named="--state"
+        "undecodable",
+        "transform",
+        1,
+        transform(UNDECODABLE, UNDECODABLE),
+        named="<--state>",
     ),
-    bad_value("undecodable", "verify", 1, verify(UNDECODABLE), named="--matrix"),
-    bad_value("deep", "transform", 1, transform(DEEP_JSON, DEEP_JSON), named="--state"),
-    bad_value("deep", "verify", 1, verify(DEEP_JSON), named="--matrix"),
+    bad_value("undecodable", "verify", 1, verify(UNDECODABLE), named="<--matrix>"),
+    bad_value("deep", "transform", 1, transform(DEEP_JSON, DEEP_JSON), named="<--state>"),
+    bad_value("deep", "verify", 1, verify(DEEP_JSON), named="<--matrix>"),
     # finite values: a phase grid that overflows, more steps than a sweep
     # computes, a hyperbolic phase beyond THETA_MAX
     bad_value(

@@ -106,8 +106,10 @@ def check_refusal(run, argv, expected_code, named, tmp_path):
     assert out == "", err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert len(err.encode()) < 200, err
-    if named.startswith("--"):
-        assert err.startswith(f"error: {argv[argv.index(named) + 1]}: "), err
+    if named.startswith("<"):
+        assert err.startswith(f"error: {argv[argv.index(named[1:-1]) + 1]}: "), err
+    elif named.startswith("--"):
+        assert err.startswith(f"error: {named}: "), err
     elif named:
         assert err.startswith(f"error: {named} must"), err
     return err

@@ -374,7 +374,7 @@ class TestProbMatrix:
         assert all(type(entry) is float for row in p for entry in row)
 
     def test_nan_entry_gives_nan_residual(self):
-        # (1e308, -1e308) has norm_sq inf * 0; numpy's max kept the NaN too
+        # (1e308, -1e308) has norm_sq inf * 0
         m = Mat2.from_list([[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]])
         p = prob_matrix(m)
         assert math.isnan(p[0][0])

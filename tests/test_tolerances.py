@@ -4,7 +4,8 @@ For each rule an input sits at the tolerance edge (the last float input the
 rule accepts) and another at the next float beyond it.  Every public entry
 point that uses the rule must accept the first and refuse the second.  An
 AST scan then locks the set of comparisons against the tolerance constants,
-so a new inline copy of a rule fails here.
+so a new inline copy of a rule fails here; a second scan keeps the
+squared-norm read in ``SplitComplex.norm_sq`` alone.
 """
 
 import ast
@@ -445,7 +446,7 @@ def test_regime_band_edges(bound, at, beyond, regimes):
 ALLOWED = {
     "algebra.SplitComplex.in_positive_cone": [
         "tol >= 0",
-        "(self.x - self.y) * (self.x + self.y) >= -tol",
+        "self.norm_sq() >= -tol",
     ],
     "algebra._in_cone": ["ns >= -EPS_ALG"],
     "born._phase_of": ["ns <= EPS_MEM"],
@@ -474,21 +475,16 @@ TOLERANCE_NAMES = {
 }
 
 
-def tolerance_comparisons():
-    """``{module.qualname: [comparison source, ...]}`` over ``src/hyperq``."""
+def scan(matches):
+    """``{module.qualname: [source, ...]}`` of the nodes in ``src/hyperq``
+    that ``matches`` accepts."""
     found = {}
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
-        if isinstance(node, ast.Compare):
-            names = {
-                sub.id if isinstance(sub, ast.Name) else sub.attr
-                for sub in ast.walk(node)
-                if isinstance(sub, (ast.Name, ast.Attribute))
-            }
-            if names & TOLERANCE_NAMES:
-                found.setdefault(".".join(scope), []).append(ast.unparse(node))
+        if matches(node):
+            found.setdefault(".".join(scope), []).append(ast.unparse(node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -497,5 +493,55 @@ def tolerance_comparisons():
     return found
 
 
+def names_a_tolerance(node):
+    """A comparison that names one of ``TOLERANCE_NAMES``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    names = {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+    return bool(names & TOLERANCE_NAMES)
+
+
 def test_tolerance_comparisons_are_the_allowed_ones():
-    assert tolerance_comparisons() == ALLOWED
+    assert scan(names_a_tolerance) == ALLOWED
+
+
+def is_squared_norm(node):
+    """A product ``(a - b) * (a + b)``, its factors and the sum's terms in
+    either order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    factors = node.left, node.right
+    if not all(isinstance(f, ast.BinOp) for f in factors):
+        return False
+    if {type(f.op) for f in factors} != {ast.Sub, ast.Add}:
+        return False
+    diff, total = sorted(factors, key=lambda f: isinstance(f.op, ast.Add))
+    terms = [sorted(map(ast.dump, (f.left, f.right))) for f in (diff, total)]
+    return terms[0] == terms[1]
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("(x - y) * (x + y)", True),
+        ("(c.x + c.y) * (c.x - c.y)", True),
+        ("(x - y) * (y + x)", True),
+        ("(x - y) * (x - y)", False),
+        ("(x - y) * (z + y)", False),
+        ("(x - y) + (x + y)", False),
+    ],
+)
+def test_squared_norm_matcher(source, found):
+    assert is_squared_norm(ast.parse(source, mode="eval").body) is found
+
+
+def test_squared_norm_is_read_in_one_place():
+    """Every squared norm goes through ``SplitComplex.norm_sq``, so a change
+    to how it is read (its range, its rounding) is a change to one function."""
+    assert scan(is_squared_norm) == {
+        "algebra.SplitComplex.norm_sq": ["(self.x - self.y) * (self.x + self.y)"]
+    }
