@@ -12,7 +12,9 @@ witness    seeded search for a non-transitivity witness (JSON).
 Numbers cross the boundary in fixed machine formats: split-complex scalars
 as ``[x, y]``, vectors as ``[[x1,y1],[x2,y2]]``, matrices as row-major
 nested arrays of the same pairs.  Data goes to standard output, diagnostics
-to standard error.
+to standard error.  Each runner returns its exit code and its document, and
+``main`` alone writes the JSON: a number that is not finite is refused there
+(exit 1, nothing on stdout).  ``interfere`` writes its CSV itself.
 
 Exit codes: 0 success; 1 usage, parse or I/O failure (a failed write to
 standard output included), a value that is not finite (NaN, an infinity, an
@@ -58,12 +60,6 @@ class _Parser(argparse.ArgumentParser):
 _CHUNK_ROWS = 4096
 
 
-def _emit(obj: object) -> None:
-    import json
-
-    print(json.dumps(obj, separators=(",", ":")))
-
-
 def _load(cls: type, option: str, path: str) -> object:
     """``cls.from_list`` of the JSON document in the file ``path``, given to
     the command-line ``option``.
@@ -95,15 +91,13 @@ def _load(cls: type, option: str, path: str) -> object:
         raise ValueError(f"{option}: {exc}") from None
 
 
-def _run_classify(args: argparse.Namespace) -> int:
+def _run_classify(args: argparse.Namespace) -> tuple[int, object]:
     from .interference import classify
 
-    verdict = classify(args.pprime, args.p1, args.p2)
-    _emit(verdict.to_json_dict())
-    return 0
+    return 0, classify(args.pprime, args.p1, args.p2).to_json_dict()
 
 
-def _run_interfere(args: argparse.Namespace) -> int:
+def _run_interfere(args: argparse.Namespace) -> tuple[int, None]:
     from .interference import sweep_rows
 
     sign = 1 if args.sign == "+" else -1
@@ -118,21 +112,20 @@ def _run_interfere(args: argparse.Namespace) -> int:
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
         write("".join([f"{theta!r},{p_prime!r}\n" for theta, p_prime in chunk]))
-    return 0
+    return 0, None
 
 
-def _run_transform(args: argparse.Namespace) -> int:
+def _run_transform(args: argparse.Namespace) -> tuple[int, object]:
     from .born import pipeline_probabilities
     from .space import Mat2, Vec2
 
     beta = _load(Vec2, "--state", args.state)
     basis = _load(Mat2, "--matrix", args.matrix)
     decomposition = pipeline_probabilities(beta, basis)
-    _emit(decomposition.to_json_dict())
-    return 0 if decomposition.decomposable else 3
+    return 0 if decomposition.decomposable else 3, decomposition.to_json_dict()
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace) -> tuple[int, object]:
     from .algebra import _in_cone
     from .space import (
         Mat2,
@@ -149,27 +142,22 @@ def _run_verify(args: argparse.Namespace) -> int:
     unitary = is_orthonormal_rows(basis)
     in_cone = all(map(_in_cone, (a, b, c, d)))
     stochastic = _is_unit_sum(a + b, c + d, a + c, b + d)
-    _emit(
-        {
-            "unitary": unitary,
-            "entries_in_g_plus": in_cone,
-            "doubly_stochastic": stochastic,
-            "orthonormality_residual": orthonormality_residual(basis),
-            "stochasticity_residual": doubly_stochastic_residual(p),
-        }
-    )
-    return 0 if unitary and in_cone and stochastic else 3
+    return 0 if unitary and in_cone and stochastic else 3, {
+        "unitary": unitary,
+        "entries_in_g_plus": in_cone,
+        "doubly_stochastic": stochastic,
+        "orthonormality_residual": orthonormality_residual(basis),
+        "stochasticity_residual": doubly_stochastic_residual(p),
+    }
 
 
-def _run_witness(args: argparse.Namespace) -> int:
+def _run_witness(args: argparse.Namespace) -> tuple[int, object]:
     from .witness import search_non_transitivity
 
     witness = search_non_transitivity(args.seed, args.max_iter)
     if witness is None:
-        _emit({"found": False})
-        return 4
-    _emit(witness.to_json_dict())
-    return 0
+        return 4, {"found": False}
+    return 0, witness.to_json_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +204,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.run(args)
+        code, document = args.run(args)
+        if document is not None:
+            import json
+
+            # the one JSON writer: a non-finite number is a ValueError here
+            print(json.dumps(document, separators=(",", ":"), allow_nan=False))
         # flushed here, not at interpreter exit, so that a failed write (a
         # full disk, a closed pipe) is reported like any other I/O error
         sys.stdout.flush()

@@ -266,6 +266,7 @@ def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:
     """Largest deviation of any row or column sum of a 2x2 table from 1.
 
     NaN when any sum is NaN: the builtin ``max`` would drop it silently.
+    Raises :class:`PreconditionError` when a sum overflows.
     """
     (a, b), (c, d) = p
     g1, g2 = abs(a + b - 1.0), abs(c + d - 1.0)
@@ -273,4 +274,9 @@ def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:
     # the gaps are nonnegative, so their sum is NaN exactly when one is
     if math.isnan(g1 + g2 + g3 + g4):
         return math.nan
-    return max(g1, g2, g3, g4)
+    residual = max(g1, g2, g3, g4)
+    # a comparison, not a call: this runs on every verify
+    if residual == math.inf:
+        sums = (a + b, c + d, a + c, b + d)
+        raise PreconditionError(f"row and column sums overflow: {sums}")
+    return residual

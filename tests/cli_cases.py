@@ -278,6 +278,13 @@ BAD_VALUE_CASES = [
     bad_value(
         "overflow", "verify", 2, verify(b"[[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]]")
     ),
+    # -1e308 + -1e308, a column sum of the squared moduli, is not a double
+    bad_value(
+        "overflow",
+        "verify-sums",
+        2,
+        verify(b"[[[0, 1e154], [1, 0]], [[0, 1e154], [0, 1]]]"),
+    ),
     bad_value(
         "overflow", "interfere-grid", 2, sweep(theta_min="-1", theta_max="1e308")
     ),

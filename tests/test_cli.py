@@ -1,6 +1,7 @@
 """Command-line contract: golden outputs, exit codes, entry points."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -20,9 +21,10 @@ from cli_cases import (
     witness,
 )
 
+from hyperq import interference
 from hyperq.cli import _CHUNK_ROWS, main
 from hyperq.errors import PreconditionError
-from hyperq.interference import sweep_rows
+from hyperq.interference import InterferenceVerdict, sweep_rows
 
 
 # Each entry point takes an argv and returns (exit code, stdout, stderr).
@@ -149,6 +151,27 @@ def test_long_path_is_shortened_in_the_refusal(content, tmp_path, capsys):
     assert len(str(path)) > 200
     err = check_refusal(in_process(capsys), verify(str(path)), 1, "", tmp_path)
     assert err.startswith(f"error: ...{str(path)[-77:]}: "), err
+
+
+def test_writer_refuses_a_number_that_is_not_finite(monkeypatch, tmp_path, capsys):
+    # no runner yields one from valid input; a verdict with an infinite
+    # phase stands in for the next that would
+    verdict = InterferenceVerdict("trig", math.inf, 1, 0.0)
+    monkeypatch.setattr(interference, "classify", lambda *args: verdict)
+    check_refusal(in_process(capsys), triple(), 1, "", tmp_path)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="x + y overflows, though (x + y)(x - y) of the entry is 0"
+)
+def test_top_of_range_entry_gets_its_exact_residuals(tmp_path, capsys):
+    # u = x + y of [1e308, 1e308] is not a double; the halved u/2 = 1e308 is
+    argv = with_files(verify(b"[[[1e308, 1e308], [0, 0]], [[0, 0], [1, 0]]]"), tmp_path)
+    code, out, err = in_process(capsys)(argv)
+    assert code == 3, err
+    document = json.loads(out)
+    assert document["orthonormality_residual"] == 1.0
+    assert document["stochasticity_residual"] == 1.0
 
 
 def test_module_entry_point_matches_golden():

@@ -386,6 +386,25 @@ class TestProbMatrix:
             table[row][col] = math.nan
             assert math.isnan(doubly_stochastic_residual(table)), (row, col)
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            ((1e308, 1e308), (0.0, 1.0)),
+            ((1.0, 0.0), (1e308, 1e308)),
+            ((1e308, 0.0), (1e308, 1.0)),
+            ((0.0, -1e308), (1.0, -1e308)),
+        ],
+        ids=["row1", "row2", "col1", "col2"],
+    )
+    def test_overflowing_sum_is_a_precondition(self, table):
+        with pytest.raises(PreconditionError, match="sums overflow"):
+            doubly_stochastic_residual(table)
+
+    def test_finite_gaps_whose_total_overflows_give_the_largest(self):
+        # each gap is finite; only their total, never returned, is not
+        p = ((1.7e308, 0.0), (0.0, 1.7e308))
+        assert doubly_stochastic_residual(p) == 1.7e308 - 1.0
+
 
 def test_import_leaves_numpy_out():
     # the star import loads every submodule; a bare import loads none
