@@ -438,15 +438,18 @@ def _polar(x: float, y: float, ns: float) -> tuple[int, float, float]:
 def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
     """``a + b + sign*2*sqrt(a*b)*c`` with ``c = cos(theta)`` or ``cosh(theta)``.
 
-    The one float kernel of the interference laws.  The caller has checked
-    ``a, b >= 0``, the sign and the phase; ``sign`` is not read for
-    ``trig``.  ``a*b`` is never formed, and a branch that would cancel is
-    rewritten into terms of one sign, with ``d = (a - b) / (sqrt(a) +
-    sqrt(b))``: ``d**2 - 4*sqrt(a)*sqrt(b)*sinh(theta/2)**2`` for the
-    hyperbolic minus sign, ``d**2 + 4*sqrt(a)*sqrt(b)*cos(theta/2)**2`` for
-    ``cos(theta) < 0``.  When the value is not finite, an input that is not
-    (``+inf``, NaN, an ``int`` too large for a double) gets the finiteness
-    rule's ``ValueError``; finite inputs whose value overflows, as it does
+    The one float kernel of the interference laws: ``trig_law`` and
+    ``hyp_law`` call it, and a sweep's grid kernel repeats its operations in
+    its order and calls it only to raise, at the first point whose value is
+    not finite.  The caller has checked ``a, b >= 0``, the sign and the
+    phase; ``sign`` is not read for ``trig``.  ``a*b`` is never formed, and
+    a branch that would cancel is rewritten into terms of one sign, with
+    ``d = (a - b) / (sqrt(a) + sqrt(b))``: ``d**2 -
+    4*sqrt(a)*sqrt(b)*sinh(theta/2)**2`` for the hyperbolic minus sign,
+    ``d**2 + 4*sqrt(a)*sqrt(b)*cos(theta/2)**2`` for ``cos(theta) < 0``.
+    When the value is not finite, an input that is not (``+inf``, NaN, an
+    ``int`` too large for a double) gets the finiteness rule's
+    ``ValueError``; finite inputs whose value overflows, as it does
     once ``4*sqrt(a)*sqrt(b)`` does, raise :class:`PreconditionError`.
     """
     try:

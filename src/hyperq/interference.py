@@ -8,10 +8,14 @@ Two-path probability data can interfere in two structurally different ways:
 Both are linearizations of a squared modulus, the first over the ordinary
 complex numbers, the second over the split-complex numbers, and the residual
 helpers here verify those identities by evaluating both sides through
-independent arithmetic.  Both laws, and :func:`sweep_rows` at each grid
-point, evaluate one float kernel, ``hyperq.algebra._law``, which never forms
-P1*P2 and rewrites a branch that would cancel (the hyperbolic minus sign, a
-negative cosine) into terms of one sign.
+independent arithmetic.  Both laws evaluate one float kernel,
+``hyperq.algebra._law``, which never forms P1*P2 and rewrites a branch that
+would cancel (the hyperbolic minus sign, a negative cosine) into terms of
+one sign.  A sweep (:func:`sweep_rows`, ``hyperq interfere``) does not call
+it per point: one grid kernel forms its terms that no phase changes once
+and repeats its operations, in its order, into an ``array('d')``, so every
+value has ``_law``'s bits.  ``_law`` still decides every refusal: the grid
+kernel calls it at the first point whose value is not finite.
 
 Given a measured triple (P', P1, P2) the normalized interference
 coefficient
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
     THETA_MAX,
@@ -58,6 +62,9 @@ from .algebra import (
     expj,
 )
 from .errors import DegenerateInputsError, PreconditionError
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = [
     "EPS_CLS",
@@ -87,7 +94,7 @@ _TRIG_MAX, _HYP_MIN = 1.0 - EPS_CLS, 1.0 + EPS_CLS
 
 _INF = math.inf
 
-#: Most grid points a sweep computes; it holds about 120 bytes per point.
+#: Most grid points a sweep computes; it holds 8 bytes per point.
 _STEPS_MAX = 10**6
 
 #: classify's inputs, as the finiteness rule names them.
@@ -226,6 +233,88 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     return _verdict(InterferenceVerdict, (BOUNDARY, 0.0, sign, lam))
 
 
+def _grid(
+    law: str,
+    p1: float,
+    p2: float,
+    theta_min: float,
+    theta_max: float,
+    steps: int,
+    sign: int,
+) -> tuple[float, array[float]]:
+    """``span`` and the law values of the grid ``theta_min + span * i / (steps - 1)``.
+
+    The kernel of :func:`sweep_rows` and ``hyperq interfere``: it checks the
+    inputs as :func:`sweep_rows` documents, forms ``_law``'s per-sweep
+    constants once, and evaluates every point in ``_law``'s operation order
+    into one ``array('d')``, 8 bytes per point, so each value has ``_law``'s
+    bits.  At the first point whose value is not finite, or whose
+    arithmetic raises (forming the constants counts as the first point's),
+    it calls ``_law``, which raises there, so ``_law`` decides every
+    refusal.
+    """
+    if law not in (TRIG, HYP):
+        raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
+    if not 2 <= steps <= _STEPS_MAX:
+        raise ValueError(f"steps must be from 2 to {_STEPS_MAX}, got {_echo(steps)}")
+    _check_finite(("theta-min", "theta-max"), (theta_min, theta_max))
+    if not theta_min < theta_max:
+        raise ValueError("theta-min must be strictly below theta-max")
+    span = theta_max - theta_min
+    n = steps - 1
+    # finite end points can lie too far apart for the grid's largest
+    # product, span * (steps - 1), to fit a double
+    if not _is_finite(span * n):
+        raise PreconditionError(
+            f"phase range [{_echo(theta_min)}, {_echo(theta_max)}] overflows its grid"
+        )
+    check_probability(p1)
+    check_probability(p2)
+    check_sign(sign)
+    trig = law == TRIG
+    if not trig:
+        # the grid is monotone, so its end points bound every phase
+        for i in (0, n):
+            check_phase(theta_min + span * i / n)
+    # an extension module, loaded by sweeps only, not by classify's children
+    from array import array
+
+    values = array("d", (0.0,)) * steps
+    i = 0
+    try:
+        # _law's terms that no phase changes, formed as _law forms them
+        ra, rb = math.sqrt(p1), math.sqrt(p2)
+        total, k2, k4 = p1 + p2, 2.0 * (ra * rb), 4.0 * (ra * rb)
+        d = (p1 - p2) / (ra + rb) if p1 != p2 else 0.0
+        dd = d * d
+        # each value in _law's operation order, so with its bits
+        if trig:
+            for i in range(steps):
+                theta = theta_min + span * i / n
+                c = math.cos(theta)
+                if c >= 0.0:
+                    values[i] = total + k2 * c
+                else:
+                    h = math.cos(0.5 * theta)
+                    values[i] = dd + k4 * h * h
+        elif sign > 0:
+            for i in range(steps):
+                values[i] = total + k2 * math.cosh(theta_min + span * i / n)
+        else:
+            for i in range(steps):
+                h = math.sinh(0.5 * (theta_min + span * i / n))
+                values[i] = dd - k4 * h * h
+    except (OverflowError, ValueError):  # a huge int; an int sum no double holds
+        values[i] = math.nan
+    # the sum is not finite if a value is not, and rarely otherwise; _law,
+    # given the same arithmetic, raises at the first value that is not
+    if not math.isfinite(sum(values)):
+        for i, value in enumerate(values):
+            if not math.isfinite(value):
+                values[i] = _law(p1, p2, theta_min + span * i / n, sign, trig)
+    return span, values
+
+
 def sweep_rows(
     law: str,
     p1: float,
@@ -237,35 +326,17 @@ def sweep_rows(
 ) -> list[tuple[float, float]]:
     """``(theta, p_prime)`` of one law on a uniform ``steps``-point phase grid.
 
-    The inputs are checked once for the whole grid, then the interference
-    kernel runs at each point.  ``law`` must be ``"trig"`` or ``"hyp"``,
-    ``steps`` from 2 to 10**6, the phase range finite and increasing, and
-    the probabilities finite (``ValueError`` otherwise).  A negative
-    probability, a phase range too wide for its grid to fit a double, or a
-    law value that overflows, as it can for probabilities near the top of
-    the float range, raises :class:`PreconditionError`.
+    The inputs are checked once for the whole grid, and the law's terms that
+    no phase changes are formed once.  No point calls the interference
+    kernel ``_law``, but every value has its bits, and ``_law`` still
+    decides every refusal, at the first point whose value is not finite.
+    ``law`` must be ``"trig"`` or ``"hyp"``, ``steps`` from 2 to 10**6, the
+    phase range finite and increasing, and the probabilities finite
+    (``ValueError`` otherwise).  A negative probability, a phase range too
+    wide for its grid to fit a double, or a law value that overflows, as it
+    can for probabilities near the top of the float range, raises
+    :class:`PreconditionError`.
     """
-    if law not in (TRIG, HYP):
-        raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
-    if not 2 <= steps <= _STEPS_MAX:
-        raise ValueError(f"steps must be from 2 to {_STEPS_MAX}, got {_echo(steps)}")
-    _check_finite(("theta-min", "theta-max"), (theta_min, theta_max))
-    if not theta_min < theta_max:
-        raise ValueError("theta-min must be strictly below theta-max")
-    span = theta_max - theta_min
-    # finite end points can lie too far apart for the grid's largest
-    # product, span * (steps - 1), to fit a double
-    if not _is_finite(span * (steps - 1)):
-        raise PreconditionError(
-            f"phase range [{_echo(theta_min)}, {_echo(theta_max)}] overflows its grid"
-        )
-    check_probability(p1)
-    check_probability(p2)
-    check_sign(sign)
-    thetas = [theta_min + span * i / (steps - 1) for i in range(steps)]
-    trig = law == TRIG
-    if not trig:
-        # the grid is monotone, so its end points bound every phase
-        check_phase(thetas[0])
-        check_phase(thetas[-1])
-    return [(theta, _law(p1, p2, theta, sign, trig)) for theta in thetas]
+    span, values = _grid(law, p1, p2, theta_min, theta_max, steps, sign)
+    n = steps - 1
+    return [(theta_min + span * i / n, p) for i, p in enumerate(values)]

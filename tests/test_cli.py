@@ -1,11 +1,13 @@
 """Command-line contract: golden outputs, exit codes, entry points."""
 
+import contextlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from cli_cases import (
@@ -347,6 +349,25 @@ def test_interfere_chunks_match_row_by_row(steps, capsys):
     rows = sweep_rows("hyp", 0.3, 0.4, 0.0, 2.0, steps)
     lines = ["theta,p_prime\n"] + [f"{theta!r},{p!r}\n" for theta, p in rows]
     assert capsys.readouterr().out == "".join(lines)
+
+
+def traced_peak(steps):
+    """tracemalloc's peak, in bytes, of one in-process ``interfere`` whose
+    rows go to the null device."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(interfere_argv(steps)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_interfere_holds_under_16_bytes_per_point():
+    # the sweep holds one double per point; an object per row breaks 16
+    traced_peak(2)  # imports the runner's modules outside the measurement
+    growth = traced_peak(25_000) - traced_peak(5_000)
+    assert growth / 20_000 < 16
 
 
 #: Stdlib modules no subcommand may import: ``dataclasses`` pulls in

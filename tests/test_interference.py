@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperq.algebra import (
@@ -526,3 +526,72 @@ class TestInlineGuards:
             assert got == (DegenerateInputsError, message)
         else:
             assert isinstance(got, str) or "exceeds any admissible phase" in got[1]
+
+
+def law_grid(law, p1, p2, theta_min, theta_max, steps, sign):
+    """A sweep as ``_law`` computes it, one call per point in grid order."""
+    span = theta_max - theta_min
+    rows = []
+    for i in range(steps):
+        theta = theta_min + span * i / (steps - 1)
+        rows.append((theta, _law(p1, p2, theta, sign, law == TRIG)))
+    return rows
+
+
+def grid_bits(sweep, *args):
+    """Each row as the bits of its two doubles, or the error's type and message."""
+    try:
+        return [(theta.hex(), p.hex()) for theta, p in sweep(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# generic, subnormal, near the top of the range, and ints
+grid_probabilities = (
+    st.floats(min_value=0.0, max_value=2.0)
+    | st.floats(min_value=0.0, max_value=sys.float_info.min)
+    | st.floats(min_value=1e299, max_value=1e301)
+    | st.integers(min_value=0, max_value=10**6)
+    | st.just(2**1000)
+)
+# 1e308's value overflows, HUGE fits no double, and 10**308 + 10**308 none
+refused = st.sampled_from([1e308, 10**308, HUGE])
+# p1 close to p2, where the hyperbolic minus branch would cancel
+close_pairs = st.tuples(
+    st.floats(min_value=1e-6, max_value=1.0),
+    st.floats(min_value=-1e-12, max_value=1e-12),
+).map(lambda pd: (pd[0], pd[0] + pd[1]))
+grid_pairs = (
+    st.tuples(grid_probabilities, grid_probabilities)
+    | close_pairs
+    | st.tuples(refused, grid_probabilities)
+    | st.tuples(grid_probabilities, refused)
+    | st.tuples(refused, refused)
+)
+
+
+class TestSweepGrid:
+    """The grid kernel gives ``_law``'s bits at every point, and its refusals."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.sampled_from([TRIG, HYP]),
+        grid_pairs,
+        # ranges up to 10 wide cross cos(theta) < 0
+        st.floats(min_value=-7.0, max_value=7.0),
+        st.floats(min_value=1e-3, max_value=10.0),
+        st.integers(min_value=2, max_value=40),
+        signs,
+    )
+    # the plus branch raises (an int sum no double holds) after a finite point
+    @example(TRIG, (int(1.7e308), 10**307), math.pi, math.pi, 2, 1)
+    # ... and after a point whose value overflows, which is refused first
+    @example(TRIG, (int(1.7e308), 10**307), 4.711, 0.039, 2, 1)
+    # every value is finite, though their sum is not
+    @example(TRIG, (4e307, 4e307), 0.0, 0.1, 3, 1)
+    @example(HYP, (0.5, 0.5 + 1e-12), 0.0, 1e-3, 5, -1)
+    @example(HYP, (1e308, 1e308), 0.0, 1.0, 3, 1)
+    @example(TRIG, (HUGE, 0.5), 0.0, 1.0, 3, 1)
+    def test_rows_are_law_bits(self, law, pair, theta_min, width, steps, sign):
+        args = (law, *pair, theta_min, theta_min + width, steps, sign)
+        assert grid_bits(sweep_rows, *args) == grid_bits(law_grid, *args)
