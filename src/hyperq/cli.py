@@ -98,23 +98,21 @@ def _run_classify(args: argparse.Namespace) -> tuple[int, object]:
 
 
 def _run_interfere(args: argparse.Namespace) -> tuple[int, None]:
-    from .interference import _grid
+    from .interference import _sweep
 
     sign = 1 if args.sign == "+" else -1
-    theta_min, steps = args.theta_min, args.steps
-    # the whole grid is checked before the first byte goes out, so a
+    # the whole grid is computed before the first byte goes out, so a
     # refused point leaves stdout empty; it is held as 8 bytes per point,
-    # and each row's theta is recomputed from its index, as sweep_rows does
-    span, values = _grid(
-        args.law, args.p1, args.p2, theta_min, args.theta_max, steps, sign
+    # and each chunk's rows are built as it is written
+    chunks = _sweep(
+        args.law, args.p1, args.p2, args.theta_min, args.theta_max, args.steps, sign,
+        _CHUNK_ROWS,
     )
-    n = steps - 1
     # one write per chunk, not per row: unbuffered, each write is a syscall
     write = sys.stdout.write
     write("theta,p_prime\n")
-    for start in range(0, steps, _CHUNK_ROWS):
-        chunk = enumerate(values[start : start + _CHUNK_ROWS], start)
-        write("".join([f"{theta_min + span * i / n!r},{p!r}\n" for i, p in chunk]))
+    for rows in chunks:
+        write("".join([f"{theta!r},{p_prime!r}\n" for theta, p_prime in rows]))
     return 0, None
 
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import (
     THETA_MAX,
@@ -62,9 +62,6 @@ from .algebra import (
     expj,
 )
 from .errors import DegenerateInputsError, PreconditionError
-
-if TYPE_CHECKING:
-    from array import array
 
 __all__ = [
     "EPS_CLS",
@@ -233,7 +230,7 @@ def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:
     return _verdict(InterferenceVerdict, (BOUNDARY, 0.0, sign, lam))
 
 
-def _grid(
+def _sweep(
     law: str,
     p1: float,
     p2: float,
@@ -241,17 +238,20 @@ def _grid(
     theta_max: float,
     steps: int,
     sign: int,
-) -> tuple[float, array[float]]:
-    """``span`` and the law values of the grid ``theta_min + span * i / (steps - 1)``.
+    chunk: int = _STEPS_MAX,
+) -> Iterator[Iterator[tuple[float, float]]]:
+    """The rows of :func:`sweep_rows`, in runs of at most ``chunk`` rows.
 
-    The kernel of :func:`sweep_rows` and ``hyperq interfere``: it checks the
-    inputs as :func:`sweep_rows` documents, forms ``_law``'s per-sweep
-    constants once, and evaluates every point in ``_law``'s operation order
-    into one ``array('d')``, 8 bytes per point, so each value has ``_law``'s
-    bits.  At the first point whose value is not finite, or whose
-    arithmetic raises (forming the constants counts as the first point's),
-    it calls ``_law``, which raises there, so ``_law`` decides every
-    refusal.
+    The grid kernel of :func:`sweep_rows` and ``hyperq interfere``.  It
+    checks the inputs as :func:`sweep_rows` documents, forms ``_law``'s
+    terms that no phase changes once, and repeats ``_law``'s operations, in
+    its order, at every point into one ``array('d')``, 8 bytes per point, so
+    each value has ``_law``'s bits.  ``_law`` decides every refusal: it is
+    called at the first point whose value is not finite, or whose
+    arithmetic raises, and raises there, before any row is built.  Each
+    run's phases are recomputed from their indexes when it is taken.  A
+    change to ``_law``'s arithmetic is repeated here; the sweep tests compare
+    the two bit for bit.
     """
     if law not in (TRIG, HYP):
         raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
@@ -306,13 +306,18 @@ def _grid(
                 values[i] = dd - k4 * h * h
     except (OverflowError, ValueError):  # a huge int; an int sum no double holds
         values[i] = math.nan
-    # the sum is not finite if a value is not, and rarely otherwise; _law,
-    # given the same arithmetic, raises at the first value that is not
-    if not math.isfinite(sum(values)):
+    if not all(map(math.isfinite, values)):
+        # _law, given the same arithmetic, raises at the first such value
         for i, value in enumerate(values):
             if not math.isfinite(value):
                 values[i] = _law(p1, p2, theta_min + span * i / n, sign, trig)
-    return span, values
+    return (
+        zip(
+            [theta_min + span * i / n for i in range(start, min(start + chunk, steps))],
+            values[start : start + chunk],
+        )
+        for start in range(0, steps, chunk)
+    )
 
 
 def sweep_rows(
@@ -337,6 +342,5 @@ def sweep_rows(
     can for probabilities near the top of the float range, raises
     :class:`PreconditionError`.
     """
-    span, values = _grid(law, p1, p2, theta_min, theta_max, steps, sign)
-    n = steps - 1
-    return [(theta_min + span * i / n, p) for i, p in enumerate(values)]
+    (rows,) = _sweep(law, p1, p2, theta_min, theta_max, steps, sign)
+    return list(rows)
