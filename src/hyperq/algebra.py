@@ -250,13 +250,15 @@ class SplitComplex(_Value):
         """Squared modulus ``x**2 - y**2``.  May be negative or zero.
 
         The package's one squared-norm read.  Evaluated as ``(x - y) * (x +
-        y)``: near the light cone the subtraction of the raw components is
-        exact, so the factored form keeps full relative precision where
-        ``x*x - y*y`` loses it to cancellation.  Finite components near
-        1e308 can still give ``inf``, or NaN when one factor is 0 and the
-        other overflows.
+        y)`` on the halved components, times 4: near the light cone the
+        subtraction is exact, so the factored form keeps full relative
+        precision where ``x*x - y*y`` loses it to cancellation.  Halving is
+        exact unless a half is subnormal, and the ``* 4.0`` unless it
+        overflows, so both factors of finite components are finite and the
+        result is finite, ``inf`` or ``-inf``, never NaN.
         """
-        return (self.x - self.y) * (self.x + self.y)
+        x, y = 0.5 * self.x, 0.5 * self.y
+        return (x - y) * (x + y) * 4.0
 
     def in_positive_cone(self, tol: float = EPS_ALG) -> bool:
         """True when the squared modulus is >= -tol.
@@ -407,9 +409,9 @@ def _check_norm_sq(x: float, y: float, ns: float) -> None:
 
     The one guard of the polar form and the inverse: ``ns <= 0`` (on or
     inside the light cone) raises :class:`DegenerateNormError`, and an
-    ``ns`` that overflowed to inf, or to NaN as ``inf * 0``, raises
-    :class:`PreconditionError`.  :func:`_polar`, the hot caller, tests
-    the same predicate inline and calls this only to raise.
+    ``ns`` that overflowed to inf raises :class:`PreconditionError`.
+    :func:`_polar`, the hot caller, tests the same predicate inline and
+    calls this only to raise.
     """
     # one comparison on the valid path; NaN fails it too
     if 0.0 < ns < math.inf:

@@ -12,9 +12,12 @@ witness    seeded search for a non-transitivity witness (JSON).
 Numbers cross the boundary in fixed machine formats: split-complex scalars
 as ``[x, y]``, vectors as ``[[x1,y1],[x2,y2]]``, matrices as row-major
 nested arrays of the same pairs.  Data goes to standard output, diagnostics
-to standard error.  Each runner returns its exit code and its document, and
-``main`` alone writes the JSON: a number that is not finite is refused there
-(exit 1, nothing on stdout).  ``interfere`` writes its CSV itself.
+to standard error.  Each runner returns its exit code and its output and
+writes nothing; ``main`` alone writes standard output.  Output is a JSON
+document, in which a number that is not finite is refused (exit 1, nothing
+on stdout), or, for ``interfere``, CSV text as an iterator of pieces, each
+built when it is taken and written with one ``write``.  Every check is made
+before the runner returns, so a refused input leaves stdout empty.
 
 Exit codes: 0 success; 1 usage, parse or I/O failure (a failed write to
 standard output included), a value that is not finite (NaN, an infinity, an
@@ -36,7 +39,7 @@ import argparse
 import os
 import re
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import PreconditionError
 
@@ -56,7 +59,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-#: CSV rows joined into one ``write`` call by ``interfere``.
+#: CSV rows in each piece of ``interfere``'s text, which ``main`` writes with
+#: one ``write`` call.
 _CHUNK_ROWS = 4096
 
 
@@ -97,23 +101,24 @@ def _run_classify(args: argparse.Namespace) -> tuple[int, object]:
     return 0, classify(args.pprime, args.p1, args.p2).to_json_dict()
 
 
-def _run_interfere(args: argparse.Namespace) -> tuple[int, None]:
+def _run_interfere(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     from .interference import _sweep
 
     sign = 1 if args.sign == "+" else -1
-    # the whole grid is computed before the first byte goes out, so a
-    # refused point leaves stdout empty; it is held as 8 bytes per point,
-    # and each chunk's rows are built as it is written
+    # the whole grid is computed before the runner returns, so a refused
+    # point leaves stdout empty; it is held as 8 bytes per point
     chunks = _sweep(
         args.law, args.p1, args.p2, args.theta_min, args.theta_max, args.steps, sign,
         _CHUNK_ROWS,
     )
-    # one write per chunk, not per row: unbuffered, each write is a syscall
-    write = sys.stdout.write
-    write("theta,p_prime\n")
-    for rows in chunks:
-        write("".join([f"{theta!r},{p_prime!r}\n" for theta, p_prime in rows]))
-    return 0, None
+
+    def text() -> Iterator[str]:
+        # one piece per chunk, built only when it is taken
+        yield "theta,p_prime\n"
+        for rows in chunks:
+            yield "".join([f"{theta!r},{p_prime!r}\n" for theta, p_prime in rows])
+
+    return 0, text()
 
 
 def _run_transform(args: argparse.Namespace) -> tuple[int, object]:
@@ -205,12 +210,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, document = args.run(args)
-        if document is not None:
+        code, output = args.run(args)
+        if isinstance(output, dict):
             import json
 
             # the one JSON writer: a non-finite number is a ValueError here
-            print(json.dumps(document, separators=(",", ":"), allow_nan=False))
+            print(json.dumps(output, separators=(",", ":"), allow_nan=False))
+        else:
+            # text, one write per piece, not per row: unbuffered, each
+            # write is a syscall
+            write = sys.stdout.write
+            for piece in output:
+                write(piece)
         # flushed here, not at interpreter exit, so that a failed write (a
         # full disk, a closed pipe) is reported like any other I/O error
         sys.stdout.flush()

@@ -175,21 +175,27 @@ def orthonormality_residual(m: Mat2) -> float:
     Eight products, and an error within ``5u*S`` of the exact residual
     (``u = 2**-53``, ``S`` one plus the largest sum of product magnitudes),
     where the squares of the (x, y) form grow with cosh-sized components.
-    Raises :class:`PreconditionError` when a coordinate or a row product
+    u and v are formed from the halved components, so a finite entry has
+    finite coordinates, and each sum is scaled back by 4, exactly unless it
+    overflows.  Raises :class:`PreconditionError` when a row product
     overflows.
     """
-    u11, v11 = m.a11.x + m.a11.y, m.a11.x - m.a11.y
-    u12, v12 = m.a12.x + m.a12.y, m.a12.x - m.a12.y
-    u21, v21 = m.a21.x + m.a21.y, m.a21.x - m.a21.y
-    u22, v22 = m.a22.x + m.a22.y, m.a22.x - m.a22.y
+    x11, y11 = 0.5 * m.a11.x, 0.5 * m.a11.y
+    x12, y12 = 0.5 * m.a12.x, 0.5 * m.a12.y
+    x21, y21 = 0.5 * m.a21.x, 0.5 * m.a21.y
+    x22, y22 = 0.5 * m.a22.x, 0.5 * m.a22.y
+    u11, v11 = x11 + y11, x11 - y11
+    u12, v12 = x12 + y12, x12 - y12
+    u21, v21 = x21 + y21, x21 - y21
+    u22, v22 = x22 + y22, x22 - y22
     sums = (
-        u11 * v11 + u12 * v12,
-        u21 * v21 + u22 * v22,
-        u11 * v21 + u12 * v22,
-        v11 * u21 + v12 * u22,
+        4.0 * (u11 * v11 + u12 * v12),
+        4.0 * (u21 * v21 + u22 * v22),
+        4.0 * (u11 * v21 + u12 * v22),
+        4.0 * (v11 * u21 + v12 * u22),
     )
-    # each sum on its own: the builtin max would drop a NaN; an infinite
-    # coordinate makes every sum it enters inf or NaN
+    # each sum on its own: the builtin max would drop a NaN, which two
+    # products that overflow with opposite signs sum to
     if not all(map(math.isfinite, sums)):
         raise PreconditionError(f"row products overflow: {sums}")
     n1, n2, U, V = sums

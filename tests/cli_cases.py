@@ -101,10 +101,10 @@ EXIT_CASES = [
     (1, witness("0")),
     # p1*p2 underflows to 0; the coefficient is then too large for any phase
     (2, triple(p1="1e-320", p2="1e-320", pprime="1")),
-    # finite entries whose light-cone coordinate x - y overflows
+    # a finite entry whose row product, its squared norm 1e616, overflows
     (2, verify(_data("matrix_overflow.json"))),
-    # finite coordinates whose squared norms sum to NaN (inf * 0)
-    (2, transform(_data("state_nan_norm.json"), _data("matrix_identity.json"))),
+    # a finite coordinate whose squared norm overflows
+    (2, transform(_data("state_overflow.json"), _data("matrix_identity.json"))),
     # an infinite phase range, which would put NaN at the first grid point
     (1, sweep("hyp", theta_max="inf", steps="2")),
     # finite inputs whose law value overflows; no inf reaches stdout
@@ -114,6 +114,9 @@ EXIT_CASES = [
     (0, sweep("hyp", "1e300", "1e300")),
     # pprime - p1 - p2 overflows; lambda is -1 + 2.5e-309, the boundary
     (0, triple(p1="1e308", p2="1e308")),
+    # x - y of [1e308, -1e308] is not a double, but its half is: the squared
+    # norms are exactly 0 and 1
+    (0, transform(_data("state_top_light_cone.json"), _data("matrix_identity.json"))),
 ]
 
 
@@ -274,10 +277,8 @@ BAD_VALUE_CASES = [
     bad_value(
         "overflow", "interfere-span", 2, sweep(theta_min="-1e308", theta_max="1e308")
     ),
-    # 1e308 - (-1e308), a light-cone coordinate of the entry, is not a double
-    bad_value(
-        "overflow", "verify", 2, verify(b"[[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]]")
-    ),
+    # the entry's squared norm, 1e616, is not a double
+    bad_value("overflow", "verify", 2, verify(b"[[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]")),
     # -1e308 + -1e308, a column sum of the squared moduli, is not a double
     bad_value(
         "overflow",

@@ -2,6 +2,8 @@
 
 import math
 import operator
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -29,6 +31,9 @@ from hyperq.space import Mat2, Vec2, inner, orthonormality_residual
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 numbers = st.builds(SplitComplex, coords, coords)
 phases = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+#: The largest double.
+MAX = sys.float_info.max
 
 
 def assert_close(a: SplitComplex, b: SplitComplex, scale: float = 1.0) -> None:
@@ -168,6 +173,34 @@ class TestNormSq:
         want = a.norm_sq() * b.norm_sq()
         assert abs(got - want) <= EPS_ALG * scale
 
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            # halves that are subnormal, one that drops the last bit
+            (5e-324, 0.0),
+            (2.0**-1022 + 2.0**-1074, 2.0**-1022),
+            (1.0, 5e-324),
+            (5e-324, -1.0),
+            # the top of the range: on the light cone, and past it
+            (1e308, 1e308),
+            (-1e308, 1e308),
+            (MAX, MAX),
+            (MAX, math.nextafter(MAX, 0.0)),
+            (1e308, 0.0),
+            (0.0, -1e308),
+            # the halves' product is a double, 4 times it is not
+            (1.5e154, 0.0),
+        ],
+    )
+    def test_is_the_rounded_exact_value(self, x, y):
+        # finite components give a finite norm, or +-inf past the range
+        exact = Fraction(x) ** 2 - Fraction(y) ** 2
+        if abs(exact) > MAX:
+            want = math.inf if exact > 0 else -math.inf
+        else:
+            want = float(exact)
+        assert SplitComplex(x, y).norm_sq() == want
+
 
 class TestPositiveCone:
     def test_examples(self):
@@ -301,9 +334,9 @@ class TestOverflow:
                 id="inverse-norm-overflow",
             ),
             pytest.param(
-                lambda: SplitComplex(1e308, 1e308).inverse(),
+                lambda: SplitComplex(1e308, 0.0).inverse(),
                 PreconditionError,
-                id="inverse-nan-norm",
+                id="inverse-top-of-range",
             ),
             pytest.param(
                 lambda: PolarForm(1, 1e308, 2.0).to_number(),
@@ -316,9 +349,9 @@ class TestOverflow:
                 id="polar-norm-overflow",
             ),
             pytest.param(
-                lambda: SplitComplex(1e308, -1e308).polar(),
+                lambda: SplitComplex(-1e308, 0.0).polar(),
                 PreconditionError,
-                id="polar-nan-norm",
+                id="polar-top-of-range",
             ),
             # an int operand that no double holds is no overflow of a finite
             # computation: the finiteness rule refuses it, with a ValueError
@@ -344,7 +377,9 @@ class TestOverflow:
 
     @pytest.mark.parametrize("method", ["polar", "inverse"])
     @pytest.mark.parametrize(
-        "z", [SplitComplex(1e200, 0.0), SplitComplex(1e308, -1e308)], ids=["inf", "nan"]
+        "z",
+        [SplitComplex(1e200, 0.0), SplitComplex(1e308, 0.0)],
+        ids=["inf", "top-of-range"],
     )
     def test_non_finite_norm_is_not_degenerate(self, z, method):
         with pytest.raises(PreconditionError, match="squared norm .* is not finite") as info:

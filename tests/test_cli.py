@@ -1,5 +1,6 @@
 """Command-line contract: golden outputs, exit codes, entry points."""
 
+import ast
 import contextlib
 import json
 import math
@@ -22,9 +23,10 @@ from cli_cases import (
     verify,
     witness,
 )
+from helpers import scan
 
 from hyperq import interference
-from hyperq.cli import _CHUNK_ROWS, main
+from hyperq.cli import _CHUNK_ROWS, build_parser, main
 from hyperq.errors import PreconditionError
 from hyperq.interference import InterferenceVerdict, sweep_rows
 
@@ -163,11 +165,8 @@ def test_writer_refuses_a_number_that_is_not_finite(monkeypatch, tmp_path, capsy
     check_refusal(in_process(capsys), triple(), 1, "", tmp_path)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="x + y overflows, though (x + y)(x - y) of the entry is 0"
-)
 def test_top_of_range_entry_gets_its_exact_residuals(tmp_path, capsys):
-    # u = x + y of [1e308, 1e308] is not a double; the halved u/2 = 1e308 is
+    # u = x + y of [1e308, 1e308] is not a double; u of the halves, 1e308, is
     argv = with_files(verify(b"[[[1e308, 1e308], [0, 0]], [[0, 0], [1, 0]]]"), tmp_path)
     code, out, err = in_process(capsys)(argv)
     assert code == 3, err
@@ -349,6 +348,32 @@ def test_interfere_chunks_match_row_by_row(steps, capsys):
     rows = sweep_rows("hyp", 0.3, 0.4, 0.0, 2.0, steps)
     lines = ["theta,p_prime\n"] + [f"{theta!r},{p!r}\n" for theta, p in rows]
     assert capsys.readouterr().out == "".join(lines)
+
+
+def test_interfere_runner_returns_its_text_unwritten(capsys):
+    # the header, then one piece per chunk, built as it is taken
+    args = build_parser().parse_args(interfere_argv(_CHUNK_ROWS + 1))
+    code, text = args.run(args)
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    pieces = list(text)
+    assert pieces[0] == "theta,p_prime\n"
+    assert [piece.count("\n") for piece in pieces[1:]] == [_CHUNK_ROWS, 1]
+
+
+def writes_stdout(node):
+    """A reference to ``sys.stdout``, or a ``print`` with no ``file``, which
+    writes to it."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+        return all(keyword.arg != "file" for keyword in node.keywords)
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
+
+
+def test_main_is_the_one_writer_of_stdout():
+    # runners return their output and write nothing, so that one place
+    # decides where output goes, in what pieces, and how a failed write is
+    # reported; the other name only flushes or replaces an unwritable stdout
+    assert set(scan(writes_stdout)) == {"cli.main", "cli._drop_unwritable_stdout"}
 
 
 def traced_peak(steps):

@@ -8,6 +8,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
+from helpers import outcome
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -466,14 +467,6 @@ edge_floats = st.sampled_from(
     [NAN, INF, -INF, 0.0, -0.0, 5e-324, 1e-320, 0.5, 1e308, -1.0, 300.0, -300.0, 301.0]
 ) | st.floats()
 any_signs = st.sampled_from([1, -1, 0, 2, 1.0, -1.0, True, 1.5, NAN])
-
-
-def outcome(call, *args):
-    """The repr of the result, or the type and message of the error."""
-    try:
-        return repr(call(*args))
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def guarded_trig_law(p1, p2, theta):

@@ -40,11 +40,14 @@ wide_numbers = st.builds(SplitComplex, wide_coords, wide_coords)
 wide_vectors = st.builds(Vec2, wide_numbers, wide_numbers)
 wide_matrices = st.builds(Mat2, wide_numbers, wide_numbers, wide_numbers, wide_numbers)
 
-#: Finite entries whose light-cone coordinate x - y is not a double.
-OVERFLOW = [[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]]
+#: A finite entry whose row product, its squared norm 1e616, is not a double.
+OVERFLOW = [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 #: A finite entry on the light cone whose squares are not doubles.
 LIGHT_CONE = [[[1e200, 1e200], [0, 0]], [[0, 0], [1, 0]]]
+
+#: The same at the top of the range, where x + y is not a double either.
+TOP_LIGHT_CONE = [[[1e308, 1e308], [0, 0]], [[0, 0], [1, 0]]]
 
 #: The unit roundoff of a double.
 ULP = Fraction(1, 2**53)
@@ -302,9 +305,11 @@ class TestOrthonormality:
         assert abs(Fraction(orthonormality_residual(m)) - exact) <= 5 * ULP * scale
 
     def test_light_cone_entry_gets_the_exact_residual(self):
-        # x*x - y*y would overflow to inf - inf; u*v is 2e200 * 0
-        m = Mat2.from_list(LIGHT_CONE)
-        assert orthonormality_residual(m) == 1.0 == exact_residual(m)[0]
+        # x*x - y*y would overflow to inf - inf; u*v is 2e200 * 0.  At the
+        # top of the range x + y is not a double, but u of the halves is
+        for entries in (LIGHT_CONE, TOP_LIGHT_CONE):
+            m = Mat2.from_list(entries)
+            assert orthonormality_residual(m) == 1.0 == exact_residual(m)[0]
 
     def test_huge_cross_product_gives_a_finite_residual(self):
         # U = V = (2h)**2, each finite, while |U| + |V| is not a double
@@ -374,12 +379,8 @@ class TestProbMatrix:
         assert all(type(entry) is float for row in p for entry in row)
 
     def test_nan_entry_gives_nan_residual(self):
-        # (1e308, -1e308) has norm_sq inf * 0
-        m = Mat2.from_list([[[1e308, -1e308], [0, 0]], [[0, 0], [1, 0]]])
-        p = prob_matrix(m)
-        assert math.isnan(p[0][0])
-        assert math.isnan(doubly_stochastic_residual(p))
-        # a NaN at each position: in p21 or p22 the first of the four sums
+        # no finite matrix gives a NaN entry, but a table can hold one.  A
+        # NaN at each position: in p21 or p22 the first of the four sums
         # stays finite, and the builtin max would return a finite gap
         for row, col in ((0, 0), (0, 1), (1, 0), (1, 1)):
             table = [[0.5, 0.25], [0.5, 0.75]]

@@ -12,14 +12,15 @@ import ast
 import json
 import math
 import struct
-from pathlib import Path
 
 import pytest
+from helpers import scan
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperq.algebra import EPS_ALG, EPS_MEM, ONE, ZERO, SplitComplex
 from hyperq.born import (
+    Phase,
     ProbabilityModel,
     TransformedProbabilities,
     _check_unit_sums,
@@ -53,9 +54,6 @@ from hyperq.witness import (
     make_decomposable_unitary,
     verify_witness,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src" / "hyperq"
-
 
 def _bits(x):
     return struct.unpack("<q", struct.pack("<d", x))[0]
@@ -124,9 +122,24 @@ UNITARY_EDGE = edge(lambda x: abs(x * x - 1.0) <= EPS_ALG, 1.0, 1.0 + 2 * EPS_AL
 AT_AND_BEYOND = {"ids": ["at", "beyond"]}
 
 
-@pytest.mark.parametrize("x,unitary", zip(UNITARY_EDGE, (True, False)), **AT_AND_BEYOND)
-def test_unitarity_edge(x, unitary, tmp_path, capsys):
-    m = stretched(x)
+def sheared(x):
+    """Rows ``(1, 0)`` and ``(x, 1)``: for a small ``x`` the norms round to 1
+    and the residual is the cross term ``|x|``, exactly."""
+    return Mat2(ONE, ZERO, SplitComplex(x, 0.0), ONE)
+
+
+@pytest.mark.parametrize(
+    "m,unitary",
+    [
+        (stretched(UNITARY_EDGE[0]), True),
+        (stretched(UNITARY_EDGE[1]), False),
+        # the residual is EPS_ALG itself, which the diagonal never reaches
+        (sheared(EPS_ALG), True),
+        (sheared(math.nextafter(EPS_ALG, 1.0)), False),
+    ],
+    ids=["at", "beyond", "cross-term-at", "cross-term-beyond"],
+)
+def test_unitarity_edge(m, unitary, tmp_path, capsys):
     assert is_orthonormal_rows(m) is unitary
     assert raises(NotUnitaryError, change_basis, Vec2.basis1(), m) is not unitary
     code, report = verify_report(tmp_path, capsys, m)
@@ -363,6 +376,26 @@ def test_cone_edge_at_eps_mem(y, t, inside, tmp_path, capsys):
     assert verify_witness(w) is False
 
 
+# -- negligible phase: a coefficient's phase is read when norm_sq > EPS_MEM ----
+
+#: A coefficient whose squared norm is ``EPS_MEM`` exactly.
+AT_EPS_MEM = (1.2869945791015625e-06, 8.101574208984375e-07)
+
+
+@pytest.mark.parametrize(
+    "x,phase_read",
+    [(AT_EPS_MEM[0], False), (math.nextafter(AT_EPS_MEM[0], 1.0), True)],
+    **AT_AND_BEYOND,
+)
+def test_negligible_phase_edge(x, phase_read):
+    c = SplitComplex(x, AT_EPS_MEM[1])
+    assert (c.norm_sq() > EPS_MEM) is phase_read
+    rest = SplitComplex(math.sqrt(1.0 - EPS_MEM), 0.0)
+    first, second = decompose(Vec2(c, rest)).phases
+    assert (first is not None) is phase_read
+    assert second == Phase(1, 0.0)
+
+
 # -- common phase and opposite signs: |theta1 - theta2| <= EPS_ALG ------------
 
 STATE = Vec2(amplitude(1, 0.5, 0.0), amplitude(1, 0.5, 0.0))
@@ -475,24 +508,6 @@ TOLERANCE_NAMES = {
 }
 
 
-def scan(matches):
-    """``{module.qualname: [source, ...]}`` of the nodes in ``src/hyperq``
-    that ``matches`` accepts."""
-    found = {}
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = [*scope, node.name]
-        if matches(node):
-            found.setdefault(".".join(scope), []).append(ast.unparse(node))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
-    return found
-
-
 def names_a_tolerance(node):
     """A comparison that names one of ``TOLERANCE_NAMES``."""
     if not isinstance(node, ast.Compare):
@@ -542,6 +557,7 @@ def test_squared_norm_matcher(source, found):
 def test_squared_norm_is_read_in_one_place():
     """Every squared norm goes through ``SplitComplex.norm_sq``, so a change
     to how it is read (its range, its rounding) is a change to one function."""
+    # the halves' product, which norm_sq scales back by 4
     assert scan(is_squared_norm) == {
-        "algebra.SplitComplex.norm_sq": ["(self.x - self.y) * (self.x + self.y)"]
+        "algebra.SplitComplex.norm_sq": ["(x - y) * (x + y)"]
     }

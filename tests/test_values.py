@@ -14,9 +14,9 @@ import copy
 import inspect
 import math
 import pickle
-from pathlib import Path
 
 import pytest
+from helpers import scan
 
 import hyperq
 from hyperq.algebra import _INDEX, _REAL, _SIGN, J, ONE, ZERO, PolarForm, SplitComplex
@@ -283,43 +283,25 @@ def test_wrong_kind_is_refused_at_construction(build, message):
         build()
 
 
-def construction_bypasses():
-    """``module.qualname`` of each function or class in ``src/hyperq`` that
-    references ``algebra._new`` or ``object.__new__``, which make an
-    instance without ``__init__``; ``algebra``'s module-level binding
-    ``_new = object.__new__`` aside."""
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = [*scope, node.name]
-        if (
-            scope == ["algebra"]
-            and isinstance(node, ast.Assign)
-            and ast.unparse(node) == "_new = object.__new__"
-        ):
-            return
-        if isinstance(node, ast.Name):
-            bypass = node.id == "_new"
-        elif isinstance(node, ast.Attribute):
-            bypass = node.attr == "_new" or ast.unparse(node) == "object.__new__"
-        else:  # an import of _new
-            bypass = isinstance(node, ast.alias) and node.name == "_new"
-        if bypass:
-            found.add(".".join(scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in sorted(Path(hyperq.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
-    return found
+def makes_a_bypass(node):
+    """A reference to ``algebra._new`` or ``object.__new__``, which make an
+    instance without ``__init__``, or an import of ``_new``."""
+    if isinstance(node, ast.Name):
+        return node.id == "_new"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_new" or ast.unparse(node) == "object.__new__"
+    return isinstance(node, ast.alias) and node.name == "_new"
 
 
 def test_init_is_the_one_construction_path():
     # every value is built through its class's __init__, which checks each
     # field; only the operators' constructor stores fields itself, so that
-    # an overflowing result raises PreconditionError, not ValueError
-    assert construction_bypasses() == {"algebra._result"}
+    # an overflowing result raises PreconditionError, not ValueError.  The
+    # module-level names are the binding ``_new = object.__new__``
+    assert scan(makes_a_bypass) == {
+        "algebra": ["_new", "object.__new__"],
+        "algebra._result": ["_new"],
+    }
 
 
 def test_rows_cover_every_value_type():
