@@ -385,9 +385,11 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
     report can quantify how a perturbed matrix breaks the constraints.
     Amplitudes of negligible squared norm drop their interference term;
     amplitudes with negative squared norm have no polar form and raise
-    :class:`DegenerateNormError`.  A residual that overflows, as it can for
-    entries near 1e154, raises :class:`PreconditionError`.  The
-    constraints hold within ``EPS_ALG``.
+    :class:`DegenerateNormError`.  A residual that is not finite raises
+    :class:`PreconditionError`: one that overflows, as it can for entries
+    near 1e154, and one with a term that overflows, even where two such
+    terms would cancel in exact arithmetic.  The constraints hold within
+    ``EPS_ALG``.
     """
     terms = _column_terms(basis, beta)
     eta, _, _, term1, term2 = terms or (None,) * 5

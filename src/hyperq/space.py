@@ -176,9 +176,12 @@ def orthonormality_residual(m: Mat2) -> float:
     (``u = 2**-53``, ``S`` one plus the largest sum of product magnitudes),
     where the squares of the (x, y) form grow with cosh-sized components.
     u and v are formed from the halved components, so a finite entry has
-    finite coordinates, and each sum is scaled back by 4, exactly unless it
-    overflows.  Raises :class:`PreconditionError` when a row product
-    overflows.
+    finite coordinates, and each of the four sums is a quarter of the one
+    above: ``n`` of a row's self-product, ``U/4`` and ``V/4``.  Each is
+    scaled once it is summed, to ``|4*n - 1|`` and ``2*(|U/4| + |V/4|)``,
+    exactly unless the scaled value overflows.  One test of the three gaps
+    raises :class:`PreconditionError` when the residual is not finite, that
+    is when a row product ``u*v`` or the residual itself is not a double.
     """
     x11, y11 = 0.5 * m.a11.x, 0.5 * m.a11.y
     x12, y12 = 0.5 * m.a12.x, 0.5 * m.a12.y
@@ -188,19 +191,16 @@ def orthonormality_residual(m: Mat2) -> float:
     u12, v12 = x12 + y12, x12 - y12
     u21, v21 = x21 + y21, x21 - y21
     u22, v22 = x22 + y22, x22 - y22
-    sums = (
-        4.0 * (u11 * v11 + u12 * v12),
-        4.0 * (u21 * v21 + u22 * v22),
-        4.0 * (u11 * v21 + u12 * v22),
-        4.0 * (v11 * u21 + v12 * u22),
-    )
-    # each sum on its own: the builtin max would drop a NaN, which two
-    # products that overflow with opposite signs sum to
-    if not all(map(math.isfinite, sums)):
-        raise PreconditionError(f"row products overflow: {sums}")
-    n1, n2, U, V = sums
-    # halved before the sum, which cannot then overflow
-    return max(abs(n1 - 1.0), abs(n2 - 1.0), 0.5 * abs(U) + 0.5 * abs(V))
+    n1, n2 = u11 * v11 + u12 * v12, u21 * v21 + u22 * v22
+    U, V = u11 * v21 + u12 * v22, v11 * u21 + v12 * u22
+    g1, g2 = abs(4.0 * n1 - 1.0), abs(4.0 * n2 - 1.0)
+    g3 = 2.0 * (abs(U) + abs(V))
+    residual = max(g1, g2, g3)
+    # the gaps are nonnegative, so their sum is NaN exactly when one is,
+    # which the builtin max can drop
+    if math.isnan(g1 + g2 + g3) or residual == math.inf:
+        raise PreconditionError(f"orthonormality residual overflows: {(g1, g2, g3)}")
+    return residual
 
 
 def is_orthonormal_rows(m: Mat2) -> bool:

@@ -85,7 +85,8 @@ GOLDEN_CASES = [
     ("verify_light_cone.json", 3, verify(_data("matrix_light_cone.json"))),
 ]
 
-# (expected exit code, argv); a failing case leaves stdout empty
+# (expected exit code, argv); a case that fails, exit 1 or 2, leaves stdout
+# empty
 EXIT_CASES = [
     (1, []),
     (1, ["frobnicate"]),
@@ -117,6 +118,11 @@ EXIT_CASES = [
     # x - y of [1e308, -1e308] is not a double, but its half is: the squared
     # norms are exactly 0 and 1
     (0, transform(_data("state_top_light_cone.json"), _data("matrix_identity.json"))),
+    # two row products that overflow with opposite signs, to inf and -inf
+    (2, verify(_data("matrix_overflow_opposite.json"))),
+    # light-cone entries whose cross term, and so the residual, is 1e308: a
+    # double, though four times the kernel's quarter sum is not
+    (3, verify(_data("matrix_top_cross.json"))),
 ]
 
 

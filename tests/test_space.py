@@ -43,6 +43,13 @@ wide_matrices = st.builds(Mat2, wide_numbers, wide_numbers, wide_numbers, wide_n
 #: A finite entry whose row product, its squared norm 1e616, is not a double.
 OVERFLOW = [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]
 
+#: Two entries whose row products overflow with opposite signs, to inf and -inf.
+OPPOSITE_OVERFLOW = [[[1e308, 0], [0, 1e308]], [[0, 0], [1, 0]]]
+
+#: Light-cone entries whose cross term with the second row, and so the
+#: residual, is 1e308: a double, though four times its quarter sum is not.
+TOP_CROSS = [[[1e308, 1e308], [1e308, 1e308]], [[0, 0], [1, 0]]]
+
 #: A finite entry on the light cone whose squares are not doubles.
 LIGHT_CONE = [[[1e200, 1e200], [0, 0]], [[0, 0], [1, 0]]]
 
@@ -51,6 +58,9 @@ TOP_LIGHT_CONE = [[[1e308, 1e308], [0, 0]], [[0, 0], [1, 0]]]
 
 #: The unit roundoff of a double.
 ULP = Fraction(1, 2**53)
+
+#: The least magnitude that rounds to infinity: no double is this large.
+TOP = Fraction(2**1024 - 2**970)
 
 unit_interval = st.floats(min_value=0.05, max_value=0.95)
 small_phases = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -62,13 +72,47 @@ unitaries = st.builds(
     small_phases,
 )
 
+# components scaled toward the largest double
+top_coords = st.builds(
+    operator.mul,
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([1e154, 1e200, 1e300, 1e307, 1e308, sys.float_info.max]),
+)
+top_numbers = st.builds(SplitComplex, top_coords, top_coords)
+light_cone_numbers = st.builds(
+    lambda x, sign: SplitComplex(x, sign * x), top_coords, st.sampled_from([1, -1])
+)
+# |y| > |x|: a negative squared norm
+j_dominant_numbers = st.builds(lambda x, y: SplitComplex(1e-3 * x, y), top_coords, top_coords)
+# rows near the top of the range, or small, so that a large row meets a small one
+top_rows = st.one_of(
+    *(st.builds(Vec2, n, n) for n in (top_numbers, light_cone_numbers, j_dominant_numbers)),
+    vectors,
+)
+top_matrices = st.builds(Mat2.from_rows, top_rows, top_rows)
+
+
+def halved_products(m: Mat2) -> list[Fraction]:
+    """The (u, v) kernel's eight products, in exact arithmetic: u and v of
+    the halved components, ``u = (x + y)/2``, ``v = (x - y)/2``, in the
+    order of its four sums, two products each."""
+    (u11, v11), (u12, v12), (u21, v21), (u22, v22) = (
+        ((Fraction(z.x) + Fraction(z.y)) / 2, (Fraction(z.x) - Fraction(z.y)) / 2)
+        for z in m.entries()
+    )
+    return [
+        u11 * v11, u12 * v12, u21 * v21, u22 * v22,
+        u11 * v21, u12 * v22, v11 * u21, v12 * u22,
+    ]
+
 
 def exact_residual(m: Mat2) -> tuple[Fraction, Fraction]:
     """The orthonormality residual of ``m`` in exact arithmetic, and its scale.
 
     The residual follows the definition: ``inner`` of the rows, with each
     entry's components read as exact rationals.  The scale is 1 plus the
-    largest sum of product magnitudes among the (u, v) kernel's four sums.
+    largest sum of product magnitudes among the (u, v) kernel's four sums,
+    on the whole components, four times those of the halves.
     """
     (x11, y11), (x12, y12), (x21, y21), (x22, y22) = (
         (Fraction(z.x), Fraction(z.y)) for z in m.entries()
@@ -78,15 +122,9 @@ def exact_residual(m: Mat2) -> tuple[Fraction, Fraction]:
     cross_x = x11 * x21 - y11 * y21 + x12 * x22 - y12 * y22
     cross_y = x21 * y11 - x11 * y21 + x22 * y12 - x12 * y22
     residual = max(abs(n1 - 1), abs(n2 - 1), abs(cross_x), abs(cross_y))
-    u11, v11, u12, v12 = x11 + y11, x11 - y11, x12 + y12, x12 - y12
-    u21, v21, u22, v22 = x21 + y21, x21 - y21, x22 + y22, x22 - y22
-    magnitudes = (
-        abs(u11 * v11) + abs(u12 * v12),
-        abs(u21 * v21) + abs(u22 * v22),
-        abs(u11 * v21) + abs(u12 * v22),
-        abs(v11 * u21) + abs(v12 * u22),
-    )
-    return residual, 1 + max(magnitudes)
+    p = halved_products(m)
+    magnitudes = [abs(p[k]) + abs(p[k + 1]) for k in range(0, 8, 2)]
+    return residual, 1 + 4 * max(magnitudes)
 
 
 def hyperbolic_rotation(t: float) -> Mat2:
@@ -295,14 +333,23 @@ class TestOrthonormality:
     def test_generated_unitaries_pass(self, m):
         assert is_orthonormal_rows(m)
 
-    @given(st.one_of(wide_matrices, unitaries))
+    @given(st.one_of(wide_matrices, unitaries, top_matrices))
     def test_residual_is_within_rounding_of_exact_arithmetic(self, m):
-        # to first order each of the kernel's four sums is off by at most
-        # 4u times its scale (u and v rounded, then the product, then the
-        # sum), and n - 1 or |U|/2 + |V|/2 rounds once more; random draws
-        # reach about 2.2u*S
+        # to first order each of the kernel's four quarter sums is off by
+        # at most 4u times its scale (u and v rounded, then the product,
+        # then the sum); the x4 or x2 after the sum is exact, and 4n - 1 or
+        # |U| + |V| rounds once more; random draws reach about 2.2u*S
         exact, scale = exact_residual(m)
-        assert abs(Fraction(orthonormality_residual(m)) - exact) <= 5 * ULP * scale
+        bound = 5 * ULP * scale
+        try:
+            residual = orthonormality_residual(m)
+        except PreconditionError:
+            # refused only where a product or the residual, within its
+            # rounding, is not a double
+            products = halved_products(m)
+            assert exact + bound >= TOP or max(map(abs, products)) * (1 + 3 * ULP) >= TOP
+        else:
+            assert abs(Fraction(residual) - exact) <= bound
 
     def test_light_cone_entry_gets_the_exact_residual(self):
         # x*x - y*y would overflow to inf - inf; u*v is 2e200 * 0.  At the
@@ -316,10 +363,15 @@ class TestOrthonormality:
         h = 0.6e154
         m = Mat2.from_list([[[h, h], [h, -h]], [[h, -h], [h, h]]])
         assert orthonormality_residual(m) == float(exact_residual(m)[0])
+        # the quarter sum U is 5e307; 4U is not a double, but 2(|U| + |V|) is
+        m = Mat2.from_list(TOP_CROSS)
+        assert orthonormality_residual(m) == 1e308 == float(exact_residual(m)[0])
 
     def test_overflowing_row_product_is_a_precondition(self):
-        with pytest.raises(PreconditionError):
-            orthonormality_residual(Mat2.from_list(OVERFLOW))
+        # one product is inf; two of opposite signs are inf and -inf
+        for entries in (OVERFLOW, OPPOSITE_OVERFLOW):
+            with pytest.raises(PreconditionError):
+                orthonormality_residual(Mat2.from_list(entries))
 
 
 class TestChangeBasis:
