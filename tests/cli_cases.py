@@ -118,7 +118,9 @@ EXIT_CASES = [
     # x - y of [1e308, -1e308] is not a double, but its half is: the squared
     # norms are exactly 0 and 1
     (0, transform(_data("state_top_light_cone.json"), _data("matrix_identity.json"))),
-    # two row products that overflow with opposite signs, to inf and -inf
+    # two row products that overflow with opposite signs, to inf and -inf.
+    # The exact residual is 1e308, a double: the refusal tests the products,
+    # not the residual, and is an open FOUND. A mend moves this row to exit 3.
     (2, verify(_data("matrix_overflow_opposite.json"))),
     # light-cone entries whose cross term, and so the residual, is 1e308: a
     # double, though four times the kernel's quarter sum is not

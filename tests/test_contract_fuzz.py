@@ -18,16 +18,14 @@ top-of-range matrices that ``verify`` answers or refuses.  Every command
 line is well formed for the parser (each option gets a value of its type),
 so each refusal is hyperq's own.
 
-hypothesis draws one seed per run, derandomized, and the command is built
-from it with ``random.Random``: one draw per run keeps hypothesis's own
-cost under a millisecond, and a failure names its seed and its command
-line.  Under pytest the fuzzer makes a fixed budget of runs; as a script
-it makes more::
+Run ``seed`` builds its command with ``random.Random(seed)``, for seeds
+0, 1, 2, ..., so every run is deterministic and a failure names its seed
+and its command line.  Under pytest the fuzzer makes ``RUNS`` runs; as a
+script it makes ``LONG_RUNS``::
 
-    PYTHONPATH=src python tests/test_contract_fuzz.py --runs 20000
+    PYTHONPATH=src python tests/test_contract_fuzz.py
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -37,15 +35,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from hyperq.born import amplitude
 from hyperq.cli import main
 from hyperq.witness import UnitaryParams, make_decomposable_unitary
 
-#: Runs under pytest, each about 2.5 ms in process on 2 CPUs.
+#: Runs under pytest, and as a script.
 RUNS = 2000
+LONG_RUNS = 20_000
 
 MAX = sys.float_info.max
 
@@ -62,6 +58,8 @@ SCALES = [1e-154, 1e154, 1e300, 1e307, 1e308, MAX]
 #: Top-of-range matrices: a cross term of 1e308, answered; row products
 #: that overflow, alone or to inf and -inf; a light-cone entry whose x + y
 #: is not a double; a column sum of the squared moduli that overflows.
+#: The pair to inf and -inf is refused, though its exact residual, 1e308,
+#: is a double: an open refusal, kept here whichever exit code it gets.
 TOP_MATRICES = [
     [[[1e308, 1e308], [1e308, 1e308]], [[0, 0], [1, 0]]],
     [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]],
@@ -229,29 +227,21 @@ def check_contract(argv: list, folder: Path) -> None:
         json.loads(out, parse_constant=refuse_constant)
 
 
-def contract(runs: int):
-    """The contract check over ``runs`` derandomized seeds, whose input
-    files are written over in one folder."""
-
-    def test():
-        with tempfile.TemporaryDirectory(prefix="hyperq-fuzz-") as folder:
-
-            @settings(max_examples=runs, derandomize=True, database=None, deadline=None)
-            @given(st.integers(min_value=0, max_value=2**64 - 1))
-            def check(seed):
+def fuzz(runs: int) -> None:
+    """The contract check on the commands of seeds 0 to ``runs`` - 1, whose
+    input files are written over in one folder."""
+    with tempfile.TemporaryDirectory(prefix="hyperq-fuzz-") as folder:
+        for seed in range(runs):
+            try:
                 check_contract(command(random.Random(seed)), Path(folder))
-
-            check()
-
-    return test
+            except AssertionError as exc:
+                raise AssertionError(f"seed {seed}: {exc}") from exc
 
 
-test_cli_contract_holds_across_the_double_range = contract(RUNS)
+def test_cli_contract_holds_across_the_double_range():
+    fuzz(RUNS)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Run the contract fuzzer longer.")
-    parser.add_argument("--runs", type=int, default=20_000)
-    runs = parser.parse_args().runs
-    contract(runs)()
-    print(f"{runs} runs: no contract violation")
+    fuzz(LONG_RUNS)
+    print(f"{LONG_RUNS} runs: no contract violation")

@@ -44,6 +44,8 @@ wide_matrices = st.builds(Mat2, wide_numbers, wide_numbers, wide_numbers, wide_n
 OVERFLOW = [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 #: Two entries whose row products overflow with opposite signs, to inf and -inf.
+#: The exact residual is 1e308, a double; refusing it is an open FOUND, and
+#: a mend moves this matrix out of the refused cases.
 OPPOSITE_OVERFLOW = [[[1e308, 0], [0, 1e308]], [[0, 0], [1, 0]]]
 
 #: Light-cone entries whose cross term with the second row, and so the
