@@ -31,18 +31,20 @@ from the package is looked up in the submodules in dependency order
 (``errors``, ``algebra``, ``interference``, ``space``, ``born``,
 ``witness``), importing each in turn until one lists it.  So
 ``hyperq.classify`` loads ``errors``, ``algebra`` and ``interference``, and
-a name from ``space``, ``born`` or ``witness`` loads ``interference`` as
-well.  A submodule name (``hyperq.born``, ``hyperq.cli``) imports just that
-submodule, and a dunder name that is not ``__all__`` imports nothing.  The
-command line imports its submodules directly, so each subcommand pays only
-for the modules it needs.
+the private leaf ``_rules`` (the scalar rules and the law kernel) that the
+last two import; a name from ``space``, ``born`` or ``witness`` loads
+``interference`` as well.  A submodule name (``hyperq.born``,
+``hyperq.cli``) imports just that submodule, and a dunder name that is not
+``__all__`` imports nothing.  The command line imports its submodules
+directly, so each subcommand pays only for the modules it needs.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-#: The submodules that export names, each importing only earlier ones.
+#: The submodules that export names, each importing only earlier ones and
+#: ``_rules``, which imports only ``errors``.
 _SUBMODULES = ("errors", "algebra", "interference", "space", "born", "witness")
 
 

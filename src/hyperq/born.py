@@ -18,7 +18,7 @@ the two interference terms.  Both facts are forced by requiring p1 + p2 = 1
 for every input state; :func:`check_sign_phase_constraints` measures how
 well a concrete matrix and state satisfy them, and
 :func:`transform_probabilities` evaluates the closed form, one column at a
-time, through the interference kernel ``hyperq.algebra._law``.  The
+time, through the interference kernel ``hyperq._rules._law``.  The
 transformed values can leave [0, 1]: that is the formalism's signal that the
 state stopped being decomposable, so they are flagged rather than clamped.
 """
@@ -29,25 +29,27 @@ import math
 import sys
 from typing import NamedTuple
 
+from ._rules import (
+    THETA_MAX,
+    _check_finite,
+    _law,
+    check_phase,
+    check_probability,
+    check_sign,
+)
 from .algebra import (
     EPS_ALG,
     EPS_MEM,
-    THETA_MAX,
     _REAL,
     _SIGN,
     SplitComplex,
-    _check_finite,
     _in_cone,
     _kind,
-    _law,
     _malformed,
     _numbers,
     _polar,
     _result,
     _Value,
-    check_phase,
-    check_probability,
-    check_sign,
 )
 from .errors import ConstraintViolatedError, NotNormalizedError, PreconditionError
 from .space import Mat2, Vec2, _is_unit_sum, change_basis

@@ -22,7 +22,7 @@ before the runner returns, so a refused input leaves stdout empty.
 Exit codes: 0 success; 1 usage, parse or I/O failure (a failed write to
 standard output included), a value that is not finite (NaN, an infinity, an
 integer too large for a double: ``ValueError`` from the one finiteness rule,
-``hyperq.algebra._check_finite``) or a command-line parameter out of its
+``hyperq._rules._check_finite``) or a command-line parameter out of its
 range; 2 a finite value outside the operation's domain, or a finite
 computation that overflows (``PreconditionError``); 3 negative semantic
 verdict (not decomposable, verification failed); 4 search exhausted.  JSON
@@ -30,7 +30,7 @@ is still emitted on exit 3.  A negative number, in exponent form too, and
 ``-inf`` or ``-nan`` are read as an option's value, not as an option.
 
 Each runner imports the modules it needs, so ``classify`` and ``interfere``
-never load ``born``, ``space`` or ``witness``.
+never load ``algebra``, ``born``, ``space`` or ``witness``.
 """
 
 from __future__ import annotations

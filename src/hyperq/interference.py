@@ -9,7 +9,7 @@ Both are linearizations of a squared modulus, the first over the ordinary
 complex numbers, the second over the split-complex numbers, and the residual
 helpers here verify those identities by evaluating both sides through
 independent arithmetic.  Both laws evaluate one float kernel,
-``hyperq.algebra._law``, which never forms P1*P2 and rewrites a branch that
+``hyperq._rules._law``, which never forms P1*P2 and rewrites a branch that
 would cancel (the hyperbolic minus sign, a negative cosine) into terms of
 one sign.  A sweep (:func:`sweep_rows`, ``hyperq interfere``) does not call
 it per point: one grid kernel forms its terms that no phase changes once
@@ -37,7 +37,7 @@ and the errors are those of calling the guards every time.
 
 Every bad value gets the error of its class.  One that is not finite (NaN,
 an infinity, an ``int`` too large for a double) gets the finiteness rule's
-``ValueError``, from ``hyperq.algebra._check_finite``: the guards and
+``ValueError``, from ``hyperq._rules._check_finite``: the guards and
 classify call it before their own refusal, and the law kernel before its
 overflow refusal, so ``+inf``, which passes ``p >= 0``, is told apart from
 an overflow there.  A finite value outside the domain, or a finite
@@ -50,7 +50,7 @@ import math
 import sys
 from typing import Iterator, NamedTuple
 
-from .algebra import (
+from ._rules import (
     THETA_MAX,
     _check_finite,
     _echo,
@@ -59,7 +59,6 @@ from .algebra import (
     check_phase,
     check_probability,
     check_sign,
-    expj,
 )
 from .errors import DegenerateInputsError, PreconditionError
 
@@ -175,6 +174,9 @@ def hyp_linearization_residual(a: float, b: float, theta: float, sign: int) -> f
 
     The right side goes through split-complex arithmetic end to end.
     """
+    # split-complex arithmetic, loaded by this residual, not by classify or a sweep
+    from .algebra import expj
+
     left = hyp_law(a, b, theta, sign)
     w = expj(theta) * (sign * math.sqrt(b)) + math.sqrt(a)
     return abs(left - w.norm_sq())

@@ -30,7 +30,7 @@ leave the positive cone: the interference term of p2 carries the minus
 sign of the -sqrt(p) entry, and cosh >= 1 lets it outgrow the rest.  p2 is
 the minus branch of the hyperbolic law with weights q1*(1-p) and q2*p, and
 the search evaluates it with the interference kernel
-``hyperq.algebra._law``.
+``hyperq._rules._law``.
 
 The search draws random states and matrices from this family and returns
 the first combination whose transformed coordinates leave the positive
@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import EPS_ALG, _INDEX, _REAL, _echo, _in_cone, _law, _Value
+from ._rules import _echo, _law
+from .algebra import EPS_ALG, _INDEX, _REAL, _in_cone, _Value
 from .born import amplitude, decompose
 from .errors import PreconditionError
 from .space import Mat2, Vec2, change_basis

@@ -409,8 +409,8 @@ HEAVY_STDLIB = {"dataclasses", "inspect"}
 @pytest.mark.parametrize(
     "argv,needed,unneeded",
     [
-        (triple("0.3", "0.4"), "interference", {"born", "space", "witness"}),
-        (interfere_argv(3), "interference", {"born", "space", "witness"}),
+        (triple("0.3", "0.4"), "interference", {"algebra", "born", "space", "witness"}),
+        (interfere_argv(3), "interference", {"algebra", "born", "space", "witness"}),
         (
             ["transform", "--state", str(DATA / "state_basis.json")]
             + ["--matrix", str(DATA / "matrix_identity.json")],
