@@ -131,6 +131,9 @@ EXIT_CASES = [
 #: A 400-digit integer, too large for a double.
 DIGITS = "9" * 400
 
+#: A command-line value of 300 characters.
+LONG = "x" * 300
+
 #: A document nested 100 000 arrays deep, past the JSON decoder's recursion limit.
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
@@ -299,4 +302,31 @@ BAD_VALUE_CASES = [
     ),
     bad_value("too-many", "interfere-steps", 1, sweep(steps="1000001")),
     bad_value("phase", "interfere-theta-max", 2, sweep(law="hyp", theta_max="301")),
+    # usage errors: a command line the reader refuses, with the same one
+    # short line as any other refusal; a value past 80 characters is shown
+    # as "..." and its last 77
+    bad_value("usage", "no-command", 1, []),
+    bad_value("usage", "unknown-command", 1, ["frobnicate"]),
+    bad_value("usage", "long-command", 1, [LONG] + triple()[1:]),
+    bad_value("usage", "unknown-option", 1, triple() + ["--frobnicate", "1"]),
+    bad_value("usage", "long-option", 1, triple() + ["--" + LONG, "1"]),
+    bad_value("usage", "abbreviated-option", 1, witness("1") + ["--max", "5"]),
+    bad_value("usage", "separator", 1, triple() + ["--"]),
+    bad_value("usage", "no-value", 1, witness("1") + ["--seed"], named="--seed"),
+    bad_value("usage", "missing-option", 1, ["interfere", "--law", "trig"]),
+    bad_value("usage", "not-a-float", 1, triple(p1="abc"), named="--p1"),
+    bad_value("usage", "long-float", 1, triple(p1=LONG), named="--p1"),
+    bad_value("usage", "not-an-int", 1, sweep(steps="2.5"), named="--steps"),
+    bad_value("usage", "too-many-digits", 1, witness("9" * 5000), named="--max-iter"),
+    bad_value("usage", "line-break", 1, triple(pprime="1\n2"), named="--pprime"),
+    bad_value("usage", "unlisted-law", 1, sweep(law="foo"), named="--law"),
+    bad_value("usage", "unlisted-sign", 1, sweep() + ["--sign", "*"], named="--sign"),
+    bad_value("usage", "long-law", 1, sweep(law=LONG), named="--law"),
+    # the longest list of options, then a long unknown one
+    bad_value("usage", "long-interfere-option", 1, sweep() + ["--" + LONG, "1"]),
+    # control and non-ASCII characters are shown escaped, in ASCII, so that
+    # a value or a path of 4-byte characters still fits 200 bytes
+    bad_value("usage", "non-ascii-value", 1, triple(p1="\U0001F600" * 300), named="--p1"),
+    bad_value("non-ascii", "path", 1, verify("\U0001F600" * 100)),
+    bad_value("line-break", "path", 1, verify("no\nsuch.json")),
 ]

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from cli_cases import (
@@ -26,7 +27,7 @@ from cli_cases import (
 from helpers import scan
 
 from hyperq import interference
-from hyperq.cli import _CHUNK_ROWS, build_parser, main
+from hyperq.cli import _CHUNK_ROWS, _COMMANDS, _read, main
 from hyperq.errors import PreconditionError
 from hyperq.interference import InterferenceVerdict, sweep_rows
 
@@ -263,8 +264,16 @@ def test_full_device_exits_1(argv):
 
 
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    assert "classify" in capsys.readouterr().out
+    # -h or --help, as the command, an option or the last argument, prints
+    # the usage text, which names every subcommand and option of the table
+    for argv in (["--help"], ["classify", "-h"], triple() + ["--help"]):
+        assert main(argv) == 0
+        usage = capsys.readouterr().out
+        # "  hyperq <command> <option> <VALUE> ... [<option> <VALUE>]"
+        words = {line.split()[1]: line.replace("[", "").split() for line in usage.splitlines()[1:]}
+        assert words.keys() == _COMMANDS.keys(), usage
+        for command, (_, options, _) in _COMMANDS.items():
+            assert set(options) <= set(words[command]), (command, usage)
 
 
 def test_sweep_grid_hits_both_endpoints():
@@ -357,8 +366,8 @@ def test_interfere_chunks_match_row_by_row(steps, capsys):
 
 def test_interfere_runner_returns_its_text_unwritten(capsys):
     # the header, then one piece per chunk, built as it is taken
-    args = build_parser().parse_args(interfere_argv(_CHUNK_ROWS + 1))
-    code, text = args.run(args)
+    run, values = _read(interfere_argv(_CHUNK_ROWS + 1))
+    code, text = run(**values)
     assert code == 0
     assert capsys.readouterr().out == ""
     pieces = list(text)
@@ -402,8 +411,10 @@ def test_interfere_holds_under_16_bytes_per_point():
 
 
 #: Stdlib modules no subcommand may import: ``dataclasses`` pulls in
-#: ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``.
-HEAVY_STDLIB = {"dataclasses", "inspect"}
+#: ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``; ``argparse``
+#: pulls in ``gettext``, ``locale`` and ``shutil``, which asks for the
+#: terminal width.
+HEAVY_STDLIB = {"dataclasses", "inspect", "argparse", "gettext", "locale", "shutil"}
 
 
 @pytest.mark.parametrize(
@@ -426,8 +437,11 @@ HEAVY_STDLIB = {"dataclasses", "inspect"}
     ],
     ids=["classify", "interfere", "transform", "verify", "witness"],
 )
-def test_subcommand_loads_only_what_it_needs(argv, needed, unneeded):
-    code, _, err = run_module(argv, flags=["-X", "importtime"])
+def test_subcommand_loads_only_what_it_needs(argv, needed, unneeded, monkeypatch):
+    # -S: no site, whose .pth files may import modules of their own (shutil
+    # among them), so the child finds the package by its path
+    monkeypatch.setenv("PYTHONPATH", str(Path(interference.__file__).parents[1]))
+    code, _, err = run_module(argv, flags=["-S", "-X", "importtime"])
     assert code == 0, err
     # -X importtime names every module the child imports, one per line
     loaded = {

@@ -14,9 +14,11 @@ Numbers come from the landmarks of the double range and from uniform
 draws, in value and in exponent; matrices and states from
 ``make_decomposable_unitary`` and ``amplitude``, moved by a few ulps and
 scaled toward overflow, from raw and light-cone entries, and from the
-top-of-range matrices that ``verify`` answers or refuses.  Every command
-line is well formed for the parser (each option gets a value of its type),
-so each refusal is hyperq's own.
+top-of-range matrices that ``verify`` answers or refuses.  Each command
+line is well formed (each option gets a value of its type), so its
+refusals are hyperq's own; one run in ``MUTATED`` is then bent by
+``mutated`` into a usage error, or into a spelling that reads the same, so
+that the reader's refusals meet the same contract.
 
 Run ``seed`` builds its command with ``random.Random(seed)``, for seeds
 0, 1, 2, ..., so every run is deterministic and a failure names its seed
@@ -73,6 +75,20 @@ NOT_FINITE = ["nan", "inf", "-inf"]
 
 #: Step and iteration counts that are refused: too few, too many, too large.
 ODD_STEPS = [-1, 0, 1, 1_000_001, -(10**400)]
+
+#: The share of runs whose command line is mutated.
+MUTATED = 0.1
+
+#: Values that some or all options refuse: no number, no integer, negative,
+#: not finite, a path that starts with "-", one with a line break, and two
+#: past 80 characters, one of them in 4-byte characters.
+ODD_VALUES = [
+    "abc", "", "2.5", "-1", "-1.5e-05", "-inf", "1e999", "-x", "a\nb", "x" * 300,
+    "\U0001F600" * 100,
+]
+
+#: Option names that no subcommand takes.
+UNKNOWN = ["--frobnicate", "-p1", "--P1", "p1", "x" * 300]
 
 
 def real(rng: random.Random) -> float:
@@ -188,6 +204,47 @@ def command(rng: random.Random) -> list:
     return [name, "--seed", str(rng.getrandbits(64) - 2**63), "--max-iter", str(max_iter)]
 
 
+def mutated(rng: random.Random, argv: list) -> list:
+    """``argv`` after one to three mutations, each drawn from: an option
+    dropped, its value dropped, an option repeated with the value of another,
+    one joined to its value by ``=``, the options reordered, an unknown
+    option, an abbreviated one, a value replaced by one of ``ODD_VALUES``,
+    a ``--`` inserted before a value or between options, and an unknown
+    command.  A ``bytes`` value, a file's content, is never joined."""
+    name, *rest = argv
+    # each group is an option and its value, until a mutation splits or joins it
+    groups = [rest[i:i + 2] for i in range(0, len(rest), 2)]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(10)
+        at = rng.randrange(len(groups)) if groups else None
+        pair = at is not None and len(groups[at]) == 2
+        if kind == 0 and groups:
+            del groups[at]
+        elif kind == 1 and pair:
+            groups[at] = groups[at][:1]
+        elif kind == 2 and pair:
+            value = rng.choice([group[-1] for group in groups])
+            groups.insert(rng.randrange(len(groups) + 1), [groups[at][0], value])
+        elif kind == 3 and pair and isinstance(groups[at][1], str):
+            groups[at] = ["=".join(groups[at])]
+        elif kind == 4:
+            rng.shuffle(groups)
+        elif kind == 5:
+            groups.insert(rng.randrange(len(groups) + 1), [rng.choice(UNKNOWN), "1"])
+        elif kind == 6 and pair and groups[at][0].startswith("--") and len(groups[at][0]) > 3:
+            option = groups[at][0]
+            groups[at] = [option[: rng.randrange(3, len(option))], groups[at][1]]
+        elif kind == 7 and pair:
+            groups[at] = [groups[at][0], rng.choice(ODD_VALUES)]
+        elif kind == 8 and pair:
+            groups[at] = [groups[at][0], "--", groups[at][1]]
+        elif kind == 8:
+            groups.insert(rng.randrange(len(groups) + 1), ["--"])
+        elif kind == 9:
+            name = rng.choice(["frobnicate", "Classify", "", "x" * 300])
+    return [name] + [arg for group in groups for arg in group]
+
+
 def run(argv: list, folder: Path) -> tuple[int, str, str]:
     """``cli.main`` on ``argv``, each ``bytes`` argument written to a file in
     ``folder`` in its place; returns the exit code, stdout and stderr."""
@@ -232,8 +289,12 @@ def fuzz(runs: int) -> None:
     input files are written over in one folder."""
     with tempfile.TemporaryDirectory(prefix="hyperq-fuzz-") as folder:
         for seed in range(runs):
+            rng = random.Random(seed)
+            argv = command(rng)
+            if rng.random() < MUTATED:
+                argv = mutated(rng, argv)
             try:
-                check_contract(command(random.Random(seed)), Path(folder))
+                check_contract(argv, Path(folder))
             except AssertionError as exc:
                 raise AssertionError(f"seed {seed}: {exc}") from exc
 
