@@ -257,6 +257,8 @@ def _sweep(
     """
     if law not in (TRIG, HYP):
         raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
+    if steps.__class__ is not int:
+        raise ValueError(f"steps must be an int, got {_echo(steps)}")
     if not 2 <= steps <= _STEPS_MAX:
         raise ValueError(f"steps must be from 2 to {_STEPS_MAX}, got {_echo(steps)}")
     _check_finite(("theta-min", "theta-max"), (theta_min, theta_max))
@@ -337,12 +339,12 @@ def sweep_rows(
     no phase changes are formed once.  No point calls the interference
     kernel ``_law``, but every value has its bits, and ``_law`` still
     decides every refusal, at the first point whose value is not finite.
-    ``law`` must be ``"trig"`` or ``"hyp"``, ``steps`` from 2 to 10**6, the
-    phase range finite and increasing, and the probabilities finite
-    (``ValueError`` otherwise).  A negative probability, a phase range too
-    wide for its grid to fit a double, or a law value that overflows, as it
-    can for probabilities near the top of the float range, raises
-    :class:`PreconditionError`.
+    ``law`` must be ``"trig"`` or ``"hyp"``, ``steps`` an ``int`` (not a
+    ``bool``) from 2 to 10**6, the phase range finite and increasing, and
+    the probabilities finite (``ValueError`` otherwise).  A negative
+    probability, a phase range too wide for its grid to fit a double, or a
+    law value that overflows, as it can for probabilities near the top of
+    the float range, raises :class:`PreconditionError`.
     """
     (rows,) = _sweep(law, p1, p2, theta_min, theta_max, steps, sign)
     return list(rows)

@@ -38,6 +38,13 @@ cone, packaged with everything needed to re-verify the violation from
 scratch.  Leaving the cone means a squared norm below ``-EPS_ALG``: the
 one cone rule, ``hyperq.algebra._in_cone``, that also decides
 ``decompose``, so a witness's transformed state is never decomposable.
+
+Both ends build only what they return.  The search builds a hit's matrix
+with the private builder ``_unitary`` straight from the floats it drew,
+with no ``UnitaryParams`` between, and :func:`verify_witness` decides the
+state with ``decompose``'s two rules, the unit sum
+(``hyperq.space._is_unit_sum``) and the cone (``_in_cone``) on each squared
+norm, with no ``StateDecomposition`` between.
 """
 
 from __future__ import annotations
@@ -46,9 +53,9 @@ import random
 
 from ._rules import _echo, _law
 from .algebra import EPS_ALG, _INDEX, _REAL, _in_cone, _Value
-from .born import amplitude, decompose
+from .born import amplitude
 from .errors import PreconditionError
-from .space import Mat2, Vec2, change_basis
+from .space import Mat2, Vec2, _is_unit_sum, change_basis
 
 __all__ = [
     "UnitaryParams",
@@ -77,7 +84,14 @@ def make_decomposable_unitary(params: UnitaryParams) -> Mat2:
     Its entrywise squared norms form the doubly stochastic matrix
     [[p, 1-p], [1-p, p]].
     """
-    p, g1, g2, d = params.p, params.gamma1, params.gamma2, params.delta
+    return _unitary(params.p, params.gamma1, params.gamma2, params.delta)
+
+
+def _unitary(p: float, g1: float, g2: float, d: float) -> Mat2:
+    """The matrix of :func:`make_decomposable_unitary`, from its four floats.
+
+    The caller has checked ``0 < p < 1``, as ``UnitaryParams`` does.
+    """
     return Mat2(
         amplitude(1, p, g1),
         amplitude(1, 1.0 - p, g2),
@@ -123,13 +137,19 @@ def search_non_transitivity(
     xi1, xi2 from [-3, 3], the matrix weight p from (0, 1), and matrix
     phases gamma1, gamma2, delta from [-3, 3].  The closed form of p2 in the
     module docstring decides whether a draw is a hit; only for a hit is the
-    witness built along the linear-algebra route, ``change_basis`` of the
-    state through :func:`make_decomposable_unitary`, which supplies the
-    violating index and its squared norm.  The first sample whose
-    transformed coordinates leave the positive cone (a squared norm below
-    ``-EPS_ALG``, the rule ``decompose`` applies) is returned; None if
-    ``max_iter`` samples all stay decomposable.
+    witness built along the linear-algebra route: ``change_basis``, its
+    unitarity test included, of the state through the matrix of
+    :func:`make_decomposable_unitary`, built by the private builder
+    ``_unitary`` from the drawn floats with no ``UnitaryParams`` between,
+    supplies the violating index and its squared norm.  The first sample
+    whose transformed coordinates leave the positive cone (a squared norm
+    below ``-EPS_ALG``, the rule ``decompose`` applies) is returned; None
+    if ``max_iter`` samples all stay decomposable.  A ``max_iter`` that is
+    not an ``int`` (a ``bool`` included) or is below 1 raises
+    ``ValueError``.
     """
+    if max_iter.__class__ is not int:
+        raise ValueError(f"max_iter must be an int, got {_echo(max_iter)}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {_echo(max_iter)}")
     draw = random.Random(seed).random
@@ -153,7 +173,7 @@ def search_non_transitivity(
         if _in_cone(p2):
             continue
         beta = Vec2(amplitude(1, q1, xi1), amplitude(1, q2, xi2))
-        basis = make_decomposable_unitary(UnitaryParams(p, gamma1, gamma2, delta))
+        basis = _unitary(p, gamma1, gamma2, delta)
         alpha = change_basis(beta, basis)
         # a hit counts only if the linear-algebra route confirms it
         for index, coord in enumerate(alpha.coords(), start=1):
@@ -166,7 +186,10 @@ def search_non_transitivity(
 def verify_witness(w: NonTransitivityWitness) -> bool:
     """Re-check a claimed witness from its fields; False when a check fails.
 
-    Confirms that the state is decomposable, that every matrix entry lies in
+    Confirms that the state is decomposable by ``decompose``'s two rules,
+    read from its squared norms without building a ``StateDecomposition``:
+    their sum is 1 (``space._is_unit_sum``) and each lies in the positive
+    cone (``_in_cone``).  Confirms then that every matrix entry lies in
     the positive cone (``change_basis`` checks that the rows are
     orthonormal, so each row is then a decomposable state), that the stored
     coordinates really are the basis change of the state, and that
@@ -178,7 +201,8 @@ def verify_witness(w: NonTransitivityWitness) -> bool:
     re-checking (a ``PreconditionError`` or ``ValueError``) gives False.
     """
     try:
-        if not decompose(w.beta).decomposable:
+        q1, q2 = w.beta.norms_sq()
+        if not (_is_unit_sum(q1 + q2) and _in_cone(q1) and _in_cone(q2)):
             return False
         a11, a12, a21, a22 = w.basis.entries()
         if not (

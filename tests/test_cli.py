@@ -284,10 +284,22 @@ def test_sweep_grid_hits_both_endpoints():
     assert thetas == sorted(thetas)
 
 
-@pytest.mark.parametrize("steps", [10**6 + 1, 10**26], ids=["1e6+1", "1e26"])
-def test_sweep_refuses_more_steps_than_it_computes(steps):
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        pytest.param(10**6 + 1, "steps must be from 2 to 1000000", id="1e6+1"),
+        pytest.param(10**26, "steps must be from 2 to 1000000", id="1e26"),
+        # a count that is not an int, a bool included, is refused by name
+        pytest.param(2.5, "steps must be an int, got 2.5", id="2.5"),
+        pytest.param(3.0, "steps must be an int, got 3.0", id="3.0"),
+        pytest.param(math.nan, "steps must be an int, got nan", id="nan"),
+        pytest.param("3", "steps must be an int, got '3'", id="str"),
+        pytest.param(True, "steps must be an int, got True", id="bool"),
+    ],
+)
+def test_sweep_refuses_more_steps_than_it_computes(steps, message):
     # 10**26 points would be allocated until the process is killed
-    with pytest.raises(ValueError, match="steps must be from 2 to 1000000") as info:
+    with pytest.raises(ValueError, match=message) as info:
         sweep_rows("trig", 0.5, 0.5, 0.0, 1.0, steps)
     assert not isinstance(info.value, PreconditionError)
 

@@ -4,11 +4,12 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from hyperq.algebra import EPS_ALG, ONE, ZERO, SplitComplex
-from hyperq.born import amplitude, decompose
+from hyperq.born import StateDecomposition, amplitude, decompose
 from hyperq.space import (
     Mat2,
     Vec2,
@@ -116,8 +117,15 @@ class TestSearch:
         assert search_non_transitivity(10, 1) is None
 
     def test_rejects_bad_max_iter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
             search_non_transitivity(1, 0)
+        # a count that is not an int, a bool included, is refused by name
+        for bad, shown in [
+            (2.5, "2.5"), (3.0, "3.0"), (math.nan, "nan"), ("3", "'3'"), (True, "True")
+        ]:
+            with pytest.raises(ValueError) as info:
+                search_non_transitivity(1, bad)
+            assert str(info.value) == f"max_iter must be an int, got {shown}"
 
     def test_all_real_inputs_never_witness(self):
         for q1 in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -237,6 +245,23 @@ class TestVerifyWitness:
             NonTransitivityWitness(beta, w.basis, alpha, 1, alpha.c1.norm_sq())
         )
 
+    def test_unnormalized_state_fails(self):
+        # the seed-1 witness with its state scaled by 1.2: both squared norms
+        # stay in the cone and every other field is re-derived, but they sum
+        # to 1.44
+        w = search_non_transitivity(1, 10000)
+        beta = Vec2(w.beta.c1 * 1.2, w.beta.c2 * 1.2)
+        q1, q2 = beta.norms_sq()
+        assert q1 == pytest.approx(0.19, abs=0.01)
+        assert q2 == pytest.approx(1.25, abs=0.01)
+        assert q1 + q2 == pytest.approx(1.44)
+        alpha = change_basis(beta, w.basis)
+        index = w.violating_index
+        ns = alpha.coords()[index - 1].norm_sq()
+        assert ns < -EPS_ALG
+        unnormalized = NonTransitivityWitness(beta, w.basis, alpha, index, ns)
+        assert not verify_witness(unnormalized)
+
     def test_tampered_norm_fails(self):
         w = analytic_witness()
         tampered = NonTransitivityWitness(w.beta, w.basis, w.alpha, 2, -0.5)
@@ -275,3 +300,25 @@ class TestVerifyWitness:
     def test_json_shape(self):
         d = analytic_witness().to_json_dict()
         assert set(d) == {"beta", "B", "alpha", "violating_index", "norm_sq"}
+
+
+def test_search_and_verify_build_only_what_they_return(monkeypatch):
+    # a hit's matrix is built from the drawn floats, and verify_witness reads
+    # the state's squared norms, so neither value type is constructed
+    built = Counter()
+    for cls in (UnitaryParams, StateDecomposition):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for seed in range(100):
+        w = search_non_transitivity(seed, 10_000)
+        assert w is not None and verify_witness(w), seed
+    assert built == {}
+    # the wrappers count what is built
+    decompose(Vec2(ONE, ZERO))
+    make_decomposable_unitary(UnitaryParams(0.5, 0.0, 0.0, 0.0))
+    assert built == {"StateDecomposition": 1, "UnitaryParams": 1}
