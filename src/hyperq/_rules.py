@@ -5,9 +5,10 @@ sign and a phase, and the law kernel :func:`_law` hold no split-complex
 value, so they live here, apart from ``hyperq.algebra``: ``hyperq
 classify`` and ``hyperq interfere`` load ``errors``, this module,
 ``interference`` and ``cli``, and never compile or run ``algebra``.
-``hyperq.algebra`` imports every name defined here, so each is also
-``hyperq.algebra.<name>``, and ``THETA_MAX`` and ``check_phase`` are public
-there.  This module imports only ``math`` and ``hyperq.errors``.
+``hyperq.algebra`` imports every scalar rule defined here, so each is
+also ``hyperq.algebra.<name>``, and ``THETA_MAX`` and ``check_phase`` are
+public there; it does not import ``_law``, which it never calls.  This
+module imports only ``math`` and ``hyperq.errors``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
     value shown by :func:`_echo`.  The one decision of finiteness: every
     value type's real fields and the scalar operands of ``SplitComplex``'s
     operators (both through ``algebra._scalar``), the guards
-    ``check_probability`` and ``check_phase``, ``born.amplitude``, the law
-    kernel :func:`_law`, ``classify`` and ``sweep_rows``' phase range all
-    call it.  A value type's ``__init__``, on a finite float, and the hot
+    ``check_probability`` and ``check_phase``, ``algebra.amplitude``, the
+    law kernel :func:`_law`, ``classify`` and ``sweep_rows``' phase range
+    all call it.  A value type's ``__init__``, on a finite float, and the hot
     entry points test their own predicate inline and call this only to
     raise.
     """
@@ -73,9 +74,9 @@ def check_phase(theta: float) -> None:
 
     A phase that is not finite (an ``int`` too large for a double included)
     gets the finiteness rule's ``ValueError``, a finite one beyond the range
-    :class:`PhaseRangeError`.  ``hyp_law`` and ``born.amplitude``, hot entry
-    points, test the same predicate, ``abs(theta) <= THETA_MAX``, inline and
-    call this guard only to raise.
+    :class:`PhaseRangeError`.  ``hyp_law`` and ``algebra.amplitude``, hot
+    entry points, test the same predicate, ``abs(theta) <= THETA_MAX``,
+    inline and call this guard only to raise.
     """
     # one comparison on the valid path; NaN and inf fail it too
     if abs(theta) <= THETA_MAX:
@@ -89,7 +90,7 @@ def check_phase(theta: float) -> None:
 def check_sign(sign: int, name: str = "sign") -> None:
     """Reject a term or polar sign other than +1 or -1 with ``ValueError``.
 
-    ``hyp_law`` and ``born.amplitude``, hot entry points, test the same
+    ``hyp_law`` and ``algebra.amplitude``, hot entry points, test the same
     predicate inline and call this guard only to raise.
     """
     if sign not in (1, -1):
@@ -103,8 +104,9 @@ def check_probability(p: float) -> None:
     a double) gets the finiteness rule's ``ValueError``; a negative finite
     one :class:`PreconditionError`.  ``+inf`` and a huge positive ``int``
     pass: the law kernel, :func:`_law`, refuses them as not finite.
-    ``trig_law``, ``hyp_law`` and ``born.amplitude``, the hot entry points,
-    test the same predicate inline and call this guard only to raise.
+    ``trig_law``, ``hyp_law`` and ``algebra.amplitude``, the hot entry
+    points, test the same predicate inline and call this guard only to
+    raise.
     """
     if not p >= 0:
         _check_finite(("probability",), (p,))

@@ -22,22 +22,28 @@ Numbers with strictly positive squared modulus factor as
 with m = sqrt(x**2 - y**2) > 0 and a unique real phase theta: the hyperbolic
 analogue of the complex polar form.  ``expj`` turns addition of phases into
 multiplication, exactly like Euler's formula does on the unit circle.
+
+The polar kernel ``_polar`` and its inverse, ``amplitude(sign, q, xi) =
+sign * sqrt(q) * expj(xi)``, live here side by side.  ``amplitude`` builds
+a coefficient of squared norm ``q``: a state coefficient of the Born rule,
+under which name ``hyperq.born`` exports it, and an entry of the matrices
+that ``hyperq.witness`` generates without loading ``born``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 
-# the scalar rules and the law kernel, on plain floats, live in a leaf
-# module that classify and interfere load without this one; each stays
-# readable as hyperq.algebra.<name>
+# the scalar rules, on plain floats, live in a leaf module that classify
+# and interfere load without this one; each stays readable as
+# hyperq.algebra.<name>
 from ._rules import (
     THETA_MAX,
     _check_finite,
     _echo,
     _is_finite,
-    _law,
     check_phase,
     check_probability,
     check_sign,
@@ -401,6 +407,31 @@ def _polar(x: float, y: float, ns: float) -> tuple[int, float, float]:
     sign = 1 if x > 0.0 else -1
     modulus = math.sqrt(ns)
     return sign, modulus, math.asinh(sign * y / modulus)
+
+
+#: The largest double; ``amplitude`` refuses a probability above it.
+_DOUBLE_MAX = sys.float_info.max
+
+
+def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
+    """Coefficient ``sign * sqrt(q) * expj(xi)`` with squared norm ``q``.
+
+    The inverse of :func:`_polar`: a state coefficient of the Born rule
+    (exported by ``hyperq.born``) and an entry of a witness's matrix.  A
+    probability that is not finite (``+inf``, an ``int`` too large for a
+    double) gets the finiteness rule's ``ValueError``, naming it.
+    """
+    # the guards' predicate in one chain; they run only to raise, the
+    # finiteness rule last, for what passes check_probability
+    if not (sign in (1, -1) and q >= 0 and q <= _DOUBLE_MAX and abs(xi) <= THETA_MAX):
+        check_sign(sign)
+        check_probability(q)
+        check_phase(xi)
+        _check_finite(("probability",), (q,))
+    r = sign * math.sqrt(q)
+    # the components of expj(xi) * r, without building expj(xi); finite,
+    # since sqrt(_DOUBLE_MAX) * cosh(THETA_MAX) is
+    return _result(math.cosh(xi) * r, math.sinh(xi) * r)
 
 
 _new = object.__new__

@@ -21,22 +21,18 @@ well a concrete matrix and state satisfy them, and
 time, through the interference kernel ``hyperq._rules._law``.  The
 transformed values can leave [0, 1]: that is the formalism's signal that the
 state stopped being decomposable, so they are flagged rather than clamped.
+
+:func:`amplitude`, which builds a coefficient from ``(s, q, xi)``, is
+exported here but defined in ``hyperq.algebra``, beside the polar kernel it
+inverts, so that ``hyperq.witness`` builds its matrices without this module.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from typing import NamedTuple
+from collections import namedtuple
 
-from ._rules import (
-    THETA_MAX,
-    _check_finite,
-    _law,
-    check_phase,
-    check_probability,
-    check_sign,
-)
+from ._rules import _law, check_phase
 from .algebra import (
     EPS_ALG,
     EPS_MEM,
@@ -48,8 +44,8 @@ from .algebra import (
     _malformed,
     _numbers,
     _polar,
-    _result,
     _Value,
+    amplitude,
 )
 from .errors import ConstraintViolatedError, NotNormalizedError, PreconditionError
 from .space import Mat2, Vec2, _is_unit_sum, change_basis
@@ -69,11 +65,10 @@ __all__ = [
 ]
 
 
-class Phase(NamedTuple):
+class Phase(namedtuple("Phase", "sign xi")):
     """Sign and hyperbolic phase of one nonzero state coefficient."""
 
-    sign: int
-    xi: float
+    __slots__ = ()
 
 
 class StateDecomposition(_Value):
@@ -128,29 +123,6 @@ def decompose(phi: Vec2) -> StateDecomposition:
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
     inside = _in_cone(q1) and _in_cone(q2)
     return StateDecomposition(phi, inside, (q1, q2) if inside else None)
-
-
-#: The largest double; ``amplitude`` refuses a probability above it.
-_DOUBLE_MAX = sys.float_info.max
-
-
-def amplitude(sign: int, q: float, xi: float) -> SplitComplex:
-    """Coefficient ``sign * sqrt(q) * expj(xi)`` with squared norm ``q``.
-
-    A probability that is not finite (``+inf``, an ``int`` too large for a
-    double) gets the finiteness rule's ``ValueError``, naming it.
-    """
-    # the guards' predicate in one chain; they run only to raise, the
-    # finiteness rule last, for what passes check_probability
-    if not (sign in (1, -1) and q >= 0 and q <= _DOUBLE_MAX and abs(xi) <= THETA_MAX):
-        check_sign(sign)
-        check_probability(q)
-        check_phase(xi)
-        _check_finite(("probability",), (q,))
-    r = sign * math.sqrt(q)
-    # the components of expj(xi) * r, without building expj(xi); finite,
-    # since sqrt(_DOUBLE_MAX) * cosh(THETA_MAX) is
-    return _result(math.cosh(xi) * r, math.sinh(xi) * r)
 
 
 def _check_unit_sums(kind: str, *totals: float) -> None:
@@ -268,11 +240,10 @@ def _in_unit_interval(values: tuple[float, ...]) -> bool:
     return True
 
 
-class TransformedProbabilities(NamedTuple):
+class TransformedProbabilities(namedtuple("TransformedProbabilities", "p1 p2")):
     """Output pair of the closed-form transformation; may leave [0, 1]."""
 
-    p1: float
-    p2: float
+    __slots__ = ()
 
     in_range = property(_in_unit_interval)
 

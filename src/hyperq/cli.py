@@ -41,14 +41,16 @@ control and non-ASCII characters escaped, and past 80 characters ``...``
 and its last 77.
 
 Each runner imports the modules it needs, so ``classify`` and ``interfere``
-never load ``algebra``, ``born``, ``space`` or ``witness``.
+never load ``algebra``, ``born``, ``space`` or ``witness``, and ``witness``
+never loads ``born`` or ``interference``.  No subcommand loads the stdlib
+``typing``: the annotation names come from ``collections.abc``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 

@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from ._rules import (
     THETA_MAX,
@@ -101,13 +102,10 @@ HYP = "hyp"
 BOUNDARY = "boundary"
 
 
-class InterferenceVerdict(NamedTuple):
+class InterferenceVerdict(namedtuple("InterferenceVerdict", "regime theta sign lambda_")):
     """Recovered regime, non-negative phase, term sign, and coefficient."""
 
-    regime: str
-    theta: float
-    sign: int
-    lambda_: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -118,7 +116,7 @@ class InterferenceVerdict(NamedTuple):
         }
 
 
-# builds a verdict from a 4-tuple without the NamedTuple's Python-level __new__
+# builds a verdict from a 4-tuple without the namedtuple's Python-level __new__
 _verdict = tuple.__new__
 
 

@@ -16,7 +16,7 @@ bookkeeping built on top of it in :mod:`hyperq.born`.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import (
     EPS_ALG, ONE, ZERO, _SCALARS, SplitComplex, _malformed, _numbers, _result, _Value
@@ -271,18 +271,23 @@ def _is_unit_sum(*totals: float) -> bool:
 def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:
     """Largest deviation of any row or column sum of a 2x2 table from 1.
 
-    NaN when any sum is NaN: the builtin ``max`` would drop it silently.
-    Raises :class:`PreconditionError` when a sum overflows.
+    NaN when an entry is NaN: the builtin ``max`` would drop it silently.
+    Raises :class:`PreconditionError` when a sum overflows, to an infinity
+    or, from entries that overflowed with opposite signs, to NaN.
     """
     (a, b), (c, d) = p
     g1, g2 = abs(a + b - 1.0), abs(c + d - 1.0)
     g3, g4 = abs(a + c - 1.0), abs(b + d - 1.0)
     # the gaps are nonnegative, so their sum is NaN exactly when one is
     if math.isnan(g1 + g2 + g3 + g4):
-        return math.nan
-    residual = max(g1, g2, g3, g4)
-    # a comparison, not a call: this runs on every verify
-    if residual == math.inf:
-        sums = (a + b, c + d, a + c, b + d)
-        raise PreconditionError(f"row and column sums overflow: {sums}")
-    return residual
+        # a NaN entry gives NaN; other entries give a NaN sum only as
+        # inf + -inf, an overflow
+        if any(map(math.isnan, (a, b, c, d))):
+            return math.nan
+    else:
+        residual = max(g1, g2, g3, g4)
+        # a comparison, not a call: this runs on every verify
+        if residual != math.inf:
+            return residual
+    sums = (a + b, c + d, a + c, b + d)
+    raise PreconditionError(f"row and column sums overflow: {sums}")

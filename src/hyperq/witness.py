@@ -32,6 +32,10 @@ the minus branch of the hyperbolic law with weights q1*(1-p) and q2*p, and
 the search evaluates it with the interference kernel
 ``hyperq._rules._law``.
 
+Every entry and state coefficient is built by ``amplitude``, the inverse of
+the polar kernel, which this module takes from ``hyperq.algebra``: it
+never loads ``hyperq.born``.
+
 The search draws random states and matrices from this family and returns
 the first combination whose transformed coordinates leave the positive
 cone, packaged with everything needed to re-verify the violation from
@@ -52,8 +56,7 @@ from __future__ import annotations
 import random
 
 from ._rules import _echo, _law
-from .algebra import EPS_ALG, _INDEX, _REAL, _in_cone, _Value
-from .born import amplitude
+from .algebra import EPS_ALG, _INDEX, _REAL, _in_cone, _Value, amplitude
 from .errors import PreconditionError
 from .space import Mat2, Vec2, _is_unit_sum, change_basis
 

@@ -125,6 +125,9 @@ EXIT_CASES = [
     # light-cone entries whose cross term, and so the residual, is 1e308: a
     # double, though four times the kernel's quarter sum is not
     (3, verify(_data("matrix_top_cross.json"))),
+    # squared norms that overflow to inf and -inf in one row: the sum is
+    # NaN, and the exact residual, about 4e308, no double
+    (2, verify(_data("matrix_overflow_inf_minus_inf.json"))),
 ]
 
 

@@ -12,9 +12,9 @@ from helpers import outcome
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperq._rules import _law
 from hyperq.algebra import (
     _check_finite,
-    _law,
     check_phase,
     check_probability,
     check_sign,
@@ -265,6 +265,12 @@ class TestClassify:
         assert v.theta == math.acosh(1.5)
         # ints a double holds, whose exact difference it does not
         assert classify(-(10**308), 10**308, 10**308) == classify(-1e308, 1e308, 1e308)
+        # ints whose difference only the retry as doubles reaches: it is
+        # refused as the doubles' is, for the same infinite coefficient
+        for args in ((-(10**308), 1, 10**308), (-1e308, 1.0, 1e308)):
+            with pytest.raises(DegenerateInputsError) as info:
+                classify(*args)
+            assert str(info.value) == "coefficient -inf exceeds any admissible phase"
 
     def test_rejects_unrepresentable_phase(self):
         with pytest.raises(DegenerateInputsError):

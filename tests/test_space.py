@@ -448,8 +448,11 @@ class TestProbMatrix:
             ((1.0, 0.0), (1e308, 1e308)),
             ((1e308, 0.0), (1e308, 1.0)),
             ((0.0, -1e308), (1.0, -1e308)),
+            # squared moduli that overflowed with opposite signs: the sums
+            # are NaN, though no entry is
+            ((math.inf, -math.inf), (0.0, 1.0)),
         ],
-        ids=["row1", "row2", "col1", "col2"],
+        ids=["row1", "row2", "col1", "col2", "opposite"],
     )
     def test_overflowing_sum_is_a_precondition(self, table):
         with pytest.raises(PreconditionError, match="sums overflow"):
