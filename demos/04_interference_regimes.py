@@ -27,7 +27,9 @@ for theta in (0.0, 0.5, 1.0, 2.0, 3.0):
     print(f"{theta:4.1f}  {trig_law(p1, p2, theta):9.6f}  {hyp_law(p1, p2, theta, 1):10.6f}")
 
 # both laws are squared-amplitude statements; the linearization
-# residuals confirm that to machine precision
+# residuals confirm that to machine precision, the trig one from the real
+# and imaginary parts, the hyp one as the product of the two light-cone
+# coordinates sqrt(A) +- sqrt(B)*e^(+-theta)
 print("\ntrig residual:", trig_linearization_residual(2.0, 3.0, 1.1))
 print("hyp residual :", hyp_linearization_residual(2.0, 3.0, 1.1, -1))
 

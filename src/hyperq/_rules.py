@@ -55,10 +55,11 @@ def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
     value type's real fields and the scalar operands of ``SplitComplex``'s
     operators (both through ``algebra._scalar``), the guards
     ``check_probability`` and ``check_phase``, ``algebra.amplitude``, the
-    law kernel :func:`_law`, ``classify`` and ``sweep_rows``' phase range
-    all call it.  A value type's ``__init__``, on a finite float, and the hot
-    entry points test their own predicate inline and call this only to
-    raise.
+    law kernel :func:`_law`, ``classify``, ``sweep_rows``' phase range and
+    ``space.doubly_stochastic_residual`` (when an ``int`` entry or sum is
+    not a double) all call it.  A value type's ``__init__``, on a finite
+    float, and the hot entry points test their own predicate inline and
+    call this only to raise.
     """
     try:
         if all(map(math.isfinite, values)):

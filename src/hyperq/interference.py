@@ -8,14 +8,17 @@ Two-path probability data can interfere in two structurally different ways:
 Both are linearizations of a squared modulus, the first over the ordinary
 complex numbers, the second over the split-complex numbers, and the residual
 helpers here verify those identities by evaluating both sides through
-independent arithmetic.  Both laws evaluate one float kernel,
-``hyperq._rules._law``, which never forms P1*P2 and rewrites a branch that
-would cancel (the hyperbolic minus sign, a negative cosine) into terms of
-one sign.  A sweep (:func:`sweep_rows`, ``hyperq interfere``) does not call
-it per point: one grid kernel forms its terms that no phase changes once
-and repeats its operations, in its order, into an ``array('d')``, so every
-value has ``_law``'s bits.  ``_law`` still decides every refusal: the grid
-kernel calls it at the first point whose value is not finite.
+independent arithmetic on plain floats: the complex modulus from its real
+and imaginary parts, the split-complex one as the product u*v of its two
+light-cone coordinates.  So the module imports only ``_rules`` and
+``errors``, never the split-complex ``algebra``.  Both laws evaluate one
+float kernel, ``hyperq._rules._law``, which never forms P1*P2 and rewrites a
+branch that would cancel (the hyperbolic minus sign, a negative cosine) into
+terms of one sign.  A sweep (:func:`sweep_rows`, ``hyperq interfere``) does
+not call it per point: one grid kernel forms its terms that no phase changes
+once and repeats its operations, in its order, into an ``array('d')``, so
+every value has ``_law``'s bits.  ``_law`` still decides every refusal: the
+grid kernel calls it at the first point whose value is not finite.
 
 Given a measured triple (P', P1, P2) the normalized interference
 coefficient
@@ -170,14 +173,16 @@ def trig_linearization_residual(a: float, b: float, theta: float) -> float:
 def hyp_linearization_residual(a: float, b: float, theta: float, sign: int) -> float:
     """Gap between the hyperbolic law and |sqrt(A) +- sqrt(B) e^{j theta}|^2.
 
-    The right side goes through split-complex arithmetic end to end.
+    The right side is the product u*v of the number's two light-cone
+    coordinates, u = sqrt(A) +- sqrt(B) e^{theta} and
+    v = sqrt(A) +- sqrt(B) e^{-theta}, in plain floats.  It shares no
+    intermediate expressions with the law, and no cosh - sinh cancels in
+    it, so it is accurate to a few ulps of
+    A + B + 2 sqrt(A) sqrt(B) cosh(theta) at every phase the law accepts.
     """
-    # split-complex arithmetic, loaded by this residual, not by classify or a sweep
-    from .algebra import expj
-
     left = hyp_law(a, b, theta, sign)
-    w = expj(theta) * (sign * math.sqrt(b)) + math.sqrt(a)
-    return abs(left - w.norm_sq())
+    ra, rb = math.sqrt(a), sign * math.sqrt(b)
+    return abs(left - (ra + rb * math.exp(theta)) * (ra + rb * math.exp(-theta)))
 
 
 def classify(pprime: float, p1: float, p2: float) -> InterferenceVerdict:

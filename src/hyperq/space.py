@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from .algebra import (
     EPS_ALG, ONE, ZERO, _SCALARS, SplitComplex, _malformed, _numbers, _result, _Value
 )
+from ._rules import _check_finite, _echo
 from .errors import NotUnitaryError, PreconditionError
 
 __all__ = [
@@ -272,22 +273,31 @@ def doubly_stochastic_residual(p: Sequence[Sequence[float]]) -> float:
     """Largest deviation of any row or column sum of a 2x2 table from 1.
 
     NaN when an entry is NaN: the builtin ``max`` would drop it silently.
-    Raises :class:`PreconditionError` when a sum overflows, to an infinity
-    or, from entries that overflowed with opposite signs, to NaN.
+    An ``int`` entry too large for a double gets the finiteness rule's
+    ``ValueError``.  Raises :class:`PreconditionError` when a sum overflows,
+    to an infinity, past a double for ``int`` entries, or, from entries that
+    overflowed with opposite signs, to NaN.
     """
     (a, b), (c, d) = p
-    g1, g2 = abs(a + b - 1.0), abs(c + d - 1.0)
-    g3, g4 = abs(a + c - 1.0), abs(b + d - 1.0)
-    # the gaps are nonnegative, so their sum is NaN exactly when one is
-    if math.isnan(g1 + g2 + g3 + g4):
-        # a NaN entry gives NaN; other entries give a NaN sum only as
-        # inf + -inf, an overflow
-        if any(map(math.isnan, (a, b, c, d))):
-            return math.nan
+    try:
+        g1, g2 = abs(a + b - 1.0), abs(c + d - 1.0)
+        g3, g4 = abs(a + c - 1.0), abs(b + d - 1.0)
+    except OverflowError:
+        # an int entry, or an int sum, that no double holds; the first is
+        # refused here, the second overflows below
+        _check_finite(("p11", "p12", "p21", "p22"), (a, b, c, d))
     else:
-        residual = max(g1, g2, g3, g4)
-        # a comparison, not a call: this runs on every verify
-        if residual != math.inf:
-            return residual
-    sums = (a + b, c + d, a + c, b + d)
-    raise PreconditionError(f"row and column sums overflow: {sums}")
+        # the gaps are nonnegative, so their sum is NaN exactly when one is
+        if math.isnan(g1 + g2 + g3 + g4):
+            # a NaN entry gives NaN; other entries give a NaN sum only as
+            # inf + -inf, an overflow
+            if any(map(math.isnan, (a, b, c, d))):
+                return math.nan
+        else:
+            residual = max(g1, g2, g3, g4)
+            # a comparison, not a call: this runs on every verify
+            if residual != math.inf:
+                return residual
+    # an int sum's digits would swamp the message
+    sums = ", ".join(map(_echo, (a + b, c + d, a + c, b + d)))
+    raise PreconditionError(f"row and column sums overflow: ({sums})")

@@ -168,8 +168,9 @@ def search_non_transitivity(
         gamma1 = lo + span * draw()
         gamma2 = lo + span * draw()
         delta = lo + span * draw()
-        # the weights must lie in (0, 1); random() can return 0.0
-        if not (0.0 < q1 < 1.0 and 0.0 < p < 1.0):
+        # the weights must lie in (0, 1); random() lies in [0, 1), so only
+        # 0.0 falls outside
+        if not (0.0 < q1 and 0.0 < p):
             continue
         q2 = 1.0 - q1
         p2 = _law(q1 * (1.0 - p), q2 * p, xi1 - xi2 + delta, -1, False)

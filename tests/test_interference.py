@@ -12,7 +12,7 @@ from helpers import outcome
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperq._rules import _law
+from hyperq._rules import THETA_MAX, _law
 from hyperq.algebra import (
     _check_finite,
     check_phase,
@@ -83,6 +83,7 @@ def assert_law_within_8u(got, p1, p2, theta, sign, hyperbolic):
 weights = st.floats(min_value=0.0, max_value=10.0)
 positive_weights = st.floats(min_value=0.05, max_value=1.0)
 law_phases = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+hyp_phases = st.floats(min_value=-THETA_MAX, max_value=THETA_MAX)
 signs = st.sampled_from([1, -1])
 
 
@@ -140,7 +141,9 @@ near_pi = nudges.map(lambda e: math.pi + e)
 
 
 class TestLawsAgainstTheOracle:
-    @given(oracle_pairs, oracle_phases, signs)
+    # cosh's series has no cancelling terms, so the oracle holds at every
+    # phase hyp_law accepts; cos's does not past |theta| of about 100
+    @given(oracle_pairs, oracle_phases | hyp_phases, signs)
     def test_hyp_law(self, pair, theta, sign):
         p1, p2 = pair
         assert_law_within_8u(hyp_law(p1, p2, theta, sign), p1, p2, theta, sign, True)
@@ -186,6 +189,19 @@ class TestLinearizationIdentities:
     @given(weights, weights, law_phases, signs)
     def test_hyp_residual_everywhere(self, a, b, theta, sign):
         assert hyp_linearization_residual(a, b, theta, sign) <= 1e-9
+
+    @given(weights, weights, hyp_phases, signs)
+    @example(5e-324, 5e-324, 3.0, -1)
+    # in (x, y) coordinates cosh - sinh cancels all of this value
+    @example(0.7665163703845079, 5.502747537472402, 39.57991040532255, -1)
+    def test_hyp_residual_within_a_few_ulps_at_every_phase(self, a, b, theta, sign):
+        # a few ulps of the law's terms, sqrt(a)*sqrt(b) because a*b underflows
+        cosh = math.cosh(theta)
+        scale = a + b + 2.0 * math.sqrt(a) * math.sqrt(b) * cosh
+        # where sqrt(a)*sqrt(b) is subnormal the law rounds it to 2**-1074,
+        # not to a relative ulp, and multiplies that by 2*cosh(theta)
+        floor = 4.0 * 2.0**-1074 * cosh
+        assert hyp_linearization_residual(a, b, theta, sign) <= 16 * U * scale + floor
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,16 @@ def test_classify_loads_errors_algebra_and_interference():
     )
 
 
+def test_interference_residuals_load_no_algebra():
+    # the identity checks run on plain floats, not on SplitComplex
+    run_child(
+        "import sys\n"
+        "from hyperq.interference import hyp_linearization_residual\n"
+        "assert hyp_linearization_residual(2.0, 3.0, 1.1, -1) <= 1e-15\n"
+        "assert 'hyperq.algebra' not in sys.modules, sorted(sys.modules)\n"
+    )
+
+
 def test_dunder_probe_loads_no_submodule():
     # inspect.unwrap, doctest and pydoc probe modules for such names
     run_child(

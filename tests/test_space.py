@@ -23,6 +23,7 @@ from hyperq.space import (
     prob_matrix,
 )
 from hyperq.witness import UnitaryParams, make_decomposable_unitary
+from test_guards import HUGE_IDS, HUGE_INTS
 
 # the refusals of the JSON readers: the document's shape, never its content
 VECTOR = "malformed vector: expected [[x1, y1], [x2, y2]]"
@@ -451,12 +452,24 @@ class TestProbMatrix:
             # squared moduli that overflowed with opposite signs: the sums
             # are NaN, though no entry is
             ((math.inf, -math.inf), (0.0, 1.0)),
+            # int entries that each fit a double, whose exact int sum,
+            # 2**1024, does not
+            ((2**1023, 2**1023), (0, 1)),
         ],
-        ids=["row1", "row2", "col1", "col2", "opposite"],
+        ids=["row1", "row2", "col1", "col2", "opposite", "int-sum"],
     )
     def test_overflowing_sum_is_a_precondition(self, table):
         with pytest.raises(PreconditionError, match="sums overflow"):
             doubly_stochastic_residual(table)
+
+    @pytest.mark.parametrize("n", HUGE_INTS, ids=HUGE_IDS)
+    def test_entry_no_double_holds_is_not_finite(self, n):
+        for row, col in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            table = [[0, 1], [1, 0]]
+            table[row][col] = n
+            with pytest.raises(ValueError, match="must be finite") as info:
+                doubly_stochastic_residual(table)
+            assert len(str(info.value)) < 80, (row, col)
 
     def test_finite_gaps_whose_total_overflows_give_the_largest(self):
         # each gap is finite; only their total, never returned, is not
