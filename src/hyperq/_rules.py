@@ -1,14 +1,19 @@
-"""The scalar rules of hyperq and the interference kernel, on plain floats.
+"""The scalar rules of hyperq and the interference laws, on plain floats.
 
 The finiteness rule (:func:`_check_finite`), the guards of a probability, a
-sign and a phase, and the law kernel :func:`_law` hold no split-complex
-value, so they live here, apart from ``hyperq.algebra``: ``hyperq
-classify`` and ``hyperq interfere`` load ``errors``, this module,
-``interference`` and ``cli``, and never compile or run ``algebra``.
-``hyperq.algebra`` imports every scalar rule defined here, so each is
-also ``hyperq.algebra.<name>``, and ``THETA_MAX`` and ``check_phase`` are
-public there; it does not import ``_law``, which it never calls.  This
-module imports only ``math`` and ``hyperq.errors``.
+sign and a phase, and the two interference laws, :func:`trig_law` and
+:func:`hyp_law`, hold no split-complex value, so they live here, apart from
+``hyperq.algebra``: ``hyperq classify`` and ``hyperq interfere`` load
+``errors``, this module, ``interference`` and ``cli``, and never compile or
+run ``algebra``.  ``hyperq.algebra`` imports every scalar rule defined here,
+so each is also ``hyperq.algebra.<name>``, and ``THETA_MAX`` and
+``check_phase`` are public there; it does not import the laws, which it
+never calls.  ``hyperq.interference`` exports them, and ``born`` and
+``witness`` call them from here, without loading ``interference``.  Each
+law is one Python frame on its valid path: its guard chain, its
+arithmetic and its finiteness test are inline, and it calls a guard or
+:func:`_refuse_law_value` only to raise.  This module imports only
+``math`` and ``hyperq.errors``.
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ def _check_finite(names: tuple[str, ...], values: tuple[float, ...]) -> None:
     value type's real fields and the scalar operands of ``SplitComplex``'s
     operators (both through ``algebra._scalar``), the guards
     ``check_probability`` and ``check_phase``, ``algebra.amplitude``, the
-    law kernel :func:`_law`, ``classify``, ``sweep_rows``' phase range and
-    ``space.doubly_stochastic_residual`` (when an ``int`` entry or sum is
-    not a double) all call it.  A value type's ``__init__``, on a finite
+    laws' refusal :func:`_refuse_law_value`, ``classify``, ``sweep_rows``'
+    phase range and ``space.doubly_stochastic_residual`` (when an ``int``
+    entry or sum is not a double) all call it.  A value type's ``__init__``, on a finite
     float, and the hot entry points test their own predicate inline and
     call this only to raise.
     """
@@ -104,56 +109,87 @@ def check_probability(p: float) -> None:
     A failing one that is not finite (NaN, ``-inf``, an ``int`` too large for
     a double) gets the finiteness rule's ``ValueError``; a negative finite
     one :class:`PreconditionError`.  ``+inf`` and a huge positive ``int``
-    pass: the law kernel, :func:`_law`, refuses them as not finite.
-    ``trig_law``, ``hyp_law`` and ``algebra.amplitude``, the hot entry
-    points, test the same predicate inline and call this guard only to
-    raise.
+    pass: the laws refuse them as not finite.  ``trig_law``, ``hyp_law``
+    and ``algebra.amplitude``, the hot entry points, test the same
+    predicate inline and call this guard only to raise.
     """
     if not p >= 0:
         _check_finite(("probability",), (p,))
         raise PreconditionError(f"probability must be nonnegative, got {_echo(p)}")
 
 
-def _law(a: float, b: float, theta: float, sign: int, trig: bool) -> float:
-    """``a + b + sign*2*sqrt(a*b)*c`` with ``c = cos(theta)`` or ``cosh(theta)``.
+def _refuse_law_value(theta: float, a: float, b: float, value: float) -> None:
+    """The refusal of a law value that is not finite; for raise paths only.
 
-    The one float kernel of the interference laws: ``trig_law`` and
-    ``hyp_law`` call it, and a sweep's grid kernel repeats its operations in
-    its order and calls it only to raise, at the first point whose value is
-    not finite.  The caller has checked ``a, b >= 0``, the sign and the
-    phase; ``sign`` is not read for ``trig``.  ``a*b`` is never formed, and
-    a branch that would cancel is rewritten into terms of one sign, with
-    ``d = (a - b) / (sqrt(a) + sqrt(b))``: ``d**2 -
-    4*sqrt(a)*sqrt(b)*sinh(theta/2)**2`` for the hyperbolic minus sign,
-    ``d**2 + 4*sqrt(a)*sqrt(b)*cos(theta/2)**2`` for ``cos(theta) < 0``.
-    When the value is not finite, an input that is not (``+inf``, NaN, an
-    ``int`` too large for a double) gets the finiteness rule's
-    ``ValueError``; finite inputs whose value overflows, as it does
-    once ``4*sqrt(a)*sqrt(b)`` does, raise :class:`PreconditionError`.
+    An input that is not finite (``+inf``, NaN, an ``int`` too large for a
+    double) gets the finiteness rule's ``ValueError``, named as the guards
+    name it: the phase first, which ``trig_law`` leaves to this refusal,
+    then a probability that ``check_probability`` lets pass.  Finite inputs
+    whose value overflows, as it does once ``4*sqrt(a)*sqrt(b)`` does, raise
+    :class:`PreconditionError`.
     """
+    _check_finite(("phase", "probability", "probability"), (theta, a, b))
+    raise PreconditionError(f"law value at theta = {theta!r} is not finite: {value!r}")
+
+
+def trig_law(p1: float, p2: float, theta: float) -> float:
+    """Trigonometric interference of two probabilities at phase theta.
+
+    Any finite phase is accepted.  An argument that is not finite (an
+    ``int`` too large for a double included) raises ``ValueError``, a
+    negative probability or a value that overflows
+    :class:`PreconditionError`.
+    """
+    # the guards' predicate in one chain; they run only to raise, and the
+    # refusal below covers a phase or a probability that is not finite
+    if not (p1 >= 0.0 and p2 >= 0.0):
+        check_probability(p1)
+        check_probability(p2)
     try:
-        ra, rb = math.sqrt(a), math.sqrt(b)
-        if trig:
-            c = math.cos(theta)
-            plus = c >= 0.0
+        ra, rb = math.sqrt(p1), math.sqrt(p2)
+        c = math.cos(theta)
+        if c >= 0.0:
+            value = p1 + p2 + 2.0 * (ra * rb) * c
         else:
-            plus = sign > 0
-        if plus:
-            value = a + b + 2.0 * (ra * rb) * (c if trig else math.cosh(theta))
-        else:
-            # a - b is exact when a and b are close, where ra - rb would cancel
-            d = (a - b) / (ra + rb) if a != b else 0.0
-            h = math.cos(0.5 * theta) if trig else math.sinh(0.5 * theta)
-            t = 4.0 * (ra * rb) * h * h
-            value = d * d + t if trig else d * d - t
+            # p1 - p2 is exact when p1 and p2 are close, where ra - rb would
+            # cancel; 1 + cos(theta) = 2*cos(theta/2)**2
+            d = (p1 - p2) / (ra + rb) if p1 != p2 else 0.0
+            h = math.cos(0.5 * theta)
+            value = d * d + 4.0 * (ra * rb) * h * h
     except (OverflowError, ValueError):  # a huge int; cos of an infinite phase
         value = math.nan
-    if not math.isfinite(value):
-        # named as the guards name them: the phase first, which trig_law
-        # leaves to this kernel, then a probability that check_probability
-        # lets pass (+inf, a huge positive int)
-        _check_finite(("phase", "probability", "probability"), (theta, a, b))
-        raise PreconditionError(
-            f"law value at theta = {theta!r} is not finite: {value!r}"
-        )
+    if value - value:  # NaN unless the value is finite
+        _refuse_law_value(theta, p1, p2, value)
+    return value
+
+
+def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
+    """Hyperbolic interference; with sign +1 never below (sqrt(P1)+sqrt(P2))**2.
+
+    The output may leave [0, 1] even for probability inputs; that is the
+    signature feature of the hyperbolic regime, not an error.  An argument
+    that is not finite (an ``int`` too large for a double included) raises
+    ``ValueError``, as does a sign other than +1 or -1; a negative
+    probability or a value that overflows raises :class:`PreconditionError`,
+    and a phase beyond ``THETA_MAX`` :class:`PhaseRangeError`.
+    """
+    # the guards' predicate in one chain; they run only to raise
+    if not (p1 >= 0.0 and p2 >= 0.0 and sign in (1, -1) and abs(theta) <= THETA_MAX):
+        check_probability(p1)
+        check_probability(p2)
+        check_sign(sign)
+        check_phase(theta)
+    try:
+        ra, rb = math.sqrt(p1), math.sqrt(p2)
+        if sign > 0:
+            value = p1 + p2 + 2.0 * (ra * rb) * math.cosh(theta)
+        else:
+            # as in trig_law, with cosh(theta) - 1 = 2*sinh(theta/2)**2
+            d = (p1 - p2) / (ra + rb) if p1 != p2 else 0.0
+            h = math.sinh(0.5 * theta)
+            value = d * d - 4.0 * (ra * rb) * h * h
+    except (OverflowError, ValueError):  # a huge int
+        value = math.nan
+    if value - value:  # NaN unless the value is finite
+        _refuse_law_value(theta, p1, p2, value)
     return value

@@ -18,7 +18,8 @@ the two interference terms.  Both facts are forced by requiring p1 + p2 = 1
 for every input state; :func:`check_sign_phase_constraints` measures how
 well a concrete matrix and state satisfy them, and
 :func:`transform_probabilities` evaluates the closed form, one column at a
-time, through the interference kernel ``hyperq._rules._law``.  The
+time, with the hyperbolic law ``hyp_law``, which it takes from
+``hyperq._rules`` (``hyperq.interference`` exports it).  The
 transformed values can leave [0, 1]: that is the formalism's signal that the
 state stopped being decomposable, so they are flagged rather than clamped.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._rules import _law, check_phase
+from ._rules import check_phase, hyp_law
 from .algebra import (
     EPS_ALG,
     EPS_MEM,
@@ -110,6 +111,19 @@ def _phase_of(c: SplitComplex, ns: float) -> Phase | None:
     return Phase(sign, theta)
 
 
+def _unit_norms(phi: Vec2) -> tuple[float, float]:
+    """The squared norms of ``phi``'s coefficients, which must sum to 1.
+
+    The unit-sum rule of a state, within ``EPS_ALG``, for :func:`decompose`
+    and :func:`pipeline_probabilities`; a state off it raises
+    :class:`NotNormalizedError`.
+    """
+    q1, q2 = phi.norms_sq()
+    if not _is_unit_sum(q1 + q2):
+        raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
+    return q1, q2
+
+
 def decompose(phi: Vec2) -> StateDecomposition:
     """Born-rule reading of a normalized state in the implicit basis.
 
@@ -118,9 +132,7 @@ def decompose(phi: Vec2) -> StateDecomposition:
     decomposable iff both coefficients lie in the positive cone; only then
     are the squared norms meaningful as probabilities.
     """
-    q1, q2 = phi.norms_sq()
-    if not _is_unit_sum(q1 + q2):
-        raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
+    q1, q2 = _unit_norms(phi)
     inside = _in_cone(q1) and _in_cone(q2)
     return StateDecomposition(phi, inside, (q1, q2) if inside else None)
 
@@ -261,8 +273,8 @@ def transform_probabilities(m: ProbabilityModel) -> TransformedProbabilities:
     w11, w21 = max(m.q1 * m.p11, 0.0), max(m.q2 * m.p21, 0.0)
     w12, w22 = max(m.q1 * m.p12, 0.0), max(m.q2 * m.p22, 0.0)
     return TransformedProbabilities(
-        _law(w11, w21, m.theta, m.eps1, False),
-        _law(w12, w22, m.theta, -m.eps1, False),
+        hyp_law(w11, w21, m.theta, m.eps1),
+        hyp_law(w12, w22, m.theta, -m.eps1),
     )
 
 
@@ -351,6 +363,32 @@ def _sign_phase(
     return theta_diff, abs(theta_diff) <= EPS_ALG, eps2 == -eps1
 
 
+def _rescaled_residual(*terms: tuple | None) -> float:
+    """The signed sum of the interference terms, in an unbounded exponent range.
+
+    For the raise branch of :func:`check_sign_phase_constraints`, where a
+    term or the sum overflowed.  Each weight is scaled by ``2**-k``, which
+    is exact, with ``k`` taken by ``math.frexp`` from the largest term's
+    factors so that no scaled term reaches ``2**1022``; the same sum is
+    formed and scaled back by ``2**k`` with ``math.ldexp``.  A sum that is
+    still not finite is no double, and raises :class:`PreconditionError`.
+    """
+    factors = [
+        (eps * w, math.cosh(theta)) for _, theta, eps, w, _, _ in filter(None, terms)
+    ]
+    k = max(math.frexp(a)[1] + math.frexp(c)[1] for a, c in factors) - 1022
+    scaled = 0.0
+    for a, c in factors:
+        scaled += math.ldexp(a, -k) * c
+    try:
+        residual = math.ldexp(scaled, k)
+    except OverflowError:  # ldexp refuses to overflow
+        residual = math.copysign(math.inf, scaled)
+    if not math.isfinite(residual):
+        raise PreconditionError(f"interference residual overflows: {residual}")
+    return residual
+
+
 def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
     """Measure the common-phase and opposite-sign constraints on (basis, beta).
 
@@ -358,11 +396,11 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
     report can quantify how a perturbed matrix breaks the constraints.
     Amplitudes of negligible squared norm drop their interference term;
     amplitudes with negative squared norm have no polar form and raise
-    :class:`DegenerateNormError`.  A residual that is not finite raises
-    :class:`PreconditionError`: one that overflows, as it can for entries
-    near 1e154, and one with a term that overflows, even where two such
-    terms would cancel in exact arithmetic.  The constraints hold within
-    ``EPS_ALG``.
+    :class:`DegenerateNormError`.  A residual too large for a double, as it
+    can be for entries near 1e154, raises :class:`PreconditionError`.
+    Where a term overflows, :func:`_rescaled_residual` sums the terms
+    again, so two such terms that cancel give their difference, not a
+    refusal.  The constraints hold within ``EPS_ALG``.
     """
     terms = _column_terms(basis, beta)
     eta, _, _, term1, term2 = terms or (None,) * 5
@@ -375,7 +413,7 @@ def check_sign_phase_constraints(basis: Mat2, beta: Vec2) -> SignPhaseReport:
         gamma2, theta2, eps2, w2, _, _ = term2
         residual += eps2 * w2 * math.cosh(theta2)
     if not math.isfinite(residual):
-        raise PreconditionError(f"interference residual overflows: {residual}")
+        residual = _rescaled_residual(term1, term2)
     theta_diff, common, opposite = None, True, None
     if term1 is not None and term2 is not None:
         theta_diff, common, opposite = _sign_phase(theta1, theta2, eps1, eps2)
@@ -422,7 +460,12 @@ def extract_model(beta: Vec2, basis: Mat2) -> ProbabilityModel:
 def pipeline_probabilities(beta: Vec2, basis: Mat2) -> StateDecomposition:
     """Linear-algebra route: change basis, then read probabilities off.
 
-    Agrees with :func:`transform_probabilities` on the model extracted by
+    The state given must be normalized, by :func:`decompose`'s unit-sum
+    rule, as the closed form requires (:class:`NotNormalizedError`
+    otherwise); so must the changed state, whose squared norms lose
+    rounding in the basis change.  Agrees with
+    :func:`transform_probabilities` on the model extracted by
     :func:`extract_model` whenever every amplitude admits a polar form.
     """
+    _unit_norms(beta)
     return decompose(change_basis(beta, basis))

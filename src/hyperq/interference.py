@@ -11,14 +11,17 @@ helpers here verify those identities by evaluating both sides through
 independent arithmetic on plain floats: the complex modulus from its real
 and imaginary parts, the split-complex one as the product u*v of its two
 light-cone coordinates.  So the module imports only ``_rules`` and
-``errors``, never the split-complex ``algebra``.  Both laws evaluate one
-float kernel, ``hyperq._rules._law``, which never forms P1*P2 and rewrites a
-branch that would cancel (the hyperbolic minus sign, a negative cosine) into
+``errors``, never the split-complex ``algebra``.  The laws themselves,
+:func:`trig_law` and :func:`hyp_law`, are defined in ``hyperq._rules``, so
+that ``born`` and ``witness`` call them without loading this module, and
+are exported from here.  Neither forms P1*P2, and each rewrites a branch
+that would cancel (the hyperbolic minus sign, a negative cosine) into
 terms of one sign.  A sweep (:func:`sweep_rows`, ``hyperq interfere``) does
-not call it per point: one grid kernel forms its terms that no phase changes
-once and repeats its operations, in its order, into an ``array('d')``, so
-every value has ``_law``'s bits.  ``_law`` still decides every refusal: the
-grid kernel calls it at the first point whose value is not finite.
+not call them per point: one grid kernel forms the terms that no phase
+changes once and repeats the laws' operations, in their order, into an
+``array('d')``, so every value has the law's bits.  The law still decides
+every refusal: the grid kernel calls it at the first point whose value is
+not finite.
 
 Given a measured triple (P', P1, P2) the normalized interference
 coefficient
@@ -41,7 +44,7 @@ and the errors are those of calling the guards every time.
 Every bad value gets the error of its class.  One that is not finite (NaN,
 an infinity, an ``int`` too large for a double) gets the finiteness rule's
 ``ValueError``, from ``hyperq._rules._check_finite``: the guards and
-classify call it before their own refusal, and the law kernel before its
+classify call it before their own refusal, and the laws before their
 overflow refusal, so ``+inf``, which passes ``p >= 0``, is told apart from
 an overflow there.  A finite value outside the domain, or a finite
 computation that overflows, gets a :class:`PreconditionError`.
@@ -59,10 +62,11 @@ from ._rules import (
     _check_finite,
     _echo,
     _is_finite,
-    _law,
     check_phase,
     check_probability,
     check_sign,
+    hyp_law,
+    trig_law,
 )
 from .errors import DegenerateInputsError, PreconditionError
 
@@ -121,41 +125,6 @@ class InterferenceVerdict(namedtuple("InterferenceVerdict", "regime theta sign l
 
 # builds a verdict from a 4-tuple without the namedtuple's Python-level __new__
 _verdict = tuple.__new__
-
-
-def trig_law(p1: float, p2: float, theta: float) -> float:
-    """Trigonometric interference of two probabilities at phase theta.
-
-    Any finite phase is accepted.  An argument that is not finite (an
-    ``int`` too large for a double included) raises ``ValueError``, a
-    negative probability or a value that overflows
-    :class:`PreconditionError`.
-    """
-    # the guards' predicate in one chain; they run only to raise, and the
-    # kernel refuses a phase or a probability that is not finite
-    if not (p1 >= 0.0 and p2 >= 0.0):
-        check_probability(p1)
-        check_probability(p2)
-    return _law(p1, p2, theta, 1, True)
-
-
-def hyp_law(p1: float, p2: float, theta: float, sign: int) -> float:
-    """Hyperbolic interference; with sign +1 never below (sqrt(P1)+sqrt(P2))**2.
-
-    The output may leave [0, 1] even for probability inputs; that is the
-    signature feature of the hyperbolic regime, not an error.  An argument
-    that is not finite (an ``int`` too large for a double included) raises
-    ``ValueError``, as does a sign other than +1 or -1; a negative
-    probability or a value that overflows raises :class:`PreconditionError`,
-    and a phase beyond ``THETA_MAX`` :class:`PhaseRangeError`.
-    """
-    # the guards' predicate in one chain; they run only to raise
-    if not (p1 >= 0.0 and p2 >= 0.0 and sign in (1, -1) and abs(theta) <= THETA_MAX):
-        check_probability(p1)
-        check_probability(p2)
-        check_sign(sign)
-        check_phase(theta)
-    return _law(p1, p2, theta, sign, False)
 
 
 def trig_linearization_residual(a: float, b: float, theta: float) -> float:
@@ -248,15 +217,15 @@ def _sweep(
     """The rows of :func:`sweep_rows`, in runs of at most ``chunk`` rows.
 
     The grid kernel of :func:`sweep_rows` and ``hyperq interfere``.  It
-    checks the inputs as :func:`sweep_rows` documents, forms ``_law``'s
-    terms that no phase changes once, and repeats ``_law``'s operations, in
-    its order, at every point into one ``array('d')``, 8 bytes per point, so
-    each value has ``_law``'s bits.  ``_law`` decides every refusal: it is
-    called at the first point whose value is not finite, or whose
-    arithmetic raises, and raises there, before any row is built.  Each
-    run's phases are recomputed from their indexes when it is taken.  A
-    change to ``_law``'s arithmetic is repeated here; the sweep tests compare
-    the two bit for bit.
+    checks the inputs as :func:`sweep_rows` documents, forms the terms of
+    :func:`trig_law` or :func:`hyp_law` that no phase changes once, and
+    repeats that law's operations, in its order, at every point into one
+    ``array('d')``, 8 bytes per point, so each value has the law's bits.
+    The law decides every refusal: it is called at the first point whose
+    value is not finite, or whose arithmetic raises, and raises there,
+    before any row is built.  Each run's phases are recomputed from their
+    indexes when it is taken.  A change to a law's arithmetic is repeated
+    here; the sweep tests compare the two bit for bit.
     """
     if law not in (TRIG, HYP):
         raise ValueError(f"law must be {TRIG!r} or {HYP!r}, got {law!r}")
@@ -289,12 +258,12 @@ def _sweep(
     values = array("d", (0.0,)) * steps
     i = 0
     try:
-        # _law's terms that no phase changes, formed as _law forms them
+        # the law's terms that no phase changes, formed as the law forms them
         ra, rb = math.sqrt(p1), math.sqrt(p2)
         total, k2, k4 = p1 + p2, 2.0 * (ra * rb), 4.0 * (ra * rb)
         d = (p1 - p2) / (ra + rb) if p1 != p2 else 0.0
         dd = d * d
-        # each value in _law's operation order, so with its bits
+        # each value in the law's operation order, so with its bits
         if trig:
             for i in range(steps):
                 theta = theta_min + span * i / n
@@ -314,10 +283,14 @@ def _sweep(
     except (OverflowError, ValueError):  # a huge int; an int sum no double holds
         values[i] = math.nan
     if not all(map(math.isfinite, values)):
-        # _law, given the same arithmetic, raises at the first such value
+        # the law, given the same arithmetic, raises at the first such value
         for i, value in enumerate(values):
             if not math.isfinite(value):
-                values[i] = _law(p1, p2, theta_min + span * i / n, sign, trig)
+                theta = theta_min + span * i / n
+                if trig:
+                    values[i] = trig_law(p1, p2, theta)
+                else:
+                    values[i] = hyp_law(p1, p2, theta, sign)
     return (
         zip(
             [theta_min + span * i / n for i in range(start, min(start + chunk, steps))],
@@ -339,8 +312,8 @@ def sweep_rows(
     """``(theta, p_prime)`` of one law on a uniform ``steps``-point phase grid.
 
     The inputs are checked once for the whole grid, and the law's terms that
-    no phase changes are formed once.  No point calls the interference
-    kernel ``_law``, but every value has its bits, and ``_law`` still
+    no phase changes are formed once.  No point calls :func:`trig_law` or
+    :func:`hyp_law`, but every value has the law's bits, and the law still
     decides every refusal, at the first point whose value is not finite.
     ``law`` must be ``"trig"`` or ``"hyp"``, ``steps`` an ``int`` (not a
     ``bool``) from 2 to 10**6, the phase range finite and increasing, and

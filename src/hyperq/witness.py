@@ -29,8 +29,8 @@ xi1 - xi2 + d.  Every term of p1 is non-negative, so only coordinate 2 can
 leave the positive cone: the interference term of p2 carries the minus
 sign of the -sqrt(p) entry, and cosh >= 1 lets it outgrow the rest.  p2 is
 the minus branch of the hyperbolic law with weights q1*(1-p) and q2*p, and
-the search evaluates it with the interference kernel
-``hyperq._rules._law``.
+the search evaluates it with ``hyp_law``, which it takes from
+``hyperq._rules`` (``hyperq.interference`` exports it).
 
 Every entry and state coefficient is built by ``amplitude``, the inverse of
 the polar kernel, which this module takes from ``hyperq.algebra``: it
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import random
 
-from ._rules import _echo, _law
+from ._rules import _echo, hyp_law
 from .algebra import EPS_ALG, _INDEX, _REAL, _in_cone, _Value, amplitude
 from .errors import PreconditionError
 from .space import Mat2, Vec2, _is_unit_sum, change_basis
@@ -173,7 +173,7 @@ def search_non_transitivity(
         if not (0.0 < q1 and 0.0 < p):
             continue
         q2 = 1.0 - q1
-        p2 = _law(q1 * (1.0 - p), q2 * p, xi1 - xi2 + delta, -1, False)
+        p2 = hyp_law(q1 * (1.0 - p), q2 * p, xi1 - xi2 + delta, -1)
         if _in_cone(p2):
             continue
         beta = Vec2(amplitude(1, q1, xi1), amplitude(1, q2, xi2))

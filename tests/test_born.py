@@ -411,11 +411,43 @@ class TestSignPhaseConstraints:
         with pytest.raises(PreconditionError, match="residual overflows: inf"):
             check_sign_phase_constraints(big, beta)
 
+    def test_overflowing_terms_that_cancel_give_the_exact_residual(self):
+        # both terms are 1e300 * cosh(24), about 2.6e310, of opposite signs:
+        # their sum overflows to NaN, their exact difference is 0
+        big = Mat2(
+            amplitude(1, 1e300, 12),
+            amplitude(1, 1e300, 12),
+            amplitude(1, 1e300, 0),
+            amplitude(-1, 1e300, 0),
+        )
+        beta = Vec2(amplitude(1, 0.5, 12), amplitude(1, 0.5, 0))
+        report = check_sign_phase_constraints(big, beta)
+        assert report.residual == 0.0
+        assert report.satisfied
+
 
 class TestExtractAndPipeline:
     def test_pipeline_identity(self):
         d = pipeline_probabilities(Vec2(ONE, ZERO), Mat2.identity())
         assert d.decomposable and d.probabilities == (1.0, 0.0)
+
+    def test_pipeline_refuses_a_state_off_the_unit_sum(self):
+        # the basis change's rounded output sums to 1.0, so only the rule
+        # applied to the state given refuses it, as the closed form does
+        beta = Vec2(
+            SplitComplex(-988267.5644871382, 988267.5644870356),
+            SplitComplex(-2523352.088595902, -2523352.0885957438),
+        )
+        basis = Mat2(
+            SplitComplex(0.9660781720370845, -0.07093080768023097),
+            SplitComplex(0.28082470758251155, 0.08448888327554056),
+            SplitComplex(0.3428476333811999, 0.2140568959959815),
+            SplitComplex(-1.6285240123258222, -1.312941203448749),
+        )
+        assert sum(change_basis(beta, basis).norms_sq()) == 1.0
+        message = "^squared norms sum to 1.0017358150341182, expected 1$"
+        with pytest.raises(NotNormalizedError, match=message):
+            pipeline_probabilities(beta, basis)
 
     def test_closed_form_and_extraction_track_pipeline(self):
         rng = random.Random(3)

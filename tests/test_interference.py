@@ -12,7 +12,7 @@ from helpers import outcome
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperq._rules import THETA_MAX, _law
+from hyperq._rules import THETA_MAX
 from hyperq.algebra import (
     _check_finite,
     check_phase,
@@ -118,6 +118,31 @@ class TestLaws:
             hyp_law(1e308, 1e308, 0.0, -1)
         with pytest.raises(PreconditionError):
             trig_law(1e308, 1e308, 0.0)
+
+    @pytest.mark.parametrize(
+        "law,args",
+        [
+            (trig_law, (0.25, 0.5, 1.0)),  # cos(theta) >= 0
+            (trig_law, (0.25, 0.5, 3.0)),  # cos(theta) < 0
+            (hyp_law, (0.25, 0.5, 1.0, 1)),
+            (hyp_law, (0.25, 0.5, 1.0, -1)),
+        ],
+    )
+    def test_a_valid_law_value_is_one_python_frame(self, law, args):
+        # a law runs once per point of a measured sweep; its guards and its
+        # refusal are calls only on the raise path
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            law(*args)
+        finally:
+            sys.setprofile(None)
+        assert frames == [law.__name__]
 
     @given(weights, weights, law_phases)
     def test_plus_branch_dominates_perfect_square(self, a, b, theta):
@@ -491,11 +516,13 @@ edge_floats = st.sampled_from(
 any_signs = st.sampled_from([1, -1, 0, 2, 1.0, -1.0, True, 1.5, NAN])
 
 
+# each guard in order, then the public law: a law whose inline chain let
+# through what a guard refuses, or refused what every guard accepts, differs
 def guarded_trig_law(p1, p2, theta):
     check_probability(p1)
     check_probability(p2)
     _check_finite(("phase",), (theta,))
-    return _law(p1, p2, theta, 1, True)
+    return trig_law(p1, p2, theta)
 
 
 def guarded_hyp_law(p1, p2, theta, sign):
@@ -503,7 +530,7 @@ def guarded_hyp_law(p1, p2, theta, sign):
     check_probability(p2)
     check_sign(sign)
     check_phase(theta)
-    return _law(p1, p2, theta, sign, False)
+    return hyp_law(p1, p2, theta, sign)
 
 
 class TestInlineGuards:
@@ -544,12 +571,19 @@ class TestInlineGuards:
 
 
 def law_grid(law, p1, p2, theta_min, theta_max, steps, sign):
-    """A sweep as ``_law`` computes it, one call per point in grid order."""
+    """A sweep as the public laws compute it, one call per point in grid
+    order, after each guard that the sweep applies once."""
+    check_probability(p1)
+    check_probability(p2)
+    check_sign(sign)
     span = theta_max - theta_min
     rows = []
     for i in range(steps):
         theta = theta_min + span * i / (steps - 1)
-        rows.append((theta, _law(p1, p2, theta, sign, law == TRIG)))
+        if law == TRIG:
+            rows.append((theta, trig_law(p1, p2, theta)))
+        else:
+            rows.append((theta, hyp_law(p1, p2, theta, sign)))
     return rows
 
 
@@ -586,7 +620,7 @@ grid_pairs = (
 
 
 class TestSweepGrid:
-    """The grid kernel gives ``_law``'s bits at every point, and its refusals."""
+    """The grid kernel gives the laws' bits at every point, and their refusals."""
 
     @settings(derandomize=True, max_examples=300)
     @given(
