@@ -129,8 +129,8 @@ class TestLaws:
         ],
     )
     def test_a_valid_law_value_is_one_python_frame(self, law, args):
-        # a law runs once per point of a measured sweep; its guards and its
-        # refusal are calls only on the raise path
+        # the guards and the refusal of a value that is not finite are
+        # calls on the raise path only
         frames = []
 
         def profile(frame, event, arg):
