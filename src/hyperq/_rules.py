@@ -80,9 +80,10 @@ def check_phase(theta: float) -> None:
 
     A phase that is not finite (an ``int`` too large for a double included)
     gets the finiteness rule's ``ValueError``, a finite one beyond the range
-    :class:`PhaseRangeError`.  ``hyp_law`` and ``algebra.amplitude``, hot
-    entry points, test the same predicate, ``abs(theta) <= THETA_MAX``,
-    inline and call this guard only to raise.
+    :class:`PhaseRangeError`.  ``hyp_law``, ``algebra.amplitude`` and
+    ``born.ProbabilityModel.validate``, hot entry points, test the same
+    predicate, ``abs(theta) <= THETA_MAX``, inline and call this guard only
+    to raise.
     """
     # one comparison on the valid path; NaN and inf fail it too
     if abs(theta) <= THETA_MAX:

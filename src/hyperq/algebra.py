@@ -333,7 +333,10 @@ class SplitComplex(_Value):
         """Read the JSON form ``[x, y]``; anything else raises ``ValueError``."""
         match data:
             case [x, y]:
-                return cls(*_numbers(_NUMBER, x, y))
+                # two floats pass without the call; _numbers refuses the rest
+                if not (x.__class__ is y.__class__ is float):
+                    _numbers(_NUMBER, x, y)
+                return cls(x, y)
         raise _malformed(_NUMBER, data)
 
 
@@ -388,8 +391,8 @@ def _check_norm_sq(x: float, y: float, ns: float) -> None:
     The one guard of the polar form and the inverse: ``ns <= 0`` (on or
     inside the light cone) raises :class:`DegenerateNormError`, and an
     ``ns`` that overflowed to inf raises :class:`PreconditionError`.
-    :func:`_polar`, the hot caller, tests the same predicate inline and
-    calls this only to raise.
+    :func:`_polar` and ``born._polar_or_absent`` test the same predicate
+    inline and call this, through ``_polar``, only to raise.
     """
     # one comparison on the valid path; NaN fails it too
     if 0.0 < ns < math.inf:
@@ -405,8 +408,10 @@ def _check_norm_sq(x: float, y: float, ns: float) -> None:
 def _polar(x: float, y: float, ns: float) -> tuple[int, float, float]:
     """``(sign, modulus, theta)`` of ``x + j*y`` from its squared modulus ``ns``.
 
-    The one plain-float polar kernel, behind :func:`_check_norm_sq`, whose
-    predicate it tests inline, calling the guard only to raise.
+    The plain-float polar kernel, behind :func:`_check_norm_sq`, whose
+    predicate it tests inline, calling the guard only to raise.  Its
+    arithmetic is repeated once, bit for bit, in ``born._polar_or_absent``,
+    which calls this only to raise; a test holds the two to the same bits.
     """
     if not 0.0 < ns < math.inf:
         _check_norm_sq(x, y, ns)
@@ -452,9 +457,10 @@ def _result(x: float, y: float) -> SplitComplex:
     (a scalar one passed :func:`_scalar`), so a component that is not comes
     from an overflow (or ``inf - inf``); it raises
     :class:`PreconditionError`, not the ``ValueError`` of malformed input at
-    construction.
+    construction.  The test is call-free, as ``__init__``'s is: ``x - x``
+    is 0.0 for a finite float and NaN otherwise.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
+    if x - x or y - y:
         raise PreconditionError(f"arithmetic result is not finite: ({x}, {y})")
     z = _new(SplitComplex)
     _sc_x(z, x)
@@ -504,6 +510,8 @@ def _numbers(form: tuple[str, str], *leaves: object) -> tuple[object, ...]:
     The first leaf that is no number (:func:`_is_number`) is refused
     through :func:`_malformed`; a ``float`` is one without the call.  The
     value type built from them converts each to ``float`` (:func:`_field`).
+    The ``from_list`` readers test for all-``float`` leaves inline and call
+    this only when that test fails.
     """
     for leaf in leaves:
         if leaf.__class__ is not float and not _is_number(leaf):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._rules import check_phase, hyp_law
+from ._rules import THETA_MAX, check_phase, hyp_law
 from .algebra import (
     EPS_ALG,
     EPS_MEM,
@@ -118,7 +118,7 @@ def _unit_norms(phi: Vec2) -> tuple[float, float]:
     and :func:`pipeline_probabilities`; a state off it raises
     :class:`NotNormalizedError`.
     """
-    q1, q2 = phi.norms_sq()
+    q1, q2 = phi.c1.norm_sq(), phi.c2.norm_sq()
     if not _is_unit_sum(q1 + q2):
         raise NotNormalizedError(f"squared norms sum to {q1 + q2}, expected 1")
     return q1, q2
@@ -138,9 +138,11 @@ def decompose(phi: Vec2) -> StateDecomposition:
 
 
 def _check_unit_sums(kind: str, *totals: float) -> None:
-    """Raise :class:`PreconditionError` at the first total off 1 by over ``EPS_ALG``."""
-    if _is_unit_sum(*totals):
-        return
+    """Raise :class:`PreconditionError` at the first total off 1 by over ``EPS_ALG``.
+
+    For the ordered checks of :meth:`ProbabilityModel.validate`, which run
+    only once its one test of all the totals has failed.
+    """
     for index, total in enumerate(totals, start=1):
         if not _is_unit_sum(total):
             raise PreconditionError(f"{kind} {index} sums to {total}, expected 1")
@@ -181,17 +183,28 @@ class ProbabilityModel(_Value):
         Without the symmetry the two interference terms cannot cancel and
         p1 + p2 would drift from 1, so its violation raises
         :class:`ConstraintViolatedError`.  Each holds within ``EPS_ALG``.
+        A valid model is decided by one test of all six; only a model that
+        fails it runs the checks in order, to raise the first one's error.
         """
         q1, q2 = self.q1, self.q2
         p11, p12, p21, p22 = self.p11, self.p12, self.p21, self.p22
+        theta = self.theta
+        gap = p11 * p21 - p12 * p22
+        asymmetric = abs(gap) > EPS_ALG
+        if (
+            _is_unit_sum(q1 + q2, p11 + p12, p21 + p22, p11 + p21, p12 + p22)
+            and _in_unit_interval((q1, q2, p11, p12, p21, p22))
+            and abs(theta) <= THETA_MAX
+            and not asymmetric
+        ):
+            return
         if not _is_unit_sum(q1 + q2):
             raise PreconditionError(f"q1 + q2 = {q1 + q2}, expected 1")
         if not _in_unit_interval((q1, q2, p11, p12, p21, p22)):
             raise PreconditionError("probabilities must lie in [0, 1]")
         _check_unit_sums("row", p11 + p12, p21 + p22)
-        check_phase(self.theta)
-        gap = p11 * p21 - p12 * p22
-        if abs(gap) > EPS_ALG:
+        check_phase(theta)
+        if asymmetric:
             raise ConstraintViolatedError(
                 f"p11*p21 - p12*p22 = {gap}; the interference terms cannot cancel"
             )
@@ -260,6 +273,10 @@ class TransformedProbabilities(namedtuple("TransformedProbabilities", "p1 p2")):
     in_range = property(_in_unit_interval)
 
 
+# builds the pair from a 2-tuple without the namedtuple's Python-level __new__
+_pair = tuple.__new__
+
+
 def transform_probabilities(m: ProbabilityModel) -> TransformedProbabilities:
     """Closed-form new-basis probabilities of a probability model.
 
@@ -269,12 +286,20 @@ def transform_probabilities(m: ProbabilityModel) -> TransformedProbabilities:
     and reported via ``in_range``.
     """
     m.validate()
-    # weights can dip a hair below 0 inside the tolerance slack
-    w11, w21 = max(m.q1 * m.p11, 0.0), max(m.q2 * m.p21, 0.0)
-    w12, w22 = max(m.q1 * m.p12, 0.0), max(m.q2 * m.p22, 0.0)
-    return TransformedProbabilities(
-        hyp_law(w11, w21, m.theta, m.eps1),
-        hyp_law(w12, w22, m.theta, -m.eps1),
+    # weights can dip a hair below 0 inside the tolerance slack; each is
+    # clamped as max(w, 0.0) would clamp it, keeping -0.0
+    w11, w21, w12, w22 = m.q1 * m.p11, m.q2 * m.p21, m.q1 * m.p12, m.q2 * m.p22
+    if w11 < 0.0:
+        w11 = 0.0
+    if w21 < 0.0:
+        w21 = 0.0
+    if w12 < 0.0:
+        w12 = 0.0
+    if w22 < 0.0:
+        w22 = 0.0
+    return _pair(
+        TransformedProbabilities,
+        (hyp_law(w11, w21, m.theta, m.eps1), hyp_law(w12, w22, m.theta, -m.eps1)),
     )
 
 
@@ -306,12 +331,23 @@ def _polar_or_absent(*amplitudes: SplitComplex) -> list:
     undefined phase is never needed.  A clearly negative squared norm means
     the amplitude cannot carry a probability at all, and ``_polar`` raises
     :class:`DegenerateNormError` for it (:class:`PreconditionError` for one
-    that overflows): the first such amplitude raises.
+    that overflows): the first such amplitude raises.  The one copy of
+    ``_polar``'s arithmetic: its three lines are repeated here, in the same
+    operations, so that a polar form costs no call; ``_polar`` runs only to
+    raise, and a test holds the two to the same bits and refusals.
     """
     forms = []
     for z in amplitudes:
         q = z.norm_sq()
-        forms.append(None if abs(q) <= EPS_MEM else (*_polar(z.x, z.y, q), q))
+        if abs(q) <= EPS_MEM:
+            forms.append(None)
+            continue
+        x = z.x
+        if not 0.0 < q < math.inf:
+            _polar(x, z.y, q)  # raises: no polar form
+        sign = 1 if x > 0.0 else -1
+        modulus = math.sqrt(q)
+        forms.append((sign, modulus, math.asinh(sign * z.y / modulus), q))
     return forms
 
 

@@ -93,7 +93,11 @@ class Vec2(_Value):
         """Read the JSON form ``[[x1, y1], [x2, y2]]``; else ``ValueError``."""
         match data:
             case [[x1, y1], [x2, y2]]:
-                _numbers(_VECTOR, x1, y1, x2, y2)
+                # four floats pass without the call; _numbers refuses the rest
+                if not (
+                    x1.__class__ is y1.__class__ is x2.__class__ is y2.__class__ is float
+                ):
+                    _numbers(_VECTOR, x1, y1, x2, y2)
                 return cls(SplitComplex(x1, y1), SplitComplex(x2, y2))
         raise _malformed(_VECTOR, data)
 
@@ -134,7 +138,13 @@ class Mat2(_Value):
         """Read the JSON form of :meth:`to_list`; anything else raises ``ValueError``."""
         match data:
             case [[[x11, y11], [x12, y12]], [[x21, y21], [x22, y22]]]:
-                _numbers(_MATRIX, x11, y11, x12, y12, x21, y21, x22, y22)
+                # eight floats pass without the call; _numbers refuses the rest
+                if not (
+                    x11.__class__ is y11.__class__ is x12.__class__ is y12.__class__
+                    is x21.__class__ is y21.__class__ is x22.__class__ is y22.__class__
+                    is float
+                ):
+                    _numbers(_MATRIX, x11, y11, x12, y12, x21, y21, x22, y22)
                 return cls(
                     SplitComplex(x11, y11),
                     SplitComplex(x12, y12),

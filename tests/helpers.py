@@ -1,7 +1,8 @@
-"""Helpers shared by the test modules: the scanner behind the AST locks, and
-the outcome of a call as a comparable value."""
+"""Helpers shared by the test modules: the scanner behind the AST locks, the
+outcome of a call as a comparable value, and the Python calls a call makes."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperq"
@@ -31,3 +32,24 @@ def outcome(call, *args):
         return repr(call(*args))
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def python_calls(fn, *args):
+    """The names of the Python functions that ``fn(*args)`` runs, ``fn``
+    first, one per ``sys.setprofile`` "call" event, in call order.
+
+    Builtins written in C raise no such event, so a hot path's list names
+    each Python frame it costs: a helper hop that comes back shows here.
+    """
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names

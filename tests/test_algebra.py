@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import python_calls
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -63,6 +64,28 @@ class TestConstruction:
     def test_from_list_rejects(self, bad):
         with pytest.raises(ValueError):
             SplitComplex.from_list(bad)
+
+    @pytest.mark.parametrize(
+        "last,kind",
+        [(True, "bool"), (10**400, "an int too large for a double"), ("0", "str")],
+        ids=["bool", "huge", "str"],
+    )
+    def test_from_list_refuses_a_last_leaf_that_is_no_number(self, last, kind):
+        # a float first leaf, then the full leaf check for the last one
+        with pytest.raises(ValueError) as info:
+            SplitComplex.from_list([0.5, last])
+        assert str(info.value) == (
+            "malformed split-complex number: expected [x, y] with numeric entries, "
+            f"got {kind}"
+        )
+
+    def test_from_list_stores_a_last_int_leaf_as_a_float(self):
+        z = SplitComplex.from_list([0.5, 1])
+        assert z == SplitComplex(0.5, 1.0)
+        assert z.y.__class__ is float
+
+    def test_from_list_of_floats_calls_no_leaf_check(self):
+        assert python_calls(SplitComplex.from_list, [0.5, 1.0]) == ["from_list", "__init__"]
 
     def test_str(self):
         assert str(SplitComplex(1.5, -2.0)) == "1.5-2j"

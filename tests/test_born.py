@@ -6,17 +6,20 @@ import math
 import random
 
 import pytest
-from helpers import outcome
+from helpers import outcome, python_calls
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hyperq._rules import hyp_law
 from hyperq.algebra import (
     EPS_ALG,
+    EPS_MEM,
     ONE,
     THETA_MAX,
     ZERO,
     SplitComplex,
     _check_finite,
+    _polar,
     check_phase,
     check_probability,
     check_sign,
@@ -26,7 +29,9 @@ from hyperq.born import (
     Phase,
     ProbabilityModel,
     SignPhaseReport,
+    TransformedProbabilities,
     _phase_of,
+    _polar_or_absent,
     amplitude,
     check_sign_phase_constraints,
     decompose,
@@ -115,6 +120,19 @@ class TestDecompose:
         assert d.decomposable
         assert d.probabilities == (0.0, 1.0)
         assert d.phases == (None, Phase(1, 0.0))
+
+    def test_decompose_calls(self):
+        # the unit-sum rule reads both squared norms without a hop
+        assert python_calls(decompose, witness_state()) == [
+            "decompose",
+            "_unit_norms",
+            "norm_sq",
+            "norm_sq",
+            "_is_unit_sum",
+            "_in_cone",
+            "_in_cone",
+            "__init__",
+        ]
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
@@ -221,6 +239,96 @@ def balanced_model(theta: float, eps1: int = 1) -> ProbabilityModel:
     return ProbabilityModel(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, theta, eps1)
 
 
+#: Matrices (p11, p12, p21, p22) that fail at most one check of
+#: ``validate``: ``HALF`` none, ``ROWS`` the row sums, ``BOX`` the unit
+#: interval, ``ASYM`` the symmetry (a gap of about 1.3e-9, with rows and
+#: columns inside the slack), ``COLS`` column 1 and ``COLS2`` column 2
+#: (1 + 1.8e-9, with rows and symmetry inside the slack).
+HALF = (0.5, 0.5, 0.5, 0.5)
+ROWS = (0.6, 0.6, 0.4, 0.4)
+BOX = (1.5, -0.5, -0.5, 1.5)
+ASYM = (0.1, 0.9 + 0.95e-9, 0.9 + 0.5e-9, 0.1 - 0.5e-9 - 0.95e-9)
+COLS = (0.5 + 0.9e-9, 0.5, 0.5 + 0.9e-9, 0.5)
+COLS2 = (0.5, 0.5 + 0.9e-9, 0.5, 0.5 + 0.9e-9)
+
+#: The checks of ``validate`` in the order it makes them.
+CHECKS = ("weights", "interval", "rows", "phase", "symmetry", "columns")
+
+#: Models that fail one check, or two at once, with the checks, the error
+#: and the exact message the first of them gives.
+REFUSAL_ORDER = [
+    ((0.6, 0.6, *HALF, 0.0), ("weights",),
+     PreconditionError, "q1 + q2 = 1.2, expected 1"),
+    ((0.5, 0.5, *BOX, 0.0), ("interval",),
+     PreconditionError, "probabilities must lie in [0, 1]"),
+    ((0.5, 0.5, *ROWS, 0.0), ("rows",),
+     PreconditionError, "row 1 sums to 1.2, expected 1"),
+    ((0.5, 0.5, *HALF, 301.0), ("phase",),
+     PhaseRangeError, "|theta| = 301.0 exceeds THETA_MAX = 300.0"),
+    ((0.5, 0.5, *ASYM, 0.0), ("symmetry",),
+     ConstraintViolatedError,
+     "p11*p21 - p12*p22 = 1.2600000071083528e-09; the interference terms cannot cancel"),
+    ((0.5, 0.5, *COLS, 0.0), ("columns",),
+     PreconditionError, "column 1 sums to 1.0000000018, expected 1"),
+    ((0.5, 0.5, *COLS2, 0.0), ("columns",),
+     PreconditionError, "column 2 sums to 1.0000000018, expected 1"),
+    ((0.7, 0.7, *BOX, 0.0), ("weights", "interval"),
+     PreconditionError, "q1 + q2 = 1.4, expected 1"),
+    ((0.6, 0.6, *ROWS, 0.0), ("weights", "rows"),
+     PreconditionError, "q1 + q2 = 1.2, expected 1"),
+    ((0.5, 0.5 + 2e-9, *HALF, -301.0), ("weights", "phase"),
+     PreconditionError, "q1 + q2 = 1.0000000020000002, expected 1"),
+    ((0.6, 0.6, *ASYM, 0.0), ("weights", "symmetry"),
+     PreconditionError, "q1 + q2 = 1.2, expected 1"),
+    ((0.6, 0.6, *COLS, 0.0), ("weights", "columns"),
+     PreconditionError, "q1 + q2 = 1.2, expected 1"),
+    ((1.5, -0.5, *ROWS, 0.0), ("interval", "rows"),
+     PreconditionError, "probabilities must lie in [0, 1]"),
+    ((1.5, -0.5, *HALF, 301.0), ("interval", "phase"),
+     PreconditionError, "probabilities must lie in [0, 1]"),
+    ((1.5, -0.5, *ASYM, 0.0), ("interval", "symmetry"),
+     PreconditionError, "probabilities must lie in [0, 1]"),
+    ((1.5, -0.5, *COLS, 0.0), ("interval", "columns"),
+     PreconditionError, "probabilities must lie in [0, 1]"),
+    ((0.5, 0.5, *ROWS, 301.0), ("rows", "phase"),
+     PreconditionError, "row 1 sums to 1.2, expected 1"),
+    ((0.5, 0.5, 0.5, 0.6, 0.5, 0.4, 0.0), ("rows", "symmetry"),
+     PreconditionError, "row 1 sums to 1.1, expected 1"),
+    ((0.5, 0.5, 0.6, 0.6, 0.6, 0.6, 0.0), ("rows", "columns"),
+     PreconditionError, "row 1 sums to 1.2, expected 1"),
+    ((0.5, 0.5, 0.5, 0.5, 0.6, 0.6, 0.0), ("rows", "columns"),
+     PreconditionError, "row 2 sums to 1.2, expected 1"),
+    ((0.5, 0.5, *ASYM, -301.0), ("phase", "symmetry"),
+     PhaseRangeError, "|theta| = 301.0 exceeds THETA_MAX = 300.0"),
+    ((0.5, 0.5, *COLS, 301.0), ("phase", "columns"),
+     PhaseRangeError, "|theta| = 301.0 exceeds THETA_MAX = 300.0"),
+    ((0.5, 0.5, *COLS2, 301.0), ("phase", "columns"),
+     PhaseRangeError, "|theta| = 301.0 exceeds THETA_MAX = 300.0"),
+    ((0.5, 0.5, 0.3, 0.7, 0.2, 0.8, 0.0), ("symmetry", "columns"),
+     ConstraintViolatedError,
+     "p11*p21 - p12*p22 = -0.49999999999999994; the interference terms cannot cancel"),
+]
+
+
+def failing_checks(q1, q2, p11, p12, p21, p22, theta):
+    """The checks of ``validate`` that the model fails, in order, each
+    written out from its rule."""
+
+    def unit(*totals):
+        return all(abs(t - 1.0) <= EPS_ALG for t in totals)
+
+    entries = (q1, q2, p11, p12, p21, p22)
+    fails = (
+        not unit(q1 + q2),
+        not all(-EPS_ALG <= p <= 1.0 + EPS_ALG for p in entries),
+        not unit(p11 + p12, p21 + p22),
+        not abs(theta) <= THETA_MAX,
+        abs(p11 * p21 - p12 * p22) > EPS_ALG,
+        not unit(p11 + p21, p12 + p22),
+    )
+    return tuple(check for check, fail in zip(CHECKS, fails) if fail)
+
+
 class TestProbabilityModel:
     def test_validate_accepts_balanced(self):
         balanced_model(LN2).validate()
@@ -286,6 +394,14 @@ class TestProbabilityModel:
             assert str(info.value) == message
             assert len(message) < 200
 
+    @pytest.mark.parametrize("fields,checks,error,message", REFUSAL_ORDER)
+    def test_the_first_failing_check_refuses(self, fields, checks, error, message):
+        assert failing_checks(*fields) == checks
+        with pytest.raises(PreconditionError) as info:
+            ProbabilityModel(*fields, 1).validate()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_from_json_rejects_non_object(self):
         for bad, kind in (([0.5, 0.5], "list"), ({0.5}, "set"), ("q", "str"), (None, "NoneType")):
             with pytest.raises(ValueError) as info:
@@ -338,6 +454,47 @@ class TestTransformProbabilities:
         with pytest.raises(PhaseRangeError):
             transform_probabilities(balanced_model(301.0))
 
+    @pytest.mark.parametrize(
+        "q1,q2",
+        [(-0.0, 1.0), (1.0, -0.0), (-1e-10, 1.0 + 1e-10), (1.0 + 1e-10, -1e-10)],
+    )
+    def test_weights_are_clamped_as_max_clamps(self, q1, q2):
+        # a weight a hair below 0 is clamped to 0.0, with max's bits
+        for matrix in (HALF, (1.0, -0.0, -0.0, 1.0), (1e-10 + 1.0, -1e-10, -1e-10, 1.0)):
+            m = ProbabilityModel(q1, q2, *matrix, 0.5, 1)
+            w11, w21 = max(m.q1 * m.p11, 0.0), max(m.q2 * m.p21, 0.0)
+            w12, w22 = max(m.q1 * m.p12, 0.0), max(m.q2 * m.p22, 0.0)
+            want = (hyp_law(w11, w21, 0.5, 1), hyp_law(w12, w22, 0.5, -1))
+            assert repr(tuple(transform_probabilities(m))) == repr(want)
+
+    def test_the_pair_is_a_transformed_probabilities(self):
+        p = transform_probabilities(balanced_model(LN2))
+        assert type(p) is TransformedProbabilities
+        assert p == (p.p1, p.p2) and not p.in_range
+
+    def test_the_closed_form_route_calls(self):
+        # every rule stays one call; a helper hop that comes back fails here
+        def route(beta, basis):
+            return transform_probabilities(extract_model(beta, basis))
+
+        assert python_calls(route, witness_state(), OFFSET) == [
+            "route",
+            "extract_model",
+            "_column_terms",
+            "_polar_or_absent",
+            *["norm_sq"] * 2,
+            "_polar_or_absent",
+            *["norm_sq"] * 4,
+            "_sign_phase",
+            "__init__",
+            "transform_probabilities",
+            "validate",
+            "_is_unit_sum",
+            "_in_unit_interval",
+            "hyp_law",
+            "hyp_law",
+        ]
+
     def test_columns_are_checked_at_the_tolerance_edge(self):
         # rows sum to 1 + 9e-10 and the symmetry gap is 9e-10, both within
         # EPS_ALG; column 1 sums to 1 + 1.8e-9
@@ -345,6 +502,88 @@ class TestTransformProbabilities:
         m = ProbabilityModel(0.5, 0.5, a, b, a, b, 0.0, 1)
         with pytest.raises(PreconditionError, match="column 1"):
             transform_probabilities(m)
+
+
+def reference_polar(z: SplitComplex) -> tuple | None:
+    """``_polar_or_absent``'s entry for one amplitude, through ``_polar``."""
+    q = z.norm_sq()
+    if abs(q) <= EPS_MEM:
+        return None
+    return (*_polar(z.x, z.y, q), q)
+
+
+def first_float_above(y: float, bound: float) -> float:
+    """The least ``x >= y`` whose squared norm with j component ``y`` is
+    above ``bound``, stepping by one ulp from ``sqrt(bound + y*y)``."""
+    x = math.sqrt(bound + y * y)
+    while SplitComplex(x, y).norm_sq() > bound:
+        x = math.nextafter(x, 0.0)
+    while not SplitComplex(x, y).norm_sq() > bound:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def polar_grid() -> list[SplitComplex]:
+    """Amplitudes on the light cone and 1 ulp off it, at the negligible
+    bound and 1 ulp either side, inside the cone, overflowing, and random
+    ones with |theta| <= 20."""
+    grid = []
+    for x in (1.0, 1e4, 1e150, -1e4, -1.0):
+        for y in (x, -x):
+            for near in (y, math.nextafter(y, math.inf), math.nextafter(y, -math.inf)):
+                grid += [SplitComplex(x, near), SplitComplex(near, x)]
+    for y in (0.0, 0.5):
+        edge = first_float_above(y, EPS_MEM)
+        for x in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
+            grid += [SplitComplex(x, y), SplitComplex(-x, y), SplitComplex(y, x)]
+    grid += [
+        SplitComplex(0.5, 2.0),
+        SplitComplex(0.0, 1e-6),
+        SplitComplex(0.0, 2e-6),
+        SplitComplex(1e200, 0.0),
+        SplitComplex(0.0, 1e200),
+        SplitComplex(-1e200, 1e199),
+        ZERO,
+        SplitComplex(-0.0, 0.0),
+    ]
+    rng = random.Random(37)
+    for _ in range(2000):
+        sign, q, xi = rng.choice((1, -1)), rng.uniform(0.0, 2.0), rng.uniform(-20, 20)
+        grid.append(amplitude(sign, q, xi))
+        grid.append(SplitComplex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    return grid
+
+
+POLAR_GRID = polar_grid()
+
+
+class TestPolarOrAbsent:
+    """``_polar_or_absent`` repeats ``_polar``'s arithmetic inline: it gives
+    the kernel's bits at every point of the grid, and its refusals."""
+
+    def test_entries_are_polar_bits(self):
+        got = [outcome(_polar_or_absent, z) for z in POLAR_GRID]
+        assert got == [outcome(lambda z: [reference_polar(z)], z) for z in POLAR_GRID]
+
+    def test_the_grid_reaches_every_outcome(self):
+        found = [outcome(reference_polar, z) for z in POLAR_GRID]
+        forms = {o for o in found if isinstance(o, str)}
+        assert "None" in forms and len(forms) > 1000
+        assert {o[0] for o in found if isinstance(o, tuple)} == {
+            DegenerateNormError,
+            PreconditionError,
+        }
+
+    def test_the_first_amplitude_without_a_polar_form_refuses(self):
+        good, absent = amplitude(1, 0.5, 1.0), ZERO
+        inside, overflow = SplitComplex(0.5, 2.0), SplitComplex(1e200, 0.0)
+        for zs in (
+            (good, absent, inside, overflow),
+            (absent, overflow, inside),
+            (good, good, absent),
+        ):
+            want = outcome(lambda: [reference_polar(z) for z in zs])
+            assert outcome(_polar_or_absent, *zs) == want
 
 
 class TestSignPhaseConstraints:

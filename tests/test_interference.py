@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from helpers import outcome
+from helpers import outcome, python_calls
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -131,18 +131,7 @@ class TestLaws:
     def test_a_valid_law_value_is_one_python_frame(self, law, args):
         # the guards and the refusal of a value that is not finite are
         # calls on the raise path only
-        frames = []
-
-        def profile(frame, event, arg):
-            if event == "call":
-                frames.append(frame.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            law(*args)
-        finally:
-            sys.setprofile(None)
-        assert frames == [law.__name__]
+        assert python_calls(law, *args) == [law.__name__]
 
     @given(weights, weights, law_phases)
     def test_plus_branch_dominates_perfect_square(self, a, b, theta):

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import python_calls
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -200,6 +201,17 @@ class TestVec2:
             pytest.param({1, 2}, f"{VECTOR}, got set", id="set"),
             pytest.param([[1, 0], ["0", 1]], f"{VECTOR_ENTRIES}, got str", id="str-leaf"),
             pytest.param([[1, 0], [0, 10**400]], f"{VECTOR_ENTRIES}, got {HUGE}", id="huge"),
+            # three floats pass the inline test, the last leaf sends the
+            # reader to the full leaf check
+            pytest.param(
+                [[0.5, 0.5], [0.5, True]], f"{VECTOR_ENTRIES}, got bool", id="last-bool"
+            ),
+            pytest.param(
+                [[0.5, 0.5], [0.5, 10**400]], f"{VECTOR_ENTRIES}, got {HUGE}", id="last-huge"
+            ),
+            pytest.param(
+                [[0.5, 0.5], [0.5, "0"]], f"{VECTOR_ENTRIES}, got str", id="last-str"
+            ),
         ],
     )
     def test_from_list_rejects(self, bad, message):
@@ -207,6 +219,15 @@ class TestVec2:
             Vec2.from_list(bad)
         assert str(info.value) == message
         assert len(message) < 200
+
+    def test_from_list_stores_a_last_int_leaf_as_a_float(self):
+        v = Vec2.from_list([[0.5, 0.5], [0.5, 1]])
+        assert v == Vec2(SplitComplex(0.5, 0.5), SplitComplex(0.5, 1.0))
+        assert v.c2.y.__class__ is float
+
+    def test_from_list_of_floats_calls_no_leaf_check(self):
+        calls = python_calls(Vec2.from_list, [[0.5, 0.5], [0.5, 0.5]])
+        assert calls == ["from_list", *["__init__"] * 3]
 
 
 class TestMat2:
@@ -255,6 +276,23 @@ class TestMat2:
                 f"{MATRIX_ENTRIES}, got {HUGE}",
                 id="huge",
             ),
+            # seven floats pass the inline test, the last leaf sends the
+            # reader to the full leaf check
+            pytest.param(
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, False]]],
+                f"{MATRIX_ENTRIES}, got bool",
+                id="last-bool",
+            ),
+            pytest.param(
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 10**400]]],
+                f"{MATRIX_ENTRIES}, got {HUGE}",
+                id="last-huge",
+            ),
+            pytest.param(
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, "0"]]],
+                f"{MATRIX_ENTRIES}, got str",
+                id="last-str",
+            ),
         ],
     )
     def test_from_list_rejects(self, bad, message):
@@ -262,6 +300,15 @@ class TestMat2:
             Mat2.from_list(bad)
         assert str(info.value) == message
         assert len(message) < 200
+
+    def test_from_list_stores_a_last_int_leaf_as_a_float(self):
+        m = Mat2.from_list([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0]]])
+        assert m == Mat2.identity()
+        assert m.a22.y.__class__ is float
+
+    def test_from_list_of_floats_calls_no_leaf_check(self):
+        calls = python_calls(Mat2.from_list, Mat2.identity().to_list())
+        assert calls == ["from_list", *["__init__"] * 5]
 
 
 class TestInner:
