@@ -191,8 +191,9 @@ def orthonormality_residual(m: Mat2) -> float:
     above: ``n`` of a row's self-product, ``U/4`` and ``V/4``.  Each is
     scaled once it is summed, to ``|4*n - 1|`` and ``2*(|U/4| + |V/4|)``,
     exactly unless the scaled value overflows.  One test of the three gaps
-    raises :class:`PreconditionError` when the residual is not finite, that
-    is when a row product ``u*v`` or the residual itself is not a double.
+    finds a residual that is not finite; :func:`_rescaled_residual` then
+    computes it again with each row at its own scale, and only a residual
+    that is no double raises :class:`PreconditionError`.
     """
     x11, y11 = 0.5 * m.a11.x, 0.5 * m.a11.y
     x12, y12 = 0.5 * m.a12.x, 0.5 * m.a12.y
@@ -210,8 +211,44 @@ def orthonormality_residual(m: Mat2) -> float:
     # the gaps are nonnegative, so their sum is NaN exactly when one is,
     # which the builtin max can drop
     if math.isnan(g1 + g2 + g3) or residual == math.inf:
-        raise PreconditionError(f"orthonormality residual overflows: {(g1, g2, g3)}")
+        k1 = math.frexp(max(map(abs, (m.a11.x, m.a11.y, m.a12.x, m.a12.y))))[1]
+        k2 = math.frexp(max(map(abs, (m.a21.x, m.a21.y, m.a22.x, m.a22.y))))[1]
+        try:
+            return _rescaled_residual(m, k1, k2)
+        except OverflowError:  # ldexp refuses to overflow
+            raise PreconditionError(
+                f"orthonormality residual overflows: {(g1, g2, g3)}"
+            ) from None
     return residual
+
+
+def _rescaled_residual(m: Mat2, k1: int, k2: int) -> float:
+    """:func:`orthonormality_residual` with row i scaled by ``2**-ki``.
+
+    For its raise branch, where a row product or the residual overflowed.
+    Scaling by a power of two is exact while it stays in range, and the
+    kernel is homogeneous in each row, so the same sums on the scaled rows,
+    scaled back with ``math.ldexp`` (a self-product gap by ``4**ki``, the
+    cross term by ``2**(k1 + k2)``), give the residual the kernel would
+    give in an unbounded exponent range.  With ``ki`` from ``math.frexp``
+    of row i's largest component no scaled sum overflows, so only the
+    scaling back can: ``ldexp`` then raises :class:`OverflowError`.
+    """
+    x11, y11 = math.ldexp(0.5 * m.a11.x, -k1), math.ldexp(0.5 * m.a11.y, -k1)
+    x12, y12 = math.ldexp(0.5 * m.a12.x, -k1), math.ldexp(0.5 * m.a12.y, -k1)
+    x21, y21 = math.ldexp(0.5 * m.a21.x, -k2), math.ldexp(0.5 * m.a21.y, -k2)
+    x22, y22 = math.ldexp(0.5 * m.a22.x, -k2), math.ldexp(0.5 * m.a22.y, -k2)
+    u11, v11 = x11 + y11, x11 - y11
+    u12, v12 = x12 + y12, x12 - y12
+    u21, v21 = x21 + y21, x21 - y21
+    u22, v22 = x22 + y22, x22 - y22
+    n1, n2 = u11 * v11 + u12 * v12, u21 * v21 + u22 * v22
+    U, V = u11 * v21 + u12 * v22, v11 * u21 + v12 * u22
+    return max(
+        abs(math.ldexp(4.0 * n1, 2 * k1) - 1.0),
+        abs(math.ldexp(4.0 * n2, 2 * k2) - 1.0),
+        math.ldexp(2.0 * (abs(U) + abs(V)), k1 + k2),
+    )
 
 
 def is_orthonormal_rows(m: Mat2) -> bool:

@@ -119,8 +119,9 @@ EXIT_CASES = [
     # norms are exactly 0 and 1
     (0, transform(_data("state_top_light_cone.json"), _data("matrix_identity.json"))),
     # two row products that overflow with opposite signs, to inf and -inf.
-    # The exact residual is 1e308, a double: the refusal tests the products,
-    # not the residual, and is an open FOUND. A mend moves this row to exit 3.
+    # The orthonormality residual is the exact 1e308, but the column sums of
+    # the squared moduli, exactly 1e616, are no double: the stochasticity
+    # residual refuses the matrix
     (2, verify(_data("matrix_overflow_opposite.json"))),
     # light-cone entries whose cross term, and so the residual, is 1e308: a
     # double, though four times the kernel's quarter sum is not

@@ -6,9 +6,8 @@ import math
 import random
 
 import pytest
+from generators import amplitude_arg, amplitude_sign, normalized_state, seeded, unitary
 from helpers import outcome, python_calls
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from hyperq._rules import hyp_law
 from hyperq.algebra import (
@@ -80,19 +79,6 @@ def hadamard_like() -> Mat2:
 OFFSET = make_decomposable_unitary(UnitaryParams(0.3, 0.4, -0.2, 0.9))
 
 
-weights = st.floats(min_value=0.05, max_value=0.95)
-signs = st.sampled_from((1, -1))
-phases = st.floats(min_value=-3.0, max_value=3.0)
-states = st.builds(
-    lambda s1, s2, q, xi1, xi2: Vec2(amplitude(s1, q, xi1), amplitude(s2, 1 - q, xi2)),
-    signs, signs, weights, phases, phases,
-)
-unitaries = st.builds(
-    lambda p, g1, g2, d: make_decomposable_unitary(UnitaryParams(p, g1, g2, d)),
-    weights, phases, phases, phases,
-)
-
-
 class TestDecompose:
     def test_basis_state(self):
         d = decompose(Vec2(ONE, ZERO))
@@ -138,10 +124,14 @@ class TestDecompose:
         with pytest.raises(NotNormalizedError):
             decompose(Vec2(ONE, ONE))
 
-    @given(states)
-    @example(Vec2(ONE, ZERO))
-    @example(Vec2(SplitComplex(0.3, 0.3), ONE))
-    @example(change_basis(witness_state(), hadamard_like()))
+    @seeded(
+        normalized_state,
+        cases=[
+            (Vec2(ONE, ZERO),),
+            (Vec2(SplitComplex(0.3, 0.3), ONE),),
+            (change_basis(witness_state(), hadamard_like()),),
+        ],
+    )
     def test_phases_equal_the_eager_tuple(self, phi):
         # _phase_of over both coefficients, or None when not decomposable
         d = decompose(phi)
@@ -150,7 +140,7 @@ class TestDecompose:
         assert d.phases == eager
         assert type(d.phases) is type(eager)
 
-    @given(states)
+    @seeded(normalized_state)
     def test_phases_are_the_polar_phases(self, phi):
         polar = [c.polar() for c in phi.coords()]
         assert decompose(phi).phases == tuple((p.sign, p.theta) for p in polar)
@@ -159,17 +149,6 @@ class TestDecompose:
         # the squared norm 1e616 is not a double: inf
         with pytest.raises(NotNormalizedError):
             decompose(Vec2(SplitComplex(1e308, 0.0), ONE))
-
-
-# arguments with every edge of amplitude's guards, and signs that pass and fail
-amplitude_args = st.sampled_from(
-    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.5, 1.0, 1e308, -1.0]
-    + [THETA_MAX, -THETA_MAX, math.nextafter(THETA_MAX, 400.0), 10**400, -(10**400)]
-    + [True, False, "0.5", None]
-) | st.floats()
-amplitude_signs = st.sampled_from(
-    [1, -1, 0, 2, 1.0, -1.0, True, False, 1.5, math.nan, "1", None]
-)
 
 
 def guarded_amplitude(sign, q, xi):
@@ -219,17 +198,23 @@ class TestAmplitude:
             sign, q, xi = rng.choice((1, -1)), rng.random(), rng.uniform(-300, 300)
             assert amplitude(sign, q, xi) == expj(xi) * (sign * math.sqrt(q))
 
-    @given(amplitude_signs, amplitude_args, amplitude_args)
-    @example(1, 10**400, 0.0)
-    @example(1, math.inf, 0.0)
-    @example(-1, 0.5, -(10**400))
-    @example(1, math.nan, 0.0)
-    @example(1, 0.5, math.nextafter(THETA_MAX, math.inf))
-    @example(1, "0.5", 0.0)
-    @example(1, 0.5, "0")
-    @example(True, 0.5, 0.5)
-    @example(2, "0.5", math.nan)
-    @example(math.nan, -1.0, 400.0)
+    @seeded(
+        amplitude_sign,
+        amplitude_arg,
+        amplitude_arg,
+        cases=[
+            (1, 10**400, 0.0),
+            (1, math.inf, 0.0),
+            (-1, 0.5, -(10**400)),
+            (1, math.nan, 0.0),
+            (1, 0.5, math.nextafter(THETA_MAX, math.inf)),
+            (1, "0.5", 0.0),
+            (1, 0.5, "0"),
+            (True, 0.5, 0.5),
+            (2, "0.5", math.nan),
+            (math.nan, -1.0, 400.0),
+        ],
+    )
     def test_inline_guards_match_the_guards(self, sign, q, xi):
         got = outcome(amplitude, sign, q, xi)
         assert got == outcome(guarded_amplitude, sign, q, xi)
@@ -727,7 +712,7 @@ class TestExtractAndPipeline:
             assert refit.p1 == pytest.approx(alpha.c1.norm_sq(), abs=tol)
             assert refit.p2 == pytest.approx(alpha.c2.norm_sq(), abs=tol)
 
-    @given(states, unitaries)
+    @seeded(normalized_state, unitary)
     def test_extracted_norms_are_the_public_norms(self, beta, basis):
         fitted = extract_model(beta, basis)
         assert fitted == ProbabilityModel(
@@ -811,7 +796,7 @@ class TestExtractAndPipeline:
         with pytest.raises(error, match=match):
             extract_model(beta, basis)
 
-    @given(states, unitaries)
+    @seeded(normalized_state, unitary)
     def test_extract_matches_the_report(self, beta, basis):
         report = check_sign_phase_constraints(basis, beta)
         q1, q2 = beta.norms_sq()

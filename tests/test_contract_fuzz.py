@@ -15,16 +15,18 @@ Numbers come from the landmarks of the double range and from uniform
 draws, in value and in exponent; matrices and states from
 ``make_decomposable_unitary`` and ``amplitude``, moved by a few ulps and
 scaled toward overflow, from raw and light-cone entries, and from the
-top-of-range matrices that ``verify`` answers or refuses.  Each command
-line is well formed (each option gets a value of its type), so its
-refusals are hyperq's own; one run in ``MUTATED`` is then bent by
-``mutated`` into a usage error, or into a spelling that reads the same, so
-that the reader's refusals meet the same contract.
+top-of-range matrices that ``verify`` answers or refuses.  Those
+generators live in ``tests/generators.py``, with the property tests'
+domains; the command lines are built here.  Each command line is well
+formed (each option gets a value of its type), so its refusals are
+hyperq's own; one run in ``MUTATED`` is then bent by ``mutated`` into a
+usage error, or into a spelling that reads the same, so that the reader's
+refusals meet the same contract.
 
-Run ``seed`` builds its command with ``random.Random(seed)``, for seeds
-0, 1, 2, ..., so every run is deterministic and a failure names its seed
-and its command line.  Under pytest the fuzzer makes ``RUNS`` runs; as a
-script it makes ``LONG_RUNS``::
+Run ``seed`` builds its command from ``random.Random(seed)``, for seeds
+0, 1, 2, ..., through ``generators.check``, so every run is deterministic
+and a failure names its seed and its command line.  Under pytest the
+fuzzer makes ``RUNS`` runs; as a script it makes ``LONG_RUNS``::
 
     PYTHONPATH=src python tests/test_contract_fuzz.py
 """
@@ -34,45 +36,16 @@ import io
 import json
 import math
 import random
-import sys
 import tempfile
 from pathlib import Path
 
-from hyperq.born import amplitude
+from generators import check, matrix, phase, probability, state
+
 from hyperq.cli import main
-from hyperq.witness import UnitaryParams, make_decomposable_unitary
 
 #: Runs under pytest, and as a script.
 RUNS = 2000
 LONG_RUNS = 20_000
-
-MAX = sys.float_info.max
-
-#: The landmarks of the double range, each with both signs.
-LANDMARKS = [
-    sign * x
-    for x in (0.0, 5e-324, sys.float_info.min, 1e-200, 1e-154, 1.0, 1e154, 1e200, 1e308, MAX)
-    for sign in (1.0, -1.0)
-]
-
-#: Scales that take a unit-sized matrix or state toward either end of the range.
-SCALES = [1e-154, 1e154, 1e300, 1e307, 1e308, MAX]
-
-#: Top-of-range matrices: a cross term of 1e308, answered; row products
-#: that overflow, alone or to inf and -inf; a light-cone entry whose x + y
-#: is not a double; a column sum of the squared moduli that overflows.
-#: The pair to inf and -inf is refused, though its exact residual, 1e308,
-#: is a double: an open refusal, kept here whichever exit code it gets.
-#: Last, squared moduli that overflow to inf and -inf in one row, whose sum
-#: is NaN: the stochasticity residual, about 4e308, is no double.
-TOP_MATRICES = [
-    [[[1e308, 1e308], [1e308, 1e308]], [[0, 0], [1, 0]]],
-    [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]],
-    [[[1e308, 0], [0, 1e308]], [[0, 0], [1, 0]]],
-    [[[1e308, 1e308], [0, 0]], [[0, 0], [1, 0]]],
-    [[[0, 1e154], [1, 0]], [[0, 1e154], [0, 1]]],
-    [[[2e154, 0], [0, 2e154]], [[0, 0], [1, 0]]],
-]
 
 #: Option values that are not finite; the parser reads each as a float.
 NOT_FINITE = ["nan", "inf", "-inf"]
@@ -95,87 +68,9 @@ ODD_VALUES = [
 UNKNOWN = ["--frobnicate", "-p1", "--P1", "p1", "x" * 300]
 
 
-def real(rng: random.Random) -> float:
-    """A landmark, a uniform draw near 1, or a draw uniform in the exponent."""
-    kind = rng.random()
-    if kind < 0.4:
-        return rng.choice(LANDMARKS)
-    if kind < 0.7:
-        return rng.uniform(-2.0, 2.0)
-    return rng.choice((1.0, -1.0)) * math.ldexp(rng.random(), rng.randint(-1074, 1024))
-
-
-def probability(rng: random.Random) -> float:
-    """Half the time in [0, 1], else a real, negative one time in thirteen."""
-    kind = rng.random()
-    if kind < 0.5:
-        return rng.random()
-    return abs(real(rng)) if kind < 0.85 else real(rng)
-
-
-def phase(rng: random.Random) -> float:
-    """A phase for a sweep: mostly within 20, else any real."""
-    return rng.uniform(-20.0, 20.0) if rng.random() < 0.6 else real(rng)
-
-
-def angles(rng: random.Random, count: int) -> list:
-    """``count`` phases within one bound, 1, 3, 20 or 100, so that the
-    difference of two is within ``THETA_MAX``, which ``amplitude`` takes.
-    Above a phase of about 5, a unitary's rounded entries are no longer
-    orthonormal within ``EPS_ALG``."""
-    bound = rng.choice((1.0, 3.0, 3.0, 20.0, 100.0))
-    return [rng.uniform(-bound, bound) for _ in range(count)]
-
-
 def option(rng: random.Random, value: float) -> str:
     """A float option's value as a shell passes it, now and then not finite."""
     return rng.choice(NOT_FINITE) if rng.random() < 0.03 else repr(value)
-
-
-def moved(pairs: list, rng: random.Random) -> list:
-    """``pairs`` with every component moved by the same few ulps and, one
-    time in three, scaled by one of ``SCALES``, clamped to the largest
-    double."""
-    steps = rng.randint(-4, 4)
-    scale = rng.choice(SCALES) if rng.random() < 0.35 else 1.0
-    toward = math.copysign(math.inf, steps)
-
-    def move(x: float) -> float:
-        for _ in range(abs(steps)):
-            x = math.nextafter(x, toward)
-        return max(-MAX, min(MAX, x * scale))
-
-    return [[move(x), move(y)] for x, y in pairs]
-
-
-def raw_entry(rng: random.Random) -> list:
-    """An entry of two reals, or on the light cone, where x*x - y*y cancels."""
-    x = real(rng)
-    return [x, rng.choice((x, -x))] if rng.random() < 0.3 else [x, real(rng)]
-
-
-def matrix(rng: random.Random) -> list:
-    """Mostly a decomposable unitary, else raw or top-of-range entries."""
-    kind = rng.random()
-    if kind < 0.2:
-        return [[raw_entry(rng), raw_entry(rng)], [raw_entry(rng), raw_entry(rng)]]
-    if kind < 0.8:
-        params = UnitaryParams(rng.uniform(1e-6, 1 - 1e-6), *angles(rng, 3))
-        pairs = [(z.x, z.y) for z in make_decomposable_unitary(params).entries()]
-    else:
-        pairs = [pair for row in rng.choice(TOP_MATRICES) for pair in row]
-    a, b, c, d = moved(pairs, rng)
-    return [[a, b], [c, d]]
-
-
-def state(rng: random.Random) -> list:
-    """Mostly a normalized state of two amplitudes, else raw entries."""
-    if rng.random() < 0.25:
-        return [raw_entry(rng), raw_entry(rng)]
-    q = rng.random()
-    xi1, xi2 = angles(rng, 2)
-    pair = [amplitude(rng.choice((1, -1)), q, xi1), amplitude(rng.choice((1, -1)), 1.0 - q, xi2)]
-    return moved([(z.x, z.y) for z in pair], rng)
 
 
 def command(rng: random.Random) -> list:
@@ -290,19 +185,17 @@ def check_contract(argv: list, folder: Path) -> None:
         json.loads(out, parse_constant=refuse_constant)
 
 
+def fuzzed(rng: random.Random) -> list:
+    """A command line, mutated one time in ten."""
+    argv = command(rng)
+    return mutated(rng, argv) if rng.random() < MUTATED else argv
+
+
 def fuzz(runs: int) -> None:
     """The contract check on the commands of seeds 0 to ``runs`` - 1, whose
     input files are written over in one folder."""
     with tempfile.TemporaryDirectory(prefix="hyperq-fuzz-") as folder:
-        for seed in range(runs):
-            rng = random.Random(seed)
-            argv = command(rng)
-            if rng.random() < MUTATED:
-                argv = mutated(rng, argv)
-            try:
-                check_contract(argv, Path(folder))
-            except AssertionError as exc:
-                raise AssertionError(f"seed {seed}: {exc}") from exc
+        check(lambda argv: check_contract(argv, Path(folder)), fuzzed, draws=runs)
 
 
 def test_cli_contract_holds_across_the_double_range():

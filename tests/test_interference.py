@@ -8,11 +8,25 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
+from generators import (
+    any_sign,
+    edge_float,
+    floats,
+    grid_pair,
+    hyp_phase,
+    integers,
+    law_weight,
+    near_pi,
+    oracle_pair,
+    oracle_phase,
+    phase5,
+    positive_weight,
+    sampled,
+    seeded,
+    sign,
+)
 from helpers import outcome, python_calls
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from hyperq._rules import THETA_MAX
 from hyperq.algebra import (
     _check_finite,
     check_phase,
@@ -80,13 +94,6 @@ def assert_law_within_8u(got, p1, p2, theta, sign, hyperbolic):
         assert err <= 8 * Decimal(U) * terms + slack, (got, exact)
 
 
-weights = st.floats(min_value=0.0, max_value=10.0)
-positive_weights = st.floats(min_value=0.05, max_value=1.0)
-law_phases = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
-hyp_phases = st.floats(min_value=-THETA_MAX, max_value=THETA_MAX)
-signs = st.sampled_from([1, -1])
-
-
 class TestLaws:
     def test_trig_examples(self):
         assert trig_law(0.5, 0.5, math.pi) == pytest.approx(0.0, abs=1e-12)
@@ -133,36 +140,21 @@ class TestLaws:
         # calls on the raise path only
         assert python_calls(law, *args) == [law.__name__]
 
-    @given(weights, weights, law_phases)
+    @seeded(law_weight, law_weight, phase5)
     def test_plus_branch_dominates_perfect_square(self, a, b, theta):
         floor = (math.sqrt(a) + math.sqrt(b)) ** 2
         assert hyp_law(a, b, theta, 1) >= floor - 1e-9
 
 
-# Ranges where no intermediate result underflows, so a relative bound holds;
-# subnormal inputs are covered by the command-line tests.
-oracle_weights = st.just(0.0) | st.floats(min_value=1e-30, max_value=1e30)
-nudges = st.floats(min_value=-1e-6, max_value=1e-6)
-oracle_pairs = st.tuples(oracle_weights, oracle_weights) | st.tuples(
-    oracle_weights, nudges
-).map(lambda an: (an[0], an[0] * (1.0 + an[1])))
-oracle_phases = (
-    st.just(0.0)
-    | st.floats(min_value=1e-12, max_value=20.0)
-    | st.floats(min_value=1e-12, max_value=20.0).map(lambda t: -t)
-)
-near_pi = nudges.map(lambda e: math.pi + e)
-
-
 class TestLawsAgainstTheOracle:
     # cosh's series has no cancelling terms, so the oracle holds at every
     # phase hyp_law accepts; cos's does not past |theta| of about 100
-    @given(oracle_pairs, oracle_phases | hyp_phases, signs)
+    @seeded(oracle_pair, oracle_phase | hyp_phase, sign)
     def test_hyp_law(self, pair, theta, sign):
         p1, p2 = pair
         assert_law_within_8u(hyp_law(p1, p2, theta, sign), p1, p2, theta, sign, True)
 
-    @given(oracle_pairs, oracle_phases | near_pi)
+    @seeded(oracle_pair, oracle_phase | near_pi)
     def test_trig_law(self, pair, theta):
         p1, p2 = pair
         assert_law_within_8u(trig_law(p1, p2, theta), p1, p2, theta, 1, False)
@@ -196,18 +188,25 @@ class TestLinearizationIdentities:
         left = hyp_law(0.25, 0.25, math.log(2), 1)
         assert left == pytest.approx(1.125, abs=1e-12)
 
-    @given(weights, weights, law_phases)
+    @seeded(law_weight, law_weight, phase5)
     def test_trig_residual_everywhere(self, a, b, theta):
         assert trig_linearization_residual(a, b, theta) <= 1e-9
 
-    @given(weights, weights, law_phases, signs)
+    @seeded(law_weight, law_weight, phase5, sign)
     def test_hyp_residual_everywhere(self, a, b, theta, sign):
         assert hyp_linearization_residual(a, b, theta, sign) <= 1e-9
 
-    @given(weights, weights, hyp_phases, signs)
-    @example(5e-324, 5e-324, 3.0, -1)
-    # in (x, y) coordinates cosh - sinh cancels all of this value
-    @example(0.7665163703845079, 5.502747537472402, 39.57991040532255, -1)
+    @seeded(
+        law_weight,
+        law_weight,
+        hyp_phase,
+        sign,
+        cases=[
+            (5e-324, 5e-324, 3.0, -1),
+            # in (x, y) coordinates cosh - sinh cancels all of this value
+            (0.7665163703845079, 5.502747537472402, 39.57991040532255, -1),
+        ],
+    )
     def test_hyp_residual_within_a_few_ulps_at_every_phase(self, a, b, theta, sign):
         # a few ulps of the law's terms, sqrt(a)*sqrt(b) because a*b underflows
         cosh = math.cosh(theta)
@@ -309,34 +308,21 @@ class TestClassify:
         with pytest.raises(DegenerateInputsError):
             classify(1.0, 1e-320, 1e-320)
 
-    @given(
-        positive_weights,
-        positive_weights,
-        st.floats(min_value=0.01, max_value=math.pi - 0.01),
-    )
+    @seeded(positive_weight, positive_weight, floats(0.01, math.pi - 0.01))
     def test_trig_round_trip(self, p1, p2, theta):
         v = classify(trig_law(p1, p2, theta), p1, p2)
         assert v.regime == TRIG
         assert v.sign == 1
         assert v.theta == pytest.approx(theta, abs=1e-9)
 
-    @given(
-        positive_weights,
-        positive_weights,
-        st.floats(min_value=0.01, max_value=10.0),
-        signs,
-    )
+    @seeded(positive_weight, positive_weight, floats(0.01, 10.0), sign)
     def test_hyp_round_trip(self, p1, p2, theta, sign):
         v = classify(hyp_law(p1, p2, theta, sign), p1, p2)
         assert v.regime == HYP
         assert v.sign == sign
         assert v.theta == pytest.approx(theta, abs=1e-8)
 
-    @given(
-        st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
-        positive_weights,
-        positive_weights,
-    )
+    @seeded(phase5, positive_weight, positive_weight)
     def test_regime_dichotomy(self, pprime, p1, p2):
         v = classify(pprime, p1, p2)
         assert v.regime in (TRIG, HYP, BOUNDARY)
@@ -498,13 +484,6 @@ def test_verdict_is_a_full_named_tuple(triple, regime):
     assert clone == v
 
 
-# floats with every edge of the guards, and signs that pass and fail
-edge_floats = st.sampled_from(
-    [NAN, INF, -INF, 0.0, -0.0, 5e-324, 1e-320, 0.5, 1e308, -1.0, 300.0, -300.0, 301.0]
-) | st.floats()
-any_signs = st.sampled_from([1, -1, 0, 2, 1.0, -1.0, True, 1.5, NAN])
-
-
 # each guard in order, then the public law: a law whose inline chain let
 # through what a guard refuses, or refused what every guard accepts, differs
 def guarded_trig_law(p1, p2, theta):
@@ -525,24 +504,27 @@ def guarded_hyp_law(p1, p2, theta, sign):
 class TestInlineGuards:
     """The laws' inline tests agree with calling every guard, in order."""
 
-    @given(edge_floats, edge_floats, edge_floats)
-    @example(0.5, 0.5, NAN)
-    @example(0.5, -0.5, 0.5)
+    @seeded(edge_float, edge_float, edge_float, cases=[(0.5, 0.5, NAN), (0.5, -0.5, 0.5)])
     def test_trig_law(self, p1, p2, theta):
         assert outcome(trig_law, p1, p2, theta) == outcome(guarded_trig_law, p1, p2, theta)
 
-    @given(edge_floats, edge_floats, edge_floats, any_signs)
-    @example(0.5, 0.5, 301.0, 1)
-    @example(0.5, 0.5, 0.5, 0)
-    @example(0.5, -0.5, 0.5, 1)
+    @seeded(
+        edge_float,
+        edge_float,
+        edge_float,
+        any_sign,
+        cases=[(0.5, 0.5, 301.0, 1), (0.5, 0.5, 0.5, 0), (0.5, -0.5, 0.5, 1)],
+    )
     def test_hyp_law(self, p1, p2, theta, sign):
         got = outcome(hyp_law, p1, p2, theta, sign)
         assert got == outcome(guarded_hyp_law, p1, p2, theta, sign)
 
-    @given(edge_floats, edge_floats, edge_floats)
-    @example(INF, 0.5, 0.5)
-    @example(NAN, 0.5, 0.5)
-    @example(0.5, 0.5, -0.5)
+    @seeded(
+        edge_float,
+        edge_float,
+        edge_float,
+        cases=[(INF, 0.5, 0.5), (NAN, 0.5, 0.5), (0.5, 0.5, -0.5)],
+    )
     def test_classify(self, pprime, p1, p2):
         got = outcome(classify, pprime, p1, p2)
         if not all(map(math.isfinite, (pprime, p1, p2))):
@@ -584,52 +566,30 @@ def grid_bits(sweep, *args):
         return type(exc), str(exc)
 
 
-# generic, subnormal, near the top of the range, and ints
-grid_probabilities = (
-    st.floats(min_value=0.0, max_value=2.0)
-    | st.floats(min_value=0.0, max_value=sys.float_info.min)
-    | st.floats(min_value=1e299, max_value=1e301)
-    | st.integers(min_value=0, max_value=10**6)
-    | st.just(2**1000)
-)
-# 1e308's value overflows, HUGE fits no double, and 10**308 + 10**308 none
-refused = st.sampled_from([1e308, 10**308, HUGE])
-# p1 close to p2, where the hyperbolic minus branch would cancel
-close_pairs = st.tuples(
-    st.floats(min_value=1e-6, max_value=1.0),
-    st.floats(min_value=-1e-12, max_value=1e-12),
-).map(lambda pd: (pd[0], pd[0] + pd[1]))
-grid_pairs = (
-    st.tuples(grid_probabilities, grid_probabilities)
-    | close_pairs
-    | st.tuples(refused, grid_probabilities)
-    | st.tuples(grid_probabilities, refused)
-    | st.tuples(refused, refused)
-)
-
-
 class TestSweepGrid:
     """The grid kernel gives the laws' bits at every point, and their refusals."""
 
-    @settings(derandomize=True, max_examples=300)
-    @given(
-        st.sampled_from([TRIG, HYP]),
-        grid_pairs,
+    @seeded(
+        sampled([TRIG, HYP]),
+        grid_pair,
         # ranges up to 10 wide cross cos(theta) < 0
-        st.floats(min_value=-7.0, max_value=7.0),
-        st.floats(min_value=1e-3, max_value=10.0),
-        st.integers(min_value=2, max_value=40),
-        signs,
+        floats(-7.0, 7.0),
+        floats(1e-3, 10.0),
+        integers(2, 40),
+        sign,
+        draws=300,
+        cases=[
+            # the plus branch raises (an int sum no double holds) after a finite point
+            (TRIG, (int(1.7e308), 10**307), math.pi, math.pi, 2, 1),
+            # ... and after a point whose value overflows, which is refused first
+            (TRIG, (int(1.7e308), 10**307), 4.711, 0.039, 2, 1),
+            # every value is finite, though their sum is not
+            (TRIG, (4e307, 4e307), 0.0, 0.1, 3, 1),
+            (HYP, (0.5, 0.5 + 1e-12), 0.0, 1e-3, 5, -1),
+            (HYP, (1e308, 1e308), 0.0, 1.0, 3, 1),
+            (TRIG, (HUGE, 0.5), 0.0, 1.0, 3, 1),
+        ],
     )
-    # the plus branch raises (an int sum no double holds) after a finite point
-    @example(TRIG, (int(1.7e308), 10**307), math.pi, math.pi, 2, 1)
-    # ... and after a point whose value overflows, which is refused first
-    @example(TRIG, (int(1.7e308), 10**307), 4.711, 0.039, 2, 1)
-    # every value is finite, though their sum is not
-    @example(TRIG, (4e307, 4e307), 0.0, 0.1, 3, 1)
-    @example(HYP, (0.5, 0.5 + 1e-12), 0.0, 1e-3, 5, -1)
-    @example(HYP, (1e308, 1e308), 0.0, 1.0, 3, 1)
-    @example(TRIG, (HUGE, 0.5), 0.0, 1.0, 3, 1)
     def test_rows_are_law_bits(self, law, pair, theta_min, width, steps, sign):
         args = (law, *pair, theta_min, theta_min + width, steps, sign)
         assert grid_bits(sweep_rows, *args) == grid_bits(law_grid, *args)

@@ -125,3 +125,18 @@ def test_star_import_binds_all():
         "bound = set(globals()) - before - {'before', 'hyperq'}\n"
         "assert bound == set(hyperq.__all__), bound ^ set(hyperq.__all__)\n"
     )
+
+
+def test_no_test_imports_hypothesis():
+    # the seeded generators in tests/generators.py draw every test input
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "hypothesis"]
+    assert not found, found

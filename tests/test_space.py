@@ -7,15 +7,25 @@ import sys
 from fractions import Fraction
 
 import pytest
+from generators import (
+    integers,
+    number,
+    one_of,
+    residual_matrix,
+    seeded,
+    unitary,
+    vector,
+    wide_matrix,
+    wide_vector,
+)
 from helpers import python_calls
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hyperq.algebra import EPS_ALG, J, ONE, ZERO, SplitComplex
 from hyperq.errors import NotUnitaryError, PreconditionError
 from hyperq.space import (
     Mat2,
     Vec2,
+    _rescaled_residual,
     change_basis,
     doubly_stochastic_residual,
     inner,
@@ -33,21 +43,12 @@ MATRIX = "malformed matrix: expected [[[x11, y11], [x12, y12]], [[x21, y21], [x2
 MATRIX_ENTRIES = f"{MATRIX} with numeric entries"
 HUGE = "an int too large for a double"
 
-coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-numbers = st.builds(SplitComplex, coords, coords)
-vectors = st.builds(Vec2, numbers, numbers)
-
-wide_coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-wide_numbers = st.builds(SplitComplex, wide_coords, wide_coords)
-wide_vectors = st.builds(Vec2, wide_numbers, wide_numbers)
-wide_matrices = st.builds(Mat2, wide_numbers, wide_numbers, wide_numbers, wide_numbers)
-
 #: A finite entry whose row product, its squared norm 1e616, is not a double.
 OVERFLOW = [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]
 
-#: Two entries whose row products overflow with opposite signs, to inf and -inf.
-#: The exact residual is 1e308, a double; refusing it is an open FOUND, and
-#: a mend moves this matrix out of the refused cases.
+#: Two entries whose row products overflow with opposite signs, to inf and
+#: -inf.  The exact residual is 1e308, a double: the rows at their own
+#: scales give it.
 OPPOSITE_OVERFLOW = [[[1e308, 0], [0, 1e308]], [[0, 0], [1, 0]]]
 
 #: Light-cone entries whose cross term with the second row, and so the
@@ -65,35 +66,6 @@ ULP = Fraction(1, 2**53)
 
 #: The least magnitude that rounds to infinity: no double is this large.
 TOP = Fraction(2**1024 - 2**970)
-
-unit_interval = st.floats(min_value=0.05, max_value=0.95)
-small_phases = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
-unitaries = st.builds(
-    lambda p, g1, g2, d: make_decomposable_unitary(UnitaryParams(p, g1, g2, d)),
-    unit_interval,
-    small_phases,
-    small_phases,
-    small_phases,
-)
-
-# components scaled toward the largest double
-top_coords = st.builds(
-    operator.mul,
-    st.floats(min_value=-1.0, max_value=1.0),
-    st.sampled_from([1e154, 1e200, 1e300, 1e307, 1e308, sys.float_info.max]),
-)
-top_numbers = st.builds(SplitComplex, top_coords, top_coords)
-light_cone_numbers = st.builds(
-    lambda x, sign: SplitComplex(x, sign * x), top_coords, st.sampled_from([1, -1])
-)
-# |y| > |x|: a negative squared norm
-j_dominant_numbers = st.builds(lambda x, y: SplitComplex(1e-3 * x, y), top_coords, top_coords)
-# rows near the top of the range, or small, so that a large row meets a small one
-top_rows = st.one_of(
-    *(st.builds(Vec2, n, n) for n in (top_numbers, light_cone_numbers, j_dominant_numbers)),
-    vectors,
-)
-top_matrices = st.builds(Mat2.from_rows, top_rows, top_rows)
 
 
 def halved_products(m: Mat2) -> list[Fraction]:
@@ -166,7 +138,7 @@ class TestVec2:
         with pytest.raises(TypeError, match="'Vec2'"):
             op(operand, u)
 
-    @given(wide_vectors, wide_vectors)
+    @seeded(wide_vector, wide_vector)
     def test_dist_is_the_larger_coordinate_dist(self, u, v):
         assert u.dist(v) == max(u.c1.dist(v.c1), u.c2.dist(v.c2))
 
@@ -319,15 +291,15 @@ class TestInner:
         v = Vec2(J, ZERO)
         assert inner(v, v) == SplitComplex(-1, 0)
 
-    @given(vectors, vectors)
+    @seeded(vector, vector)
     def test_conjugate_symmetry(self, u, v):
         assert inner(u, v) == inner(v, u).conj()
 
-    @given(vectors)
+    @seeded(vector)
     def test_self_product_is_real(self, u):
         assert inner(u, u).y == 0.0
 
-    @given(vectors, vectors, vectors, numbers, numbers)
+    @seeded(vector, vector, vector, number, number)
     def test_linear_in_first_argument(self, u, w, v, a, b):
         left = inner(u * a + w * b, v)
         right = inner(u, v) * a + inner(w, v) * b
@@ -335,7 +307,7 @@ class TestInner:
         scale *= v.c1.mag() + v.c2.mag()
         assert left.dist(right) <= EPS_ALG * max(1.0, scale)
 
-    @given(vectors)
+    @seeded(vector)
     def test_nondegenerate_on_probes(self, z):
         # the four real-coordinate probes pin down every component
         probes = [
@@ -379,11 +351,11 @@ class TestOrthonormality:
         m = Mat2(ONE, ZERO, ONE, ZERO)
         assert not is_orthonormal_rows(m)
 
-    @given(unitaries)
+    @seeded(unitary)
     def test_generated_unitaries_pass(self, m):
         assert is_orthonormal_rows(m)
 
-    @given(st.one_of(wide_matrices, unitaries, top_matrices))
+    @seeded(residual_matrix)
     def test_residual_is_within_rounding_of_exact_arithmetic(self, m):
         # to first order each of the kernel's four quarter sums is off by
         # at most 4u times its scale (u and v rounded, then the product,
@@ -418,10 +390,17 @@ class TestOrthonormality:
         assert orthonormality_residual(m) == 1e308 == float(exact_residual(m)[0])
 
     def test_overflowing_row_product_is_a_precondition(self):
-        # one product is inf; two of opposite signs are inf and -inf
-        for entries in (OVERFLOW, OPPOSITE_OVERFLOW):
-            with pytest.raises(PreconditionError):
-                orthonormality_residual(Mat2.from_list(entries))
+        # the product is inf, and the exact residual, 1e616, no double
+        with pytest.raises(PreconditionError, match=r"overflows: \(inf, 0.0, 0.0\)"):
+            orthonormality_residual(Mat2.from_list(OVERFLOW))
+
+    def test_row_products_to_inf_and_minus_inf_give_the_exact_residual(self):
+        m = Mat2.from_list(OPPOSITE_OVERFLOW)
+        assert orthonormality_residual(m) == 1e308 == exact_residual(m)[0]
+
+    @seeded(one_of(wide_matrix, unitary), integers(-60, 60), integers(-60, 60))
+    def test_rows_at_their_own_scales_give_the_residual_bits(self, m, k1, k2):
+        assert _rescaled_residual(m, k1, k2).hex() == orthonormality_residual(m).hex()
 
 
 class TestChangeBasis:
@@ -443,13 +422,13 @@ class TestChangeBasis:
         with pytest.raises(PreconditionError):
             change_basis(big, hyperbolic_rotation(1.4))
 
-    @given(wide_vectors, unitaries)
+    @seeded(wide_vector, unitary)
     def test_equals_the_operator_product(self, v, m):
         assert change_basis(v, m) == Vec2(
             v.c1 * m.a11 + v.c2 * m.a21, v.c1 * m.a12 + v.c2 * m.a22
         )
 
-    @given(vectors, unitaries)
+    @seeded(vector, unitary)
     def test_preserves_norm_sum(self, v, m):
         before = v.norm_sq_sum()
         after = change_basis(v, m).norm_sq_sum()
@@ -466,7 +445,7 @@ class TestProbMatrix:
         (p11, p12), (p21, p22) = prob_matrix(m)
         assert (p11, p12, p21, p22) == pytest.approx([0.5] * 4, rel=1e-7, abs=1e-12)
 
-    @given(unitaries)
+    @seeded(unitary)
     def test_generated_unitaries_are_doubly_stochastic(self, m):
         assert doubly_stochastic_residual(prob_matrix(m)) <= 1e-9
 

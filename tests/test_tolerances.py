@@ -14,9 +14,8 @@ import math
 import struct
 
 import pytest
+from generators import seeded, table
 from helpers import scan
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hyperq.algebra import EPS_ALG, EPS_MEM, ONE, ZERO, SplitComplex
 from hyperq.born import (
@@ -237,7 +236,7 @@ EDGE_VALUES = [
     math.inf,
     -math.inf,
 ]
-tables = st.lists(st.sampled_from(EDGE_VALUES) | st.floats(), max_size=6)
+tables = table(EDGE_VALUES)
 
 
 def check_unit_sums_per_value(kind, *totals):
@@ -248,7 +247,7 @@ def check_unit_sums_per_value(kind, *totals):
     return None
 
 
-@given(tables)
+@seeded(tables)
 def test_unit_sum_table_is_the_per_value_verdict(totals):
     verdict = _is_unit_sum(*totals)
     assert verdict is all(_is_unit_sum(total) for total in totals)
@@ -262,7 +261,7 @@ def test_unit_sum_table_is_the_per_value_verdict(totals):
         assert expected is None
 
 
-@given(tables)
+@seeded(tables)
 def test_unit_interval_table_is_the_per_value_verdict(values):
     verdict = _in_unit_interval(tuple(values))
     assert verdict is all(_in_unit_interval((p,)) for p in values)
